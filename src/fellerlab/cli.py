@@ -12,7 +12,6 @@ Exit codes: 0 success / trajectory alive, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -191,12 +190,6 @@ def _displaced_state(u: Field, gamma: float) -> Field:
     return u + direction * (gamma / l2_norm(direction))
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get("FELLERLAB_THREADS", "1"))
-
-
 def _base_manifest(cfg: dict, seed: int) -> dict:
     return {"version": __version__, "config": cfg, "seed": seed}
 
@@ -297,8 +290,7 @@ def cmd_tv(args) -> int:
     for gamma in gammas:
         u_bar = _displaced_state(u, gamma)
         report = estimate_tv_bound(u, u_bar, t, spec, params, n_samples, seed, dt,
-                                   n_steps=n_steps, functionals=functionals,
-                                   threads=_threads(args))
+                                   n_steps=n_steps, functionals=functionals)
         summaries.append({
             "gamma": gamma, "bound": report.bound, "fail_prob": report.fail_prob,
             "fail_interval": report.fail_interval,
@@ -420,7 +412,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.set_defaults(fn=fn)
         return p
 

@@ -199,7 +199,7 @@ class EquationSpec:
         # kpz1d
         du = ws.dealiased_gradient(u)
         s = self.coupling_array
-        quad = np.einsum("ijk,jx,kx->ix", s, du, du)
+        quad = np.einsum("ijk,...jx,...kx->...ix", s, du, du)
         return quad - self.renorm_values()[:, None]
 
     def drift_jvp(self, u: np.ndarray, x: np.ndarray, ws) -> np.ndarray:
@@ -211,7 +211,8 @@ class EquationSpec:
         du = ws.dealiased_gradient(u)
         dx = ws.dealiased_gradient(x)
         s = self.coupling_array
-        return np.einsum("ijk,jx,kx->ix", s, du, dx) + np.einsum("ijk,jx,kx->ix", s, dx, du)
+        return (np.einsum("ijk,...jx,...kx->...ix", s, du, dx)
+                + np.einsum("ijk,...jx,...kx->...ix", s, dx, du))
 
     def g_values(self, u: np.ndarray) -> np.ndarray | None:
         """Pointwise noise coefficient, or None when identically one."""

@@ -10,15 +10,15 @@ not actually couple to tolerance, and the second term is the exponential
 moment control of the reweighting martingale.  The estimator never certifies
 anything; it measures, with Wilson intervals on the failure rate.
 
-Sampling is embarrassingly parallel over one noise stream per sample index;
-aggregation is by sample index, so reports are bit-identical whatever the
-thread count.
+Each sample index owns one noise stream.  ``estimate_tv_bound`` runs its
+samples in batches, all rows of a batch through every evolve, tangent sweep
+and gamma step at once; each row is computed exactly as it would be alone,
+so records are bit-identical whatever the batch or chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,10 +26,11 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import Field, l2_norm
-from .noise import (ShiftPath, apply_shift, cm_norm_sq, girsanov_weight,
-                    sample_white_noise)
-from .shift import CouplingParams, build_shift, verify_coupling
-from .solver import evolve
+from .noise import (ShiftPath, _check_path, _draw_increments, apply_shift, cm_norm_sq,
+                    girsanov_weight, sample_white_noise)
+from .shift import (CouplingParams, _build_shift_batch, _coupling_residuals,
+                    _shift_slices)
+from .solver import _check_state, _evolve_batch, evolve, get_workspace
 
 __all__ = [
     "SampleRecord",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 EULER_E = math.e
+# Memory one chunk of tv samples may hold; rows per chunk = this / bytes per row.
+_CHUNK_BYTES = 1 << 24
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -61,13 +64,6 @@ def _clamped(functional: Callable[[Field], float]) -> Callable[[Field], float]:
         return float(np.clip(functional(f), -1.0, 1.0))
 
     return wrapped
-
-
-def _map_samples(fn, n_samples: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(j) for j in range(n_samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_samples)))
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,40 @@ class TVReport:
     records: tuple[SampleRecord, ...] = field(repr=False, default=())
 
 
+def _tv_records(u: Field, u_bar: Field, t: float, dt: float, k_t: int, n_steps: int,
+                spec: EquationSpec, params: CouplingParams, seed: int,
+                streams: range, fns) -> list[SampleRecord]:
+    """One chunk of tv samples, a row per noise stream."""
+    grid, n_rows = u.grid, len(streams)
+    ws = get_workspace(grid, dt, spec)
+    increments = np.stack([_draw_increments(grid, u.m, k_t, dt, seed, j) for j in streams],
+                          axis=1)
+    results, from_u = _build_shift_batch(u, u_bar, increments, t, dt, n_steps, spec, params)
+    if from_u is None:
+        from_u = _evolve_batch(np.broadcast_to(u.values, (n_rows,) + u.values.shape),
+                               increments, spec, ws)
+    h = np.stack([r.h.values[:k_t] for r in results], axis=1)
+    # u_bar under the shifted noise (verification) and, for the functionals,
+    # under the plain noise, as one batch
+    noises = [increments + h * dt] + ([increments] if fns else [])
+    from_ubar = _evolve_batch(
+        np.broadcast_to(u_bar.values, (len(noises) * n_rows,) + u.values.shape),
+        np.concatenate(noises, axis=1), spec, ws)
+    residuals = _coupling_residuals(u, u_bar, from_u, from_ubar.rows(slice(0, n_rows)))
+    from_ubar = from_ubar.rows(slice(-n_rows, None))
+
+    def values(paths, b):
+        if not fns or paths.reasons[b] is not None:
+            return tuple(0.0 for _ in fns)
+        final = Field(grid, paths.final(b))
+        return tuple(fn(final) for _, fn in fns)
+
+    return [SampleRecord(index=j, status=res.status, residual=residuals[b],
+                         h_norm_sq=cm_norm_sq(res.h), f_from_u=values(from_u, b),
+                         f_from_ubar=values(from_ubar, b))
+            for b, (j, res) in enumerate(zip(streams, results))]
+
+
 def estimate_tv_bound(
     u: Field,
     u_bar: Field,
@@ -105,7 +135,6 @@ def estimate_tv_bound(
     dt: float,
     n_steps: int | None = None,
     functionals: Sequence[tuple[str, Callable[[Field], float]]] = (),
-    threads: int = 1,
 ) -> TVReport:
     """Sample the coupling and aggregate the law-distance bound at time t.
 
@@ -114,6 +143,9 @@ def estimate_tv_bound(
     *unshifted* evolutions (common noise) for the dominance check.  A sample
     fails when its status is not 'completed' or its absolute endpoint
     deviation exceeds ``params.tol`` (default 1e-3 * gamma).
+
+    Samples run in chunks of rows evolved together; only the noise slices
+    before t are drawn.
     """
     gamma = l2_norm(u_bar - u)
     if params.m_bound * gamma > 1.0 + 1e-12:
@@ -124,20 +156,20 @@ def estimate_tv_bound(
     tol_abs = params.tol if params.tol is not None else 1e-3 * gamma
     n_steps = n_steps or round(1.0 / dt)
     fns = [(name, _clamped(fn)) for name, fn in functionals]
+    _check_path(u.m, n_steps, dt)
+    _check_state(u, u.grid, u.m, spec)
+    _check_state(u_bar, u.grid, u.m, spec)
+    k_t = _shift_slices(t, dt, n_steps)
 
-    def one(j: int) -> SampleRecord:
-        w = sample_white_noise(u.grid, u.m, n_steps, dt, seed, stream=j)
-        res = build_shift(u, u_bar, w, t, spec, params)
-        residual = verify_coupling(u, u_bar, w, res.h, t, spec)
-        out_u = evolve(u, w, 0.0, t, spec)
-        out_ub = evolve(u_bar, w, 0.0, t, spec)
-        f_u = tuple(fn(out_u.final) if out_u.alive else 0.0 for _, fn in fns)
-        f_ub = tuple(fn(out_ub.final) if out_ub.alive else 0.0 for _, fn in fns)
-        return SampleRecord(index=j, status=res.status, residual=residual,
-                            h_norm_sq=cm_norm_sq(res.h), f_from_u=f_u, f_from_ubar=f_ub)
-
-    records = _map_samples(one, n_samples, threads)
-    records.sort(key=lambda r: r.index)
+    # per row: the noise, the shift and about a dozen (k_t+1)-slice work arrays
+    # (paths, sweeps, transfer slices), plus the full-length shift of its result
+    row_bytes = 8 * u.values.size * (2 * n_steps + 16 * (k_t + 1))
+    chunk = max(1, _CHUNK_BYTES // row_bytes)
+    records = []
+    for start in range(0, n_samples, chunk):
+        streams = range(start, min(n_samples, start + chunk))
+        records += _tv_records(u, u_bar, t, dt, k_t, n_steps, spec, params, seed, streams,
+                              fns)
 
     fails = sum(1 for r in records
                 if r.status != "completed" or r.residual * gamma > tol_abs)
@@ -181,7 +213,6 @@ def weighted_expectation(
     seed: int,
     dt: float | None = None,
     n_steps: int | None = None,
-    threads: int = 1,
 ) -> WeightedComparison:
     """Compare E[F(flow under shifted noise) * weight] against E[F(flow)].
 
@@ -209,7 +240,7 @@ def weighted_expectation(
         f_shift = fn(moved.final) if moved.alive else 0.0
         return f_shift * girsanov_weight(w, h_j), f_plain
 
-    pairs = _map_samples(one, n_samples, threads)
+    pairs = [one(j) for j in range(n_samples)]
     weighted = np.array([p[0] for p in pairs])
     plain = np.array([p[1] for p in pairs])
     diff = weighted - plain
@@ -231,8 +262,7 @@ class BlowupReport:
 
 
 def blowup_probability(u: Field, t: float, spec: EquationSpec, n_samples: int,
-                       seed: int, dt: float, n_steps: int | None = None,
-                       threads: int = 1) -> BlowupReport:
+                       seed: int, dt: float, n_steps: int | None = None) -> BlowupReport:
     """Fraction of noise draws under which the flow from u dies by time t."""
     n_steps = n_steps or round(1.0 / dt)
 
@@ -240,7 +270,7 @@ def blowup_probability(u: Field, t: float, spec: EquationSpec, n_samples: int,
         w = sample_white_noise(u.grid, u.m, n_steps, dt, seed, stream=j)
         return not evolve(u, w, 0.0, t, spec).alive
 
-    deaths = sum(_map_samples(one, n_samples, threads))
+    deaths = sum(one(j) for j in range(n_samples))
     return BlowupReport(estimate=deaths / n_samples,
                         interval=wilson_interval(deaths, n_samples),
                         n_samples=n_samples)

@@ -6,9 +6,10 @@ over [t_k, t_{k+1}), distributed N(0, dt / cell_volume).
 
 Randomness is counter-based: slice k of stream ``stream`` under ``seed`` is
 drawn from its own Philox block (key = (seed, stream), counter offset k), so a
-path is reproducible slice by slice regardless of how many threads draw other
-paths, and increments over disjoint time windows come from independent
-counter blocks.
+path is reproducible slice by slice whatever other paths are drawn beside it
+or in what batch, a prefix of slices is the same whatever the path length,
+and increments over disjoint time windows come from independent counter
+blocks.
 
 A :class:`ShiftPath` is a deterministic direction for shifting the noise: a
 time grid of spatial fields with the units of noise density (field per unit
@@ -142,6 +143,28 @@ class _SliceStreams:
         return self.gen
 
 
+def _check_path(m: int, n_steps: int, dt: float):
+    if n_steps * dt < 1.0 - 1e-12:
+        raise ValueError(f"path must cover [0, 1]: n_steps*dt = {n_steps * dt} < 1")
+    if m < 1 or n_steps < 1 or dt <= 0:
+        raise ValueError("need m >= 1, n_steps >= 1, dt > 0")
+
+
+def _draw_increments(grid: Grid, m: int, n_slices: int, dt: float, seed: int,
+                     stream: int) -> np.ndarray:
+    """The first ``n_slices`` increments, shape (n_slices, m) + grid.shape, of
+    the path ``sample_white_noise`` draws for (seed, stream).  Each slice has
+    its own counter block, so a prefix does not depend on the path length."""
+    sigma = math.sqrt(dt / grid.cell_volume)
+    shape = (m,) + grid.shape
+    streams = _SliceStreams(seed, stream)
+    inc = np.empty((n_slices,) + shape)
+    for k in range(n_slices):
+        inc[k] = streams.at_slice(k).standard_normal(shape)
+    inc *= sigma
+    return inc
+
+
 def sample_white_noise(
     grid: Grid, m: int, n_steps: int, dt: float, seed: int, stream: int = 0
 ) -> NoisePath:
@@ -152,18 +175,9 @@ def sample_white_noise(
     N(0, dt / cell_volume) per component; identical (seed, stream) give
     bit-identical paths.
     """
-    if n_steps * dt < 1.0 - 1e-12:
-        raise ValueError(f"path must cover [0, 1]: n_steps*dt = {n_steps * dt} < 1")
-    if m < 1 or n_steps < 1 or dt <= 0:
-        raise ValueError("need m >= 1, n_steps >= 1, dt > 0")
-    sigma = math.sqrt(dt / grid.cell_volume)
-    shape = (m,) + grid.shape
-    streams = _SliceStreams(seed, stream)
-    inc = np.empty((n_steps,) + shape)
-    for k in range(n_steps):
-        inc[k] = streams.at_slice(k).standard_normal(shape)
-    inc *= sigma
-    return NoisePath(grid, dt, inc, seed_info=(seed, stream))
+    _check_path(m, n_steps, dt)
+    return NoisePath(grid, dt, _draw_increments(grid, m, n_steps, dt, seed, stream),
+                     seed_info=(seed, stream))
 
 
 def zero_noise_path(grid: Grid, m: int, n_steps: int, dt: float) -> NoisePath:

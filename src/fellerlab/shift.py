@@ -30,9 +30,9 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import Field, l2_norm
-from .noise import NoisePath, ShiftPath, apply_shift, cm_norm_sq, splice
-from .solver import FlowOutcome, evolve, get_workspace
-from .tangent import _tangent_step
+from .noise import NoisePath, ShiftPath, _snap_index, apply_shift, cm_norm_sq, splice
+from .solver import FlowOutcome, _check_state, _evolve_batch, _Paths, get_workspace
+from .tangent import _sweep
 
 __all__ = [
     "NondegeneracyError",
@@ -64,16 +64,16 @@ def bump_chi(s: float) -> float:
     return 2.0 if s >= 0.5 else 0.0
 
 
-def cutoff_chi(r: float) -> float:
-    """Monotone C^1 cutoff: 1 on [0, 1], 0 on [2, inf), smoothstep between."""
-    if r < 0.0:
+def cutoff_chi(r):
+    """Monotone C^1 cutoff: 1 on [0, 1], 0 on [2, inf), smoothstep between.
+
+    Takes a float or an array of them (elementwise, same arithmetic)."""
+    r = np.asarray(r, dtype=np.float64)
+    if np.any(r < 0.0):
         raise ValueError(f"argument must be >= 0, got {r}")
-    if r <= 1.0:
-        return 1.0
-    if r >= 2.0:
-        return 0.0
     x = r - 1.0
-    return 1.0 - 3.0 * x * x + 2.0 * x * x * x
+    out = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, 1.0 - 3.0 * x * x + 2.0 * x * x * x))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,36 @@ class ShiftResult:
             )
 
 
-def _partial_sweep(outcome: FlowOutcome, v_values: np.ndarray, spec: EquationSpec) -> np.ndarray:
-    """Tangent values along the stored (possibly truncated) trajectory."""
-    ws = get_workspace(outcome.grid, outcome.dt, spec)
-    steps = min(outcome.n_stored - 1, outcome.noise_terms.shape[0])
-    out = np.empty((steps + 1,) + outcome.fields.shape[1:])
-    x = v_values.copy()
-    out[0] = x
-    for j in range(steps):
-        x = _tangent_step(x, outcome.fields[j], outcome.noise_terms[j], spec, ws)
-        out[j + 1] = x
-    return out
+def _transfer_slices(paths: _Paths, v_values: np.ndarray, k_t: int, t: float,
+                     spec: EquationSpec, ws) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer directions of B stored (possibly truncated) paths at once.
+
+    Returns slices (k_t, B, m, *grid), slice k of row b being
+    (1/t) chi(k/k_t) G^{-1}(u_k) times the tangent value at k+1 for every k
+    the row's stored path reaches (k < n_stored - 1) and zero elsewhere, and
+    per row the first such support slice where G drops below g_min (-1 when
+    none does).
+    """
+    n_rows = paths.fields.shape[1]
+    steps = np.minimum(paths.n_stored - 1, k_t)
+    sweep = _sweep(paths.fields, paths.noise, np.broadcast_to(v_values, paths.fields.shape[1:]),
+                   steps, spec, ws)
+    chi_over_t = np.array([bump_chi(k / k_t) / t for k in range(k_t)])
+    reached = np.zeros((k_t, n_rows), dtype=bool)
+    reached[:sweep.shape[0] - 1] = np.arange(sweep.shape[0] - 1)[:, None] < steps
+    use = reached & (chi_over_t > 0)[:, None]
+    field_axes = (None,) * (paths.fields.ndim - 2)
+    contrib = np.zeros((k_t,) + paths.fields.shape[1:])
+    contrib[:sweep.shape[0] - 1] = sweep[1:]
+    g = spec.g_values(paths.fields[:k_t])
+    first_low = np.full(n_rows, -1)
+    if g is not None:
+        low = use & (g.reshape(k_t, n_rows, -1).min(axis=2) < spec.g_min)
+        first_low = np.where(low.any(axis=0), np.argmax(low, axis=0), -1)
+        # slices a row does not use divide zeros by one
+        contrib = contrib / np.where(use[(...,) + field_axes], g, 1.0)
+    return np.where(use[(...,) + field_axes],
+                    chi_over_t[(slice(None), None) + field_axes] * contrib, 0.0), first_low
 
 
 def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
@@ -152,26 +171,143 @@ def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
     k_t = outcome.time_index(t)
     if k_t < 1:
         raise ValueError("need t > 0 on the trajectory grid")
-    sweep = _partial_sweep(outcome, v.values, spec)
-    values = np.zeros((k_t,) + outcome.fields.shape[1:])
-    _fill_transfer_slices(values, outcome, sweep, k_t, t, spec, upto=k_t)
+    values, first_low = _transfer_slices(_Paths.of(outcome), v.values, k_t, t, spec,
+                                         get_workspace(outcome.grid, outcome.dt, spec))
+    if first_low[0] >= 0:
+        raise NondegeneracyError(
+            f"noise coefficient below g_min={spec.g_min} at slice {first_low[0]}")
     # full path length: pad to the trajectory's noise grid when embedded later
-    return ShiftPath(outcome.grid, outcome.dt, values)
+    return ShiftPath(outcome.grid, outcome.dt, values[:, 0])
 
 
-def _fill_transfer_slices(values, outcome, sweep, k_t, t, spec, upto):
-    """Write (1/t) chi(k/k_t) G^{-1}(u_k) sweep[k+1] into values[k] for k < upto."""
-    g_min = spec.g_min
-    for k in range(min(upto, sweep.shape[0] - 1, k_t)):
-        chi = bump_chi(k / k_t)
-        if chi == 0.0:
+def _shift_slices(t: float, dt: float, n_steps: int) -> int:
+    """Number of noise slices before t, checked for the shift construction."""
+    k_t = _snap_index(t, dt, n_steps)
+    if k_t < 2 or t > 1.0 + 1e-12:
+        raise ValueError("need t in (0, 1] with at least two slices")
+    return k_t
+
+
+def _build_shift_batch(u: Field, u_bar: Field, increments: np.ndarray, t: float, dt: float,
+                       n_steps: int, spec: EquationSpec,
+                       params: CouplingParams) -> tuple[list[ShiftResult], _Paths | None]:
+    """The gamma loop of :func:`build_shift` for B noise rows at once.
+
+    ``increments`` (k_t, B, m, *grid) holds the noise slices before t of
+    each row.  Rows share u, u_bar and every gamma step; each keeps its own
+    shift, cutoffs, clamps, gamma_star and status, and leaves the active set
+    when it dies at step 0, has no live slice left or trips nondegeneracy.
+    Returns one result per row (shifts padded to ``n_steps`` slices) and the
+    step-0 paths, which are the unshifted evolutions from u (None when
+    u == u_bar, which evolves nothing).
+    """
+    grid = u.grid
+    k_t, n_rows = increments.shape[:2]
+    shape = (u.m,) + grid.shape
+    m_bound, cutoff_r = params.m_bound, params.cutoff_r
+
+    def result(h, status, gamma_reached, gamma_star, diagnostics):
+        h_full = np.zeros((n_steps,) + shape)
+        h_full[:k_t] = h
+        path = ShiftPath(grid, dt, h_full)
+        return ShiftResult(h=path, gamma_target=gamma_target, gamma_reached=gamma_reached,
+                           status=status, gamma_star=gamma_star,
+                           cm_norm=math.sqrt(cm_norm_sq(path)), a_bound_used=m_bound,
+                           cutoff_r=cutoff_r, diagnostics=diagnostics)
+
+    gamma_target = l2_norm(u_bar - u)
+    if gamma_target == 0.0:
+        return [result(0.0, "completed", 0.0, None, {"monitor_per_step": []})
+                for _ in range(n_rows)], None
+
+    ws = get_workspace(grid, dt, spec)
+    v = (u_bar - u) * (1.0 / gamma_target)
+    d_gamma = gamma_target / params.k_gamma
+    support = np.array([bump_chi(k / k_t) > 0 for k in range(k_t)])
+    support_measure = float(np.sum(support)) * dt
+    slice_cap = m_bound / math.sqrt(support_measure)  # L2 cap per slice of dh/dgamma
+    cap = slice_cap * d_gamma
+    field_axes = (None,) * (grid.dim + 1)
+
+    vol = grid.cell_volume
+    h = np.zeros((k_t, n_rows) + shape)
+    cutoffs = np.ones((k_t, n_rows))
+    monitor_per_step = [[] for _ in range(n_rows)]
+    min_cutoff_per_step = [[] for _ in range(n_rows)]
+    clamp_events = np.zeros(n_rows, dtype=int)
+    gamma_reached = np.zeros(n_rows)
+    gamma_star = [None] * n_rows
+    gamma = 0.0
+    from_u = None
+    rows = np.arange(n_rows)
+
+    for step in range(params.k_gamma):
+        u_gamma = u + gamma * v
+        shifted = increments[:, rows] + h[:, rows] * dt
+        out = _evolve_batch(np.broadcast_to(u_gamma.values, (rows.size,) + shape),
+                            shifted, spec, ws)
+        alive = out.alive
+        if step == 0:
+            from_u = out
+            going = alive.copy()  # a row dead at step 0 ends with status 'dead'
+        else:
+            going = np.ones(rows.size, dtype=bool)
+
+        # refresh per-slice running cutoffs from this trajectory's monitor
+        n_live = np.minimum(out.n_stored, k_t)
+        reached = np.arange(k_t)[:, None] < n_live
+        step_cut = np.where(reached, cutoff_chi(out.trace[:k_t] / cutoff_r), 0.0)
+        new_cutoffs = np.minimum(cutoffs[:, rows], step_cut)
+        cutoffs[:, rows] = new_cutoffs
+        live = support[:, None] & (new_cutoffs > 0.0)
+        for i, b in enumerate(rows):
+            if not going[i]:
+                continue
+            if gamma_star[b] is None and np.any((new_cutoffs[:, i] == 0.0) & support):
+                gamma_star[b] = gamma
+            monitor_per_step[b].append(float(out.trace[out.n_stored[i] - 1, i])
+                                       if alive[i] else math.inf)
+            min_cutoff_per_step[b].append(float(np.min(new_cutoffs[support, i])))
+        going &= live.any(axis=0)
+
+        a_slices, first_low = _transfer_slices(out, v.values, k_t, t, spec, ws)
+        for i in np.flatnonzero(going & (first_low >= 0)):
+            # evolve marks these dead; only reachable through the final stored state
+            b = rows[i]
+            gamma_star[b] = gamma if gamma_star[b] is None else gamma_star[b]
+        going &= first_low < 0
+        gamma_reached[rows[~going]] = gamma
+        rows = rows[going]
+        if rows.size == 0:
+            break
+
+        increment = -d_gamma * a_slices[:, going] * new_cutoffs[:, going][(...,) + field_axes]
+        # slice-wise clamp keeps |h| <= M * gamma without looking across slices
+        norms = np.sqrt(vol * np.sum(increment.reshape(k_t, rows.size, -1) ** 2, axis=2))
+        over = norms > cap
+        clamp_events[rows] += over.sum(axis=0)
+        scale = cap / np.where(over, norms, cap)
+        h[:, rows] += increment * scale[(...,) + field_axes]
+        gamma += d_gamma
+    gamma_reached[rows] = gamma_target
+    ran_all_steps = np.zeros(n_rows, dtype=bool)
+    ran_all_steps[rows] = True
+
+    results = []
+    for b in range(n_rows):
+        if from_u.reasons[b] is not None:
+            results.append(result(0.0, "dead", 0.0, None,
+                                  {"monitor_per_step": [math.inf], "reason": from_u.reasons[b]}))
             continue
-        u_k = outcome.fields[k]
-        g = spec.g_values(u_k)
-        if g is not None and np.min(g) < g_min:
-            raise NondegeneracyError(f"noise coefficient below g_min={g_min} at slice {k}")
-        contrib = sweep[k + 1] if g is None else sweep[k + 1] / g
-        values[k] = (chi / t) * contrib
+        frozen = int(np.sum((cutoffs[:, b] == 0.0) & support))
+        completed = gamma_star[b] is None and ran_all_steps[b]
+        results.append(result(
+            h[:, b], "completed" if completed else "frozen", float(gamma_reached[b]),
+            gamma_star[b],
+            {"monitor_per_step": monitor_per_step[b], "clamp_events": int(clamp_events[b]),
+             "frozen_slice_count": frozen, "min_cutoff": float(np.min(cutoffs[:, b])),
+             "min_cutoff_per_step": min_cutoff_per_step[b]}))
+    return results, from_u
 
 
 def build_shift(u: Field, u_bar: Field, w: NoisePath, t: float, spec: EquationSpec,
@@ -185,104 +321,22 @@ def build_shift(u: Field, u_bar: Field, w: NoisePath, t: float, spec: EquationSp
     """
     if not isinstance(u, Field) or not isinstance(u_bar, Field):
         raise TypeError("build_shift couples two live states")
-    k_t = w.time_index(t)
-    if k_t < 2 or t > 1.0 + 1e-12:
-        raise ValueError("need t in (0, 1] with at least two slices")
-    grid, dt = w.grid, w.dt
-    shape = (w.m,) + grid.shape
-    h_values = np.zeros((w.n_steps,) + shape)
+    _check_state(u, w.grid, w.m, spec)
+    _check_state(u_bar, w.grid, w.m, spec)
+    k_t = _shift_slices(t, w.dt, w.n_steps)
+    results, _ = _build_shift_batch(u, u_bar, w.increments[:k_t, None], t, w.dt, w.n_steps,
+                                    spec, params)
+    return results[0]
 
-    gamma_target = l2_norm(u_bar - u)
-    if gamma_target == 0.0:
-        return ShiftResult(h=ShiftPath(grid, dt, h_values), gamma_target=0.0,
-                           gamma_reached=0.0, status="completed", gamma_star=None,
-                           cm_norm=0.0, a_bound_used=params.m_bound,
-                           cutoff_r=params.cutoff_r, diagnostics={"monitor_per_step": []})
 
-    v = (u_bar - u) * (1.0 / gamma_target)
-    d_gamma = gamma_target / params.k_gamma
-    m_bound, cutoff_r = params.m_bound, params.cutoff_r
-
-    chi_over_t = np.array([bump_chi(k / k_t) / t for k in range(k_t)])
-    support = chi_over_t > 0
-    support_measure = float(np.sum(support)) * dt
-    slice_cap = m_bound / math.sqrt(support_measure)  # L2 cap per slice of dh/dgamma
-
-    vol = grid.cell_volume
-    cutoffs = np.ones(k_t)
-    monitor_per_step = []
-    min_cutoff_per_step = []
-    clamp_events = 0
-    gamma = 0.0
-    gamma_star = None
-    steps_done = 0
-
-    for step in range(params.k_gamma):
-        u_gamma = u + gamma * v
-        shifted = apply_shift(w, ShiftPath(grid, dt, h_values))
-        out = evolve(u_gamma, shifted, 0.0, t, spec)
-
-        if not out.alive and step == 0:
-            return ShiftResult(h=ShiftPath(grid, dt, np.zeros_like(h_values)),
-                               gamma_target=gamma_target, gamma_reached=0.0,
-                               status="dead", gamma_star=None, cm_norm=0.0,
-                               a_bound_used=m_bound, cutoff_r=cutoff_r,
-                               diagnostics={"monitor_per_step": [math.inf],
-                                            "reason": out.reason})
-
-        # refresh per-slice running cutoffs from this trajectory's monitor
-        trace = out.monitor_trace
-        n_live = min(trace.shape[0], k_t)
-        step_cut = np.zeros(k_t)
-        for k in range(n_live):
-            step_cut[k] = cutoff_chi(trace[k] / cutoff_r)
-        new_cutoffs = np.minimum(cutoffs, step_cut)
-        if gamma_star is None and np.any((new_cutoffs == 0.0) & support):
-            gamma_star = gamma
-        cutoffs = new_cutoffs
-        monitor_per_step.append(float(trace[-1]) if out.alive else math.inf)
-        min_cutoff_per_step.append(float(np.min(cutoffs[support])))
-
-        live = support & (cutoffs > 0.0)
-        if not live.any():
-            break
-
-        sweep = _partial_sweep(out, v.values, spec)
-        a_slices = np.zeros((k_t,) + shape)
-        try:
-            _fill_transfer_slices(a_slices, out, sweep, k_t, t, spec, upto=n_live)
-        except NondegeneracyError:
-            # evolve marks these dead; only reachable through the final stored state
-            gamma_star = gamma if gamma_star is None else gamma_star
-            break
-
-        increment = -d_gamma * a_slices * cutoffs[(...,) + (None,) * (grid.dim + 1)]
-        # slice-wise clamp keeps |h| <= M * gamma without looking across slices
-        norms = np.sqrt(vol * np.sum(increment.reshape(k_t, -1) ** 2, axis=1))
-        cap = slice_cap * d_gamma
-        over = norms > cap
-        if over.any():
-            clamp_events += int(np.sum(over))
-            scale = np.ones(k_t)
-            scale[over] = cap / norms[over]
-            increment = increment * scale[(...,) + (None,) * (grid.dim + 1)]
-        h_values[:k_t] += increment
-        gamma += d_gamma
-        steps_done += 1
-
-    if steps_done == params.k_gamma:
-        gamma = gamma_target
-    h = ShiftPath(grid, dt, h_values)
-    frozen = int(np.sum((cutoffs == 0.0) & support))
-    status = "completed" if gamma_star is None and steps_done == params.k_gamma else "frozen"
-    return ShiftResult(
-        h=h, gamma_target=gamma_target, gamma_reached=gamma,
-        status=status, gamma_star=gamma_star,
-        cm_norm=math.sqrt(cm_norm_sq(h)), a_bound_used=m_bound, cutoff_r=cutoff_r,
-        diagnostics={"monitor_per_step": monitor_per_step, "clamp_events": clamp_events,
-                     "frozen_slice_count": frozen, "min_cutoff": float(np.min(cutoffs)),
-                     "min_cutoff_per_step": min_cutoff_per_step},
-    )
+def _coupling_residuals(u: Field, u_bar: Field, from_u: _Paths, moved: _Paths) -> list[float]:
+    """Relative coupling residual of each row: the endpoint distance of the
+    paths from u and the paths from u_bar under the shifted noise, over the
+    initial distance; +inf for a row where either side dies."""
+    gamma = max(l2_norm(u_bar - u), 1e-300)
+    return [l2_norm(Field(u.grid, from_u.final(b)) - Field(u.grid, moved.final(b))) / gamma
+            if from_u.reasons[b] is None and moved.reasons[b] is None else math.inf
+            for b in range(len(from_u.reasons))]
 
 
 def verify_coupling(u: Field, u_bar: Field, w: NoisePath, h: ShiftPath, t: float,
@@ -293,12 +347,16 @@ def verify_coupling(u: Field, u_bar: Field, w: NoisePath, h: ShiftPath, t: float
     distance of the endpoints divided by the initial distance; +inf when
     either side dies.
     """
-    base = evolve(u, w, 0.0, t, spec)
-    moved = evolve(u_bar, apply_shift(w, h), 0.0, t, spec)
-    if not (base.alive and moved.alive):
-        return math.inf
-    gamma = max(l2_norm(u_bar - u), 1e-300)
-    return l2_norm(base.final - moved.final) / gamma
+    k_t = w.time_index(t)
+    moved = apply_shift(w, h)
+    if t > 1.0 + 1e-12:
+        raise ValueError(f"flow maps are defined up to time 1, got t={t}")
+    _check_state(u, w.grid, w.m, spec)
+    _check_state(u_bar, w.grid, w.m, spec)
+    both = _evolve_batch(np.stack([u.values, u_bar.values]),
+                         np.stack([w.increments[:k_t], moved.increments[:k_t]], axis=1),
+                         spec, get_workspace(w.grid, w.dt, spec))
+    return _coupling_residuals(u, u_bar, both.rows(slice(0, 1)), both.rows(slice(1, 2)))[0]
 
 
 def adaptedness_check(u: Field, u_bar: Field, w_a: NoisePath, w_b: NoisePath,

@@ -43,19 +43,31 @@ def _tangent_step(x, u, dwe, spec: EquationSpec, ws):
     return x_new
 
 
-def jacobian_apply(outcome: FlowOutcome, v: Field, s: float, t: float,
-                   spec: EquationSpec) -> Field:
-    """Derivative of the flow in its initial state: J_{s,t} v along ``outcome``."""
-    _require_covering(outcome, s, t)
-    if v.grid != outcome.grid or v.m != outcome.m:
-        raise ValueError("tangent vector incompatible with trajectory")
-    ws = get_workspace(outcome.grid, outcome.dt, spec)
-    j_s = outcome.time_index(s)
-    j_t = outcome.time_index(t)
-    x = v.values.copy()
-    for j in range(j_s, j_t):
-        x = _tangent_step(x, outcome.fields[j], outcome.noise_terms[j], spec, ws)
-    return Field(outcome.grid, x)
+def _sweep(fields: np.ndarray, noise: np.ndarray, x0: np.ndarray, steps: np.ndarray,
+           spec: EquationSpec, ws) -> np.ndarray:
+    """Tangent values along B stored paths at once.
+
+    ``fields`` (J+1, B, m, *grid) and ``noise`` (J, B, m, *grid) are
+    time-major paths, ``x0`` (B, m, *grid) the starting variations.  Row b
+    takes ``steps[b]`` steps; the result (max(steps)+1, B, m, *grid) holds
+    x after j steps in entry j, and zeros past a row's last step.
+    """
+    n_rows = x0.shape[0]
+    out = np.zeros((int(steps.max()) + 1,) + x0.shape)
+    x = np.array(x0, dtype=np.float64)
+    out[0] = x
+    rows = np.arange(n_rows)
+    sel = slice(None)  # basic-slice stand-in for ``rows`` while every row is moving
+    stop = steps.min()
+    for j in range(out.shape[0] - 1):
+        if j >= stop:
+            going = steps[rows] > j
+            rows, x = rows[going], x[going]
+            sel = rows
+            stop = steps[rows].min()
+        x = _tangent_step(x, fields[j, sel], noise[j, sel], spec, ws)
+        out[j + 1, sel] = x
+    return out
 
 
 def tangent_sweep(outcome: FlowOutcome, v: Field, s: float, t: float,
@@ -65,13 +77,16 @@ def tangent_sweep(outcome: FlowOutcome, v: Field, s: float, t: float,
     ws = get_workspace(outcome.grid, outcome.dt, spec)
     j_s = outcome.time_index(s)
     j_t = outcome.time_index(t)
-    out = np.empty((j_t - j_s + 1,) + outcome.fields.shape[1:])
-    x = v.values.copy()
-    out[0] = x
-    for j in range(j_s, j_t):
-        x = _tangent_step(x, outcome.fields[j], outcome.noise_terms[j], spec, ws)
-        out[j - j_s + 1] = x
-    return out
+    return _sweep(outcome.fields[j_s:j_t + 1, None], outcome.noise_terms[j_s:j_t, None],
+                  v.values[None], np.array([j_t - j_s]), spec, ws)[:, 0]
+
+
+def jacobian_apply(outcome: FlowOutcome, v: Field, s: float, t: float,
+                   spec: EquationSpec) -> Field:
+    """Derivative of the flow in its initial state: J_{s,t} v along ``outcome``."""
+    if v.grid != outcome.grid or v.m != outcome.m:
+        raise ValueError("tangent vector incompatible with trajectory")
+    return Field(outcome.grid, tangent_sweep(outcome, v, s, t, spec)[-1])
 
 
 def malliavin_derivative(outcome: FlowOutcome, h: ShiftPath, t: float,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fellerlab import (CouplingParams, EquationSpec, Field, Grid, ShiftPath,
-                       blowup_probability, estimate_tv_bound, l2_norm,
+                       blowup_probability, build_shift, cm_norm_sq,
+                       estimate_tv_bound, evolve, harness, l2_norm,
+                       sample_white_noise, verify_coupling,
                        weighted_expectation, wilson_interval)
 
 
@@ -65,19 +67,31 @@ def test_tv_linear_additive_bound(grid):
     assert report.mean_h_norm_sq <= m_bound**2 * gamma**2 + 1e-9
 
 
-def test_tv_reproducible_across_threads(grid, nonlinear):
+def test_tv_records_batch_invariant(grid, nonlinear, monkeypatch):
+    """Every record of a batched run equals the single-path computation on
+    its own noise stream, bit for bit, whatever the chunk size."""
     u = _state(grid)
     u_bar = u + _direction(grid) * 0.05
     params = CouplingParams(m_bound=10.0, k_gamma=4)
     fns = [("mean", lambda f: float(np.mean(f.values)))]
-    a = estimate_tv_bound(u, u_bar, T, nonlinear, params, 8, 42, DT,
-                          functionals=fns, threads=1)
-    b = estimate_tv_bound(u, u_bar, T, nonlinear, params, 8, 42, DT,
-                          functionals=fns, threads=2)
-    assert a.bound == b.bound
-    assert a.mean_h_norm_sq == b.mean_h_norm_sq
-    assert [r.residual for r in a.records] == [r.residual for r in b.records]
-    assert a.mean_diff == b.mean_diff
+    batched = estimate_tv_bound(u, u_bar, T, nonlinear, params, 8, 42, DT,
+                                functionals=fns)
+    for j, rec in enumerate(batched.records):
+        w = sample_white_noise(grid, 1, N_STEPS, DT, 42, stream=j)
+        res = build_shift(u, u_bar, w, T, nonlinear, params)
+        assert rec.index == j
+        assert rec.status == res.status
+        assert rec.residual == verify_coupling(u, u_bar, w, res.h, T, nonlinear)
+        assert rec.h_norm_sq == cm_norm_sq(res.h)
+        for got, start in ((rec.f_from_u, u), (rec.f_from_ubar, u_bar)):
+            assert got == (float(np.mean(evolve(start, w, 0.0, T, nonlinear).final.values)),)
+
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)  # one row per chunk
+    single = estimate_tv_bound(u, u_bar, T, nonlinear, params, 8, 42, DT,
+                               functionals=fns)
+    assert single.records == batched.records
+    assert single.bound == batched.bound
+    assert single.mean_diff == batched.mean_diff
 
 
 def test_tv_fail_prob_weakly_better_at_smaller_t(grid, nonlinear):

@@ -178,6 +178,33 @@ def test_dead_initial_pair(grid):
     assert res.gamma_reached == 0.0
 
 
+def test_batched_rows_match_single_path_across_fates(grid):
+    """One batch whose rows end differently (dead at step 0, frozen early,
+    frozen late, completed) gives each row exactly its batch-of-one result."""
+    from fellerlab.shift import _build_shift_batch
+    spec = EquationSpec.she(drift="cubic_growth", diffusion="one", r_blowup=50.0)
+    dt, n_steps, t = 2.0**-7, 128, 0.25
+    u = Field.constant(grid, 1.4)
+    u_bar = u + _direction(grid) * 0.01
+    params = CouplingParams(m_bound=50.0, k_gamma=6, cutoff_r=1.2)
+    paths = [sample_white_noise(grid, 1, n_steps, dt, seed=5, stream=j) for j in range(10)]
+    k_t = round(t / dt)
+    batch, _ = _build_shift_batch(u, u_bar, np.stack([w.increments[:k_t] for w in paths], axis=1),
+                                  t, dt, n_steps, spec, params)
+    singles = [build_shift(u, u_bar, w, t, spec, params) for w in paths]
+    fates = {(r.status, len(r.diagnostics["monitor_per_step"]) < params.k_gamma) for r in singles}
+    assert fates >= {("dead", True), ("frozen", True), ("frozen", False), ("completed", False)}
+    for got, want in zip(batch, singles):
+        assert got.status == want.status
+        assert got.gamma_star == want.gamma_star
+        assert got.gamma_reached == want.gamma_reached
+        assert got.cm_norm == want.cm_norm
+        assert got.diagnostics == want.diagnostics
+        assert np.array_equal(got.h.values, want.h.values)
+        if want.status == "dead":
+            assert np.all(got.h.values == 0.0) and got.gamma_reached == 0.0
+
+
 def test_adaptedness_trivial_cases(grid, nonlinear):
     u = _state(grid)
     u_bar = u + _direction(grid) * 0.04

@@ -185,3 +185,38 @@ def test_dimension_mismatch_rejected(grid):
     w = sample_white_noise(grid, 1, 256, 2.0**-8, seed=10)
     with pytest.raises(ValueError):
         evolve(Field.zeros(grid), w, 0.0, 0.25, spec)
+
+
+def test_batched_evolve_rows_match_single_path():
+    """Rows of one batched evolve equal separate evolves bit for bit, for the
+    batched einsum (kpz1d, m = 2) and the batched 2D transforms (phi4_2d)."""
+    from fellerlab import compute_renorm_constants
+    from fellerlab.solver import _evolve_batch, get_workspace
+    grid1 = Grid(dim=1, n=32, extent=(1.0,))
+    grid2 = Grid(dim=2, n=16, extent=(1.0, 1.0))
+    kpz = EquationSpec.kpz(np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2), eps=0.05)
+    phi = EquationSpec.phi4(quartic=-1.0, eps=0.05, allow_unstable=True)
+    for grid, spec, u0 in ((grid1, kpz, Field.constant(grid1, 0.3, m=2)),
+                           (grid2, phi, Field.constant(grid2, 1.5))):
+        dt = 2.0**-8
+        spec = spec.with_renorm(compute_renorm_constants(spec, grid, dt))
+        paths = [sample_white_noise(grid, spec.m, 256, dt, seed=12, stream=j) for j in range(4)]
+        batch = _evolve_batch(np.broadcast_to(u0.values, (4,) + u0.values.shape),
+                              np.stack([w.increments[:64] for w in paths], axis=1),
+                              spec, get_workspace(grid, dt, spec))
+        for b, w in enumerate(paths):
+            want = evolve(u0, w, 0.0, 0.25, spec)
+            got = batch.outcome(b, grid, 0.0, 0.25, dt)
+            assert (got.alive, got.reason, got.blow_up_time) == (want.alive, want.reason,
+                                                                  want.blow_up_time)
+            assert np.array_equal(got.fields, want.fields)
+            assert np.array_equal(got.monitor_trace, want.monitor_trace)
+            assert np.array_equal(got.noise_terms, want.noise_terms)
+
+
+def test_workspace_cache_bounded(grid, nonlinear):
+    from fellerlab.solver import _workspace, get_workspace
+    bound = _workspace.cache_info().maxsize
+    for i in range(3 * bound):
+        get_workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear)
+    assert _workspace.cache_info().currsize == bound
