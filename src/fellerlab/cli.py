@@ -2,8 +2,9 @@
 
 Subcommands: solve | couple | tv | jacobian-check | symbols | renorm |
 selftest.  Runs are driven by a flat key-value config file (see README) plus
-a few flags; every run writes a JSON manifest whose digest covers the
-reproducible inputs, so identical config + seed gives an identical digest.
+a few flags; a key the commands do not read is a configuration error.  Every
+run writes a JSON manifest whose digest covers the reproducible inputs, so
+identical config + seed gives an identical digest.
 
 Exit codes: 0 success / trajectory alive, 2 configuration error,
 3 trajectory dead, 1 failed checks.
@@ -37,7 +38,38 @@ class ConfigError(ValueError):
     pass
 
 
+# Every config key the commands read.
+_CONFIG_KEYS = frozenset({
+    "equation.kind", "equation.drift", "equation.diffusion", "equation.g_min",
+    "equation.eps", "equation.m", "equation.coupling", "equation.symmetric",
+    "equation.quartic", "equation.mass", "equation.allow_unstable",
+    "equation.monitor_eta", "equation.r_blowup", "equation.renorm",
+    "grid.dim", "grid.n", "grid.extent",
+    "time.dt", "time.t", "time.t_max",
+    "initial.kind", "initial.amplitude", "initial.value", "initial.mode", "initial.seed",
+    "noise.amplitude",
+    "coupling.gamma", "coupling.gamma_list", "coupling.m_bound", "coupling.k_gamma",
+    "coupling.cutoff_r", "coupling.tol",
+    "harness.n_samples", "harness.seed",
+    "output.dir", "output.snapshot_stride",
+})
+
+
+def _load_config(path) -> dict:
+    """The config file at ``path``; an unknown key is a ConfigError that names
+    the nearest valid key."""
+    cfg = load_config(path)
+    for key in cfg:
+        if key not in _CONFIG_KEYS:
+            import difflib
+            near = difflib.get_close_matches(key, _CONFIG_KEYS, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
+    return cfg
+
+
 def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
+    assert key in _CONFIG_KEYS, f"{key!r} missing from _CONFIG_KEYS"
     if key in cfg:
         return cfg[key]
     if required:
@@ -200,7 +232,7 @@ def _finish_manifest(out_dir: Path, manifest: dict, started: float) -> dict:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args.config)
     started = time.time()
     grid = build_grid(cfg)
     dt, t, n_steps = build_times(cfg)
@@ -234,7 +266,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args.config)
     started = time.time()
     grid = build_grid(cfg)
     dt, t, n_steps = build_times(cfg)
@@ -267,7 +299,7 @@ def cmd_couple(args) -> int:
 
 
 def cmd_tv(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args.config)
     started = time.time()
     grid = build_grid(cfg)
     dt, t, n_steps = build_times(cfg)
@@ -322,7 +354,7 @@ def cmd_tv(args) -> int:
 
 
 def cmd_jacobian_check(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args.config)
     grid = build_grid(cfg)
     dt, t, n_steps = build_times(cfg)
     spec = attach_renorm(build_spec(cfg), grid, dt, cfg)

@@ -10,10 +10,14 @@ not actually couple to tolerance, and the second term is the exponential
 moment control of the reweighting martingale.  The estimator never certifies
 anything; it measures, with Wilson intervals on the failure rate.
 
-Each sample index owns one noise stream.  ``estimate_tv_bound`` runs its
-samples in batches, all rows of a batch through every evolve, tangent sweep
-and gamma step at once; each row is computed exactly as it would be alone,
-so records are bit-identical whatever the batch or chunk size.
+Each sample index owns one noise stream.  All three estimators run their
+samples in memory-bounded chunks of rows (``_sample_chunks``), every row of
+a chunk through the same evolve (and, for the tv bound, tangent sweep and
+gamma step) calls at once.  Each row is computed exactly as it would be
+alone, so every per-sample result, and hence every report, is bit-identical
+whatever the chunk size.  ``blowup_probability`` keeps no trajectory and
+draws its noise one time step at a time; ``weighted_expectation`` keeps the
+base trajectories only when a callable shift needs them.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import Field, l2_norm
-from .noise import (ShiftPath, _check_path, _draw_increments, apply_shift, cm_norm_sq,
-                    girsanov_weight, sample_white_noise)
+from .noise import (ShiftPath, _check_path, _draw_increments, _SliceSource, apply_shift,
+                    cm_norm_sq, girsanov_weight, sample_white_noise)
 from .shift import (CouplingParams, _build_shift_batch, _coupling_residuals,
                     _shift_slices)
-from .solver import _check_state, _evolve_batch, evolve, get_workspace
+from .solver import _check_state, _evolve_batch, _step_range, get_workspace
 
 __all__ = [
     "SampleRecord",
@@ -44,8 +48,22 @@ __all__ = [
 ]
 
 EULER_E = math.e
-# Memory one chunk of tv samples may hold; rows per chunk = this / bytes per row.
+# Memory one chunk of samples may hold; rows per chunk = this / bytes per row.
 _CHUNK_BYTES = 1 << 24
+
+
+def _sample_chunks(n_samples: int, row_bytes: int) -> list[range]:
+    """Sample indices 0..n_samples-1 in consecutive chunks of as many rows of
+    ``row_bytes`` each as fit in ``_CHUNK_BYTES`` (at least one)."""
+    if n_samples < 1:
+        raise ValueError(f"need n_samples >= 1, got {n_samples}")
+    chunk = max(1, _CHUNK_BYTES // row_bytes)
+    return [range(start, min(n_samples, start + chunk))
+            for start in range(0, n_samples, chunk)]
+
+
+def _start_rows(u: Field, n_rows: int) -> np.ndarray:
+    return np.broadcast_to(u.values, (n_rows,) + u.values.shape)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -64,6 +82,11 @@ def _clamped(functional: Callable[[Field], float]) -> Callable[[Field], float]:
         return float(np.clip(functional(f), -1.0, 1.0))
 
     return wrapped
+
+
+def _final_value(paths, b: int, grid, fn: Callable[[Field], float]) -> float:
+    """fn of row b's final state, or 0 for a row that died."""
+    return fn(Field(grid, paths.final(b))) if paths.reasons[b] is None else 0.0
 
 
 @dataclass(frozen=True)
@@ -100,23 +123,18 @@ def _tv_records(u: Field, u_bar: Field, t: float, dt: float, k_t: int, n_steps: 
                           axis=1)
     results, from_u = _build_shift_batch(u, u_bar, increments, t, dt, n_steps, spec, params)
     if from_u is None:
-        from_u = _evolve_batch(np.broadcast_to(u.values, (n_rows,) + u.values.shape),
-                               increments, spec, ws)
+        from_u = _evolve_batch(_start_rows(u, n_rows), increments, spec, ws)
     h = np.stack([r.h.values[:k_t] for r in results], axis=1)
     # u_bar under the shifted noise (verification) and, for the functionals,
     # under the plain noise, as one batch
     noises = [increments + h * dt] + ([increments] if fns else [])
-    from_ubar = _evolve_batch(
-        np.broadcast_to(u_bar.values, (len(noises) * n_rows,) + u.values.shape),
-        np.concatenate(noises, axis=1), spec, ws)
+    from_ubar = _evolve_batch(_start_rows(u_bar, len(noises) * n_rows),
+                              np.concatenate(noises, axis=1), spec, ws)
     residuals = _coupling_residuals(u, u_bar, from_u, from_ubar.rows(slice(0, n_rows)))
     from_ubar = from_ubar.rows(slice(-n_rows, None))
 
     def values(paths, b):
-        if not fns or paths.reasons[b] is not None:
-            return tuple(0.0 for _ in fns)
-        final = Field(grid, paths.final(b))
-        return tuple(fn(final) for _, fn in fns)
+        return tuple(_final_value(paths, b, grid, fn) for _, fn in fns)
 
     return [SampleRecord(index=j, status=res.status, residual=residuals[b],
                          h_norm_sq=cm_norm_sq(res.h), f_from_u=values(from_u, b),
@@ -164,10 +182,8 @@ def estimate_tv_bound(
     # per row: the noise, the shift and about a dozen (k_t+1)-slice work arrays
     # (paths, sweeps, transfer slices), plus the full-length shift of its result
     row_bytes = 8 * u.values.size * (2 * n_steps + 16 * (k_t + 1))
-    chunk = max(1, _CHUNK_BYTES // row_bytes)
     records = []
-    for start in range(0, n_samples, chunk):
-        streams = range(start, min(n_samples, start + chunk))
+    for streams in _sample_chunks(n_samples, row_bytes):
         records += _tv_records(u, u_bar, t, dt, k_t, n_steps, spec, params, seed, streams,
                               fns)
 
@@ -221,36 +237,52 @@ def weighted_expectation(
     e.g. h(t_k) = f(u(t_k))).  The functional is clamped to [-1, 1].  Pairs
     are formed on common noise, and the z-score is the paired one.
     """
-    if isinstance(h, ShiftPath):
+    grid = u.grid
+    fixed = isinstance(h, ShiftPath)
+    if fixed:
         dt = h.dt
         n_steps = h.n_steps
-        h_of = lambda out: h
+        h_of = lambda base, b: h
     else:
         if dt is None or n_steps is None:
             raise ValueError("callable h needs explicit dt and n_steps")
-        h_of = h
+        h_of = lambda base, b: h(base.outcome(b, grid, 0.0, t, dt))
     fn = _clamped(functional)
+    _check_path(u.m, n_steps, dt)
+    _check_state(u, grid, u.m, spec)
+    _, k_t = _step_range(0.0, t, dt, n_steps)
+    ws = get_workspace(grid, dt, spec)
 
-    def one(j: int) -> tuple[float, float]:
-        w = sample_white_noise(u.grid, u.m, n_steps, dt, seed, stream=j)
-        base = evolve(u, w, 0.0, t, spec)
-        f_plain = fn(base.final) if base.alive else 0.0
-        h_j = h_of(base)
-        moved = evolve(u, apply_shift(w, h_j), 0.0, t, spec)
-        f_shift = fn(moved.final) if moved.alive else 0.0
-        return f_shift * girsanov_weight(w, h_j), f_plain
+    # per row: the full-length noise, shift and shifted noise, the two k_t-slice
+    # increment stacks and, for a callable h, the stored base trajectory
+    row_bytes = 8 * u.values.size * (3 * n_steps + 6 * (k_t + 1))
+    weighted, plain = [], []
+    for streams in _sample_chunks(n_samples, row_bytes):
+        noises = [sample_white_noise(grid, u.m, n_steps, dt, seed, stream=j) for j in streams]
+        base = _evolve_batch(_start_rows(u, len(streams)),
+                             np.stack([w.increments[:k_t] for w in noises], axis=1), spec, ws,
+                             final_only=fixed)
+        shifts = [h_of(base, b) for b in range(len(streams))]
+        moved = _evolve_batch(_start_rows(u, len(streams)),
+                              np.stack([apply_shift(w, h_b).increments[:k_t]
+                                        for w, h_b in zip(noises, shifts)], axis=1),
+                              spec, ws, final_only=True)
+        for b, (w, h_b) in enumerate(zip(noises, shifts)):
+            weighted.append(_final_value(moved, b, grid, fn) * girsanov_weight(w, h_b))
+            plain.append(_final_value(base, b, grid, fn))
 
-    pairs = [one(j) for j in range(n_samples)]
-    weighted = np.array([p[0] for p in pairs])
-    plain = np.array([p[1] for p in pairs])
+    weighted, plain = np.array(weighted), np.array(plain)
+
+    def se(x: np.ndarray) -> float:
+        # one sample gives no spread estimate: its standard error is unbounded
+        return float(np.std(x, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
+
     diff = weighted - plain
-    se_d = float(np.std(diff, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
+    se_d = se(diff)
     z = float(np.mean(diff) / se_d) if se_d > 0 else 0.0
     return WeightedComparison(
-        shifted_weighted_mean=float(np.mean(weighted)),
-        shifted_weighted_se=float(np.std(weighted, ddof=1) / math.sqrt(n_samples)),
-        unshifted_mean=float(np.mean(plain)),
-        unshifted_se=float(np.std(plain, ddof=1) / math.sqrt(n_samples)),
+        shifted_weighted_mean=float(np.mean(weighted)), shifted_weighted_se=se(weighted),
+        unshifted_mean=float(np.mean(plain)), unshifted_se=se(plain),
         z_score=z, n_samples=n_samples)
 
 
@@ -259,18 +291,29 @@ class BlowupReport:
     estimate: float
     interval: tuple[float, float]
     n_samples: int
+    reasons: tuple[str | None, ...] = field(repr=False, default=())  # per sample
 
 
 def blowup_probability(u: Field, t: float, spec: EquationSpec, n_samples: int,
                        seed: int, dt: float, n_steps: int | None = None) -> BlowupReport:
-    """Fraction of noise draws under which the flow from u dies by time t."""
+    """Fraction of noise draws under which the flow from u dies by time t.
+
+    All rows of a chunk evolve at once, keeping only their final states, and
+    draw their noise one step at a time, only the slices before t."""
     n_steps = n_steps or round(1.0 / dt)
+    _check_path(u.m, n_steps, dt)
+    _check_state(u, u.grid, u.m, spec)
+    _, k_t = _step_range(0.0, t, dt, n_steps)
+    ws = get_workspace(u.grid, dt, spec)
 
-    def one(j: int) -> bool:
-        w = sample_white_noise(u.grid, u.m, n_steps, dt, seed, stream=j)
-        return not evolve(u, w, 0.0, t, spec).alive
-
-    deaths = sum(one(j) for j in range(n_samples))
+    # per row: a few state-sized work arrays and the monitor's complex shell blocks
+    row_bytes = 16 * u.values.size * (4 + ws.shell_masks.shape[0])
+    reasons = []
+    for streams in _sample_chunks(n_samples, row_bytes):
+        noise = _SliceSource(u.grid, u.m, k_t, dt, seed, streams)
+        reasons += _evolve_batch(_start_rows(u, len(streams)), noise, spec, ws,
+                                 final_only=True).reasons
+    deaths = sum(r is not None for r in reasons)
     return BlowupReport(estimate=deaths / n_samples,
                         interval=wilson_interval(deaths, n_samples),
-                        n_samples=n_samples)
+                        n_samples=n_samples, reasons=tuple(reasons))

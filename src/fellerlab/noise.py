@@ -165,6 +165,30 @@ def _draw_increments(grid: Grid, m: int, n_slices: int, dt: float, seed: int,
     return inc
 
 
+class _SliceSource:
+    """The increments of several streams, drawn one slice at a time:
+    ``src[j, rows]`` is slice j of the streams at positions ``rows`` (an index
+    array or a slice), shape (n_rows, m) + grid.shape, bit-identical to the
+    same entries of ``_draw_increments`` (own counter block per slice, and
+    scaling is elementwise).  ``shape`` is that of the stacked array
+    (n_slices, n_streams, m) + grid.shape, which is never built."""
+
+    def __init__(self, grid: Grid, m: int, n_slices: int, dt: float, seed: int,
+                 streams: range):
+        self.shape = (n_slices, len(streams), m) + grid.shape
+        self._sigma = math.sqrt(dt / grid.cell_volume)
+        self._streams = [_SliceStreams(seed, j) for j in streams]
+
+    def __getitem__(self, key) -> np.ndarray:
+        k, rows = key
+        picked = np.arange(len(self._streams))[rows]
+        inc = np.empty((picked.size,) + self.shape[2:])
+        for i, b in enumerate(picked):
+            inc[i] = self._streams[b].at_slice(k).standard_normal(self.shape[2:])
+        inc *= self._sigma
+        return inc
+
+
 def sample_white_noise(
     grid: Grid, m: int, n_steps: int, dt: float, seed: int, stream: int = 0
 ) -> NoisePath:

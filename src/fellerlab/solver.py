@@ -30,7 +30,7 @@ import numpy as np
 from .equations import EquationSpec
 from .grids import (Field, Grid, MollifierSpec, holder_proxy_norm, _dyadic_masks,
                     _spatial_axes)
-from .noise import NoisePath
+from .noise import NoisePath, _snap_index
 
 __all__ = [
     "DEAD",
@@ -182,6 +182,8 @@ class _Paths:
     ``trace[:n_stored[b], b]`` and injected noise ``noise[:n_noise[b], b]``;
     entries past those counts are zero.  A dead row records its reason and
     the step count at which it died (its blow-up time is s + death_step * dt).
+    A final-state-only batch keeps one entry per row, its last stored state
+    and monitor value, and no noise; the counts are those of the full batch.
     """
 
     fields: np.ndarray  # (J+1, B, m, *grid)
@@ -197,7 +199,8 @@ class _Paths:
         return np.array([r is None for r in self.reasons])
 
     def final(self, b: int) -> np.ndarray:
-        return self.fields[self.n_stored[b] - 1, b]
+        """Row b's last stored state (the state before death for a dead row)."""
+        return self.fields[min(self.n_stored[b], self.fields.shape[0]) - 1, b]
 
     @classmethod
     def of(cls, outcome: FlowOutcome) -> "_Paths":
@@ -229,10 +232,15 @@ def _check_state(u0: Field, grid: Grid, m: int, spec: EquationSpec):
         raise ValueError(f"{spec.kind} expects dim={spec.dim}, m={spec.m}")
 
 
-def _evolve_batch(u0: np.ndarray, increments: np.ndarray, spec: EquationSpec,
-                  ws: _Workspace) -> _Paths:
+def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace,
+                  final_only: bool = False) -> _Paths:
     """Evolve B initial states u0 (B, m, *grid) along their own increments
     (J, B, m, *grid), one step per increment slice.
+
+    ``increments`` is read only as ``increments[j, rows]`` and through its
+    ``shape``: an array, or a source that draws slice j of the given rows on
+    demand (``noise._SliceSource``).  With ``final_only`` the batch keeps
+    only each row's last state and monitor value instead of the trajectory.
 
     A row that dies leaves the active set and the other rows go on; every
     numpy call acts on each row exactly as it would on that row alone, so row
@@ -241,9 +249,10 @@ def _evolve_batch(u0: np.ndarray, increments: np.ndarray, spec: EquationSpec,
     n_rows = u0.shape[0]
     n_steps = increments.shape[0]
     dt, g_min = ws.dt, spec.g_min
-    fields = np.zeros((n_steps + 1,) + u0.shape)
-    trace = np.zeros((n_steps + 1, n_rows))
-    noise = np.zeros((n_steps,) + u0.shape)
+    n_kept = 1 if final_only else n_steps + 1
+    fields = np.zeros((n_kept,) + u0.shape)
+    trace = np.zeros((n_kept, n_rows))
+    noise = np.zeros(((0 if final_only else n_steps),) + u0.shape)
     n_stored = np.full(n_rows, n_steps + 1)
     n_noise = np.full(n_rows, n_steps)
     death_step = np.zeros(n_rows, dtype=int)
@@ -283,7 +292,8 @@ def _evolve_batch(u0: np.ndarray, increments: np.ndarray, spec: EquationSpec,
         f_drift = spec.drift(u, ws)
         gain = dwe if g is None else g * dwe
         u = ws.heat_step(u + dt * f_drift) + gain
-        noise[j, sel] = dwe
+        if not final_only:
+            noise[j, sel] = dwe
         if not np.isfinite(u).all():
             finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)
             drop(~finite, j + 1, "non_finite", j + 1, j + 1)
@@ -292,9 +302,22 @@ def _evolve_batch(u0: np.ndarray, increments: np.ndarray, spec: EquationSpec,
         r = np.maximum(r, ws.monitor(u))
         if r.max() > spec.r_blowup:
             drop(r > spec.r_blowup, j + 1, "monitor_threshold", j + 1, j + 1)
-        fields[j + 1, sel] = u
-        trace[j + 1, sel] = r
+        at = 0 if final_only else j + 1
+        fields[at, sel] = u
+        trace[at, sel] = r
     return _Paths(fields, trace, noise, n_stored, n_noise, death_step, reasons)
+
+
+def _step_range(s: float, t: float, dt: float, n_steps: int) -> tuple[int, int]:
+    """Slice indices of s and t on a noise grid of n_steps slices of dt,
+    checked as ``evolve`` needs them: on the grid, s <= t <= 1."""
+    k_s = _snap_index(s, dt, n_steps)
+    k_t = _snap_index(t, dt, n_steps)
+    if k_s > k_t:
+        raise ValueError(f"need s <= t, got s={s}, t={t}")
+    if t > 1.0 + 1e-12:
+        raise ValueError(f"flow maps are defined up to time 1, got t={t}")
+    return k_s, k_t
 
 
 def evolve(u0, w: NoisePath, s: float, t: float, spec: EquationSpec) -> FlowOutcome:
@@ -303,12 +326,7 @@ def evolve(u0, w: NoisePath, s: float, t: float, spec: EquationSpec) -> FlowOutc
     ``u0`` may be a Field or the DEAD state; evolving DEAD yields DEAD.
     Both s and t must sit on the noise grid, with s <= t <= 1.
     """
-    k_s = w.time_index(s)
-    k_t = w.time_index(t)
-    if k_s > k_t:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    if t > 1.0 + 1e-12:
-        raise ValueError(f"flow maps are defined up to time 1, got t={t}")
+    k_s, k_t = _step_range(s, t, w.dt, w.n_steps)
     grid, dt = w.grid, w.dt
     shape = (w.m,) + grid.shape
 

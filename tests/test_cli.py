@@ -184,3 +184,20 @@ def test_selftest_subset(tmp_path, capsys):
     assert "criterion 11 [PASS]" in captured.out
     manifest = json.loads((out / "selftest_manifest.json").read_text())
     assert all(c["passed"] for c in manifest["criteria"])
+
+
+def test_unknown_config_key_names_nearest(tmp_path, capsys):
+    cfg = _write(tmp_path, COUPLE_CONFIG + "coupling.k_gama = 4\n")
+    assert main(["couple", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'coupling.k_gama'" in err and "'coupling.k_gamma'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_shipped_configs_load():
+    from pathlib import Path
+    from fellerlab.cli import _load_config
+    shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+    assert len(shipped) == 4
+    for path in shipped:
+        assert _load_config(path)

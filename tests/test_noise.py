@@ -163,3 +163,17 @@ def test_shape_mismatch_rejected(grid):
     h = ShiftPath.zeros(other, 1, 64, 2.0**-6)
     with pytest.raises(ValueError):
         apply_shift(w, h)
+
+
+def test_slice_source_matches_drawn_paths(grid):
+    """Slices drawn one at a time for any rows equal the same entries of the
+    full paths, bit for bit."""
+    from fellerlab.noise import _SliceSource
+    dt = 2.0**-6
+    paths = np.stack([sample_white_noise(grid, 2, 64, dt, seed=9, stream=j).increments
+                      for j in range(3, 8)], axis=1)
+    source = _SliceSource(grid, 2, 16, dt, 9, range(3, 8))
+    assert source.shape == (16,) + paths.shape[1:]
+    for k in (0, 7, 15):
+        assert np.array_equal(source[k, slice(None)], paths[k])
+        assert np.array_equal(source[k, np.array([1, 4])], paths[k, [1, 4]])

@@ -220,3 +220,31 @@ def test_workspace_cache_bounded(grid, nonlinear):
     for i in range(3 * bound):
         get_workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear)
     assert _workspace.cache_info().currsize == bound
+
+
+def test_final_only_evolve_matches_stored_paths():
+    """Keeping only final states, and drawing the increments slice by slice,
+    changes no row's final state, reason or death step."""
+    from fellerlab.equations import RenormConstants
+    from fellerlab.noise import _SliceSource
+    from fellerlab.solver import _evolve_batch, get_workspace
+    grid2 = Grid(dim=2, n=16, extent=(1.0, 1.0))
+    dt, k_t, n = 2.0**-8, 64, 12
+    spec = EquationSpec.phi4(quartic=-1.0, eps=0.05, allow_unstable=True, monitor_eta=0.0)
+    spec = spec.with_renorm(RenormConstants((0.0,), provenance="user-supplied"))
+    u0 = np.broadcast_to(Field.constant(grid2, 1.5).values, (n, 1) + grid2.shape)
+    ws = get_workspace(grid2, dt, spec)
+    source = _SliceSource(grid2, 1, k_t, dt, 5, range(n))
+    increments = np.stack([sample_white_noise(grid2, 1, 256, dt, 5, stream=j).increments[:k_t]
+                           for j in range(n)], axis=1)
+    stored = _evolve_batch(u0, increments, spec, ws)
+    assert len(set(stored.death_step[~stored.alive])) >= 3 and stored.alive.any()
+    for noise in (increments, source):
+        final = _evolve_batch(u0, noise, spec, ws, final_only=True)
+        assert final.fields.shape[0] == 1 and final.noise.shape[0] == 0
+        assert final.reasons == stored.reasons
+        assert np.array_equal(final.death_step, stored.death_step)
+        assert np.array_equal(final.n_stored, stored.n_stored)
+        for b in range(n):
+            assert np.array_equal(final.final(b), stored.final(b))
+            assert final.trace[0, b] == stored.trace[stored.n_stored[b] - 1, b]
