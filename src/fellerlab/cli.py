@@ -6,8 +6,9 @@ a few flags; a key the commands do not read is a configuration error.  Every
 run writes a JSON manifest whose digest covers the reproducible inputs, so
 identical config + seed gives an identical digest.
 
-Exit codes: 0 success / trajectory alive, 2 configuration error,
-3 trajectory dead, 1 failed checks.
+Exit codes: 0 success / trajectory alive, 2 configuration error (any fault
+found while the run is built from its config and arguments), 3 trajectory
+dead, 1 failed checks or a fault raised by the numerics.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,10 +57,23 @@ _CONFIG_KEYS = frozenset({
 })
 
 
+@contextmanager
+def _reading_input():
+    """Report a ValueError raised while a run is built from its config and
+    arguments as a ConfigError, so that it is not taken for a numerical fault."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_config(path) -> dict:
     """The config file at ``path``; an unknown key is a ConfigError that names
     the nearest valid key."""
-    cfg = load_config(path)
+    with _reading_input():
+        cfg = load_config(path)
     for key in cfg:
         if key not in _CONFIG_KEYS:
             import difflib
@@ -196,6 +211,8 @@ def build_times(cfg: dict):
     t_max = _get_float(cfg, "time.t_max", 1.0)
     if not (t <= 1.0 + 1e-12 <= t_max + 1e-12):
         raise ConfigError(f"need t <= 1 <= t_max, got t={t}, t_max={t_max}")
+    if abs(t / dt - round(t / dt)) > 1e-9:
+        raise ConfigError(f"time.t = {t} is not a multiple of time.dt = {dt}")
     n_steps = round(t_max / dt)
     if abs(n_steps * dt - t_max) > 1e-9:
         raise ConfigError("t_max must be a multiple of dt")
@@ -209,11 +226,15 @@ def build_coupling(cfg: dict) -> tuple[CouplingParams, float]:
         k_gamma=_get_int(cfg, "coupling.k_gamma", 16),
         cutoff_r=_get_float(cfg, "coupling.cutoff_r", 1e9),
         tol=_get_float(cfg, "coupling.tol"))
+    _check_budget("coupling.gamma", gamma, params)
+    return params, gamma
+
+
+def _check_budget(key: str, gamma: float, params: CouplingParams):
     if gamma * params.m_bound > 1.0 + 1e-12:
         raise ConfigError(
-            f"coupling.gamma * coupling.m_bound = {gamma * params.m_bound:g} > 1; "
+            f"{key} * coupling.m_bound = {gamma * params.m_bound:g} > 1; "
             "the exponential-moment budget needs gamma * M <= 1")
-    return params, gamma
 
 
 def _displaced_state(u: Field, gamma: float) -> Field:
@@ -234,18 +255,19 @@ def _finish_manifest(out_dir: Path, manifest: dict, started: float) -> dict:
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     started = time.time()
-    grid = build_grid(cfg)
-    dt, t, n_steps = build_times(cfg)
-    spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
-    u0 = build_initial(cfg, grid, spec.m)
-    w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
+    with _reading_input():
+        grid = build_grid(cfg)
+        dt, t, n_steps = build_times(cfg)
+        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
+        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
+        u0 = build_initial(cfg, grid, spec.m)
+        w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
+        stride = _get_int(cfg, "output.snapshot_stride", 0)
     out = evolve(u0, w, 0.0, t, spec)
 
     out_dir = Path(args.out or _get(cfg, "output.dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_field(out_dir / "state_initial.flb", u0)
-    stride = _get_int(cfg, "output.snapshot_stride", 0)
     if stride:
         for j in range(0, out.n_stored, stride):
             write_field(out_dir / f"state_{j:06d}.flb", Field(grid, out.fields[j]))
@@ -268,14 +290,15 @@ def cmd_solve(args) -> int:
 def cmd_couple(args) -> int:
     cfg = _load_config(args.config)
     started = time.time()
-    grid = build_grid(cfg)
-    dt, t, n_steps = build_times(cfg)
-    spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
-    params, gamma = build_coupling(cfg)
-    u = build_initial(cfg, grid, spec.m)
-    u_bar = _displaced_state(u, gamma)
-    w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
+    with _reading_input():
+        grid = build_grid(cfg)
+        dt, t, n_steps = build_times(cfg)
+        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
+        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
+        params, gamma = build_coupling(cfg)
+        u = build_initial(cfg, grid, spec.m)
+        u_bar = _displaced_state(u, gamma)
+        w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
 
     result = build_shift(u, u_bar, w, t, spec, params)
     residual = verify_coupling(u, u_bar, w, result.h, t, spec)
@@ -301,15 +324,18 @@ def cmd_couple(args) -> int:
 def cmd_tv(args) -> int:
     cfg = _load_config(args.config)
     started = time.time()
-    grid = build_grid(cfg)
-    dt, t, n_steps = build_times(cfg)
-    spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
-    params, gamma_single = build_coupling(cfg)
-    gammas_raw = _get(cfg, "coupling.gamma_list")
-    gammas = [float(v) for v in gammas_raw.split(",")] if gammas_raw else [gamma_single]
-    n_samples = _get_int(cfg, "harness.n_samples", 100)
-    u = build_initial(cfg, grid, spec.m)
+    with _reading_input():
+        grid = build_grid(cfg)
+        dt, t, n_steps = build_times(cfg)
+        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
+        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
+        params, gamma_single = build_coupling(cfg)
+        gammas_raw = _get(cfg, "coupling.gamma_list")
+        gammas = [float(v) for v in gammas_raw.split(",")] if gammas_raw else [gamma_single]
+        for gamma in gammas:
+            _check_budget("coupling.gamma_list entry", gamma, params)
+        n_samples = _get_int(cfg, "harness.n_samples", 100)
+        u = build_initial(cfg, grid, spec.m)
 
     functionals = [
         ("clamped_mean", lambda f: float(np.mean(f.values))),
@@ -355,12 +381,13 @@ def cmd_tv(args) -> int:
 
 def cmd_jacobian_check(args) -> int:
     cfg = _load_config(args.config)
-    grid = build_grid(cfg)
-    dt, t, n_steps = build_times(cfg)
-    spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
-    u0 = build_initial(cfg, grid, spec.m)
-    w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
+    with _reading_input():
+        grid = build_grid(cfg)
+        dt, t, n_steps = build_times(cfg)
+        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
+        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
+        u0 = build_initial(cfg, grid, spec.m)
+        w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
     base = evolve(u0, w, 0.0, t, spec)
     if not base.alive:
         print("trajectory dead; cannot differentiate", file=sys.stderr)
@@ -396,7 +423,8 @@ def cmd_symbols(args) -> int:
 
 
 def cmd_renorm(args) -> int:
-    expr = trees.parse_expr(args.expr)
+    with _reading_input():
+        expr = trees.parse_expr(args.expr)
     if args.op == "mg":
         g = None if args.c1 is None and args.c2 is None else (args.c1 or 0, args.c2 or 0)
         out = trees.renorm_action(expr, g)
@@ -473,9 +501,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -190,26 +190,26 @@ class EquationSpec:
             raise ValueError("phi4_2d takes a single Wick constant")
         return vals
 
-    def drift(self, u: np.ndarray, ws) -> np.ndarray:
+    def drift(self, u: np.ndarray, du: np.ndarray | None = None) -> np.ndarray:
+        """Drift at u; kpz1d reads it from ``du``, the dealiased gradient of u."""
         if self.kind == "she1d":
             return self.drift_fn.fn(u)
         if self.kind == "phi4_2d":
             c = self.renorm_values()[0]
             return -self.quartic * u**3 - self.mass * u + 3.0 * self.quartic * c * u
-        # kpz1d
-        du = ws.dealiased_gradient(u)
         s = self.coupling_array
         quad = np.einsum("ijk,...jx,...kx->...ix", s, du, du)
         return quad - self.renorm_values()[:, None]
 
-    def drift_jvp(self, u: np.ndarray, x: np.ndarray, ws) -> np.ndarray:
+    def drift_jvp(self, u: np.ndarray, x: np.ndarray, du: np.ndarray | None = None,
+                  dx: np.ndarray | None = None) -> np.ndarray:
+        """Derivative of the drift at u along x; kpz1d reads it from the
+        dealiased gradients ``du`` and ``dx``."""
         if self.kind == "she1d":
             return self.drift_fn.d_fn(u) * x
         if self.kind == "phi4_2d":
             c = self.renorm_values()[0]
             return (-3.0 * self.quartic * u * u - self.mass + 3.0 * self.quartic * c) * x
-        du = ws.dealiased_gradient(u)
-        dx = ws.dealiased_gradient(x)
         s = self.coupling_array
         return (np.einsum("ijk,...jx,...kx->...ix", s, du, dx)
                 + np.einsum("ijk,...jx,...kx->...ix", s, dx, du))

@@ -224,9 +224,18 @@ def holder_proxy_norm(f: Field, alpha: float) -> float:
     # one batched inverse transform over (shell, component) pairs
     stacked = masks[:, None, ...] * modes[None, ...]
     blocks = np.fft.ifftn(stacked, axes=_spatial_axes(grid)).real
-    sup = np.max(np.abs(blocks).reshape(masks.shape[0], -1), axis=1)
-    weights = 2.0 ** (alpha * np.arange(masks.shape[0]))
-    return float(np.max(weights * sup))
+    return float(_weighted_block_sup(blocks[None], _shell_weights(alpha, masks.shape[0]))[0])
+
+
+def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:
+    return 2.0 ** (alpha * np.arange(n_shells))
+
+
+def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Proxy norm of each row of real shell blocks (B, n_shells, m, *grid): the
+    largest over shells j of weights[j] times the block's sup-norm, shape (B,)."""
+    sup = np.abs(blocks).reshape(blocks.shape[:2] + (-1,)).max(axis=2)
+    return (weights * sup).max(axis=1)
 
 
 def mollify(f: Field, eps: float, kernel: MollifierSpec = MollifierSpec()) -> Field:

@@ -12,8 +12,8 @@ anything; it measures, with Wilson intervals on the failure rate.
 
 Each sample index owns one noise stream.  All three estimators run their
 samples in memory-bounded chunks of rows (``_sample_chunks``), every row of
-a chunk through the same evolve (and, for the tv bound, tangent sweep and
-gamma step) calls at once.  Each row is computed exactly as it would be
+a chunk through the same evolve (and, for the tv bound, gamma step) calls
+at once.  Each row is computed exactly as it would be
 alone, so every per-sample result, and hence every report, is bit-identical
 whatever the chunk size.  ``blowup_probability`` keeps no trajectory and
 draws its noise one time step at a time; ``weighted_expectation`` keeps the
@@ -82,6 +82,12 @@ def _clamped(functional: Callable[[Field], float]) -> Callable[[Field], float]:
         return float(np.clip(functional(f), -1.0, 1.0))
 
     return wrapped
+
+
+def _standard_error(x: np.ndarray) -> float:
+    """Standard error of the mean of the samples x; one sample gives no spread
+    estimate, so its standard error is unbounded."""
+    return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.inf
 
 
 def _final_value(paths, b: int, grid, fn: Callable[[Field], float]) -> float:
@@ -180,7 +186,7 @@ def estimate_tv_bound(
     k_t = _shift_slices(t, dt, n_steps)
 
     # per row: the noise, the shift and about a dozen (k_t+1)-slice work arrays
-    # (paths, sweeps, transfer slices), plus the full-length shift of its result
+    # (paths and their tangents, transfer slices), plus the full-length shift of its result
     row_bytes = 8 * u.values.size * (2 * n_steps + 16 * (k_t + 1))
     records = []
     for streams in _sample_chunks(n_samples, row_bytes):
@@ -199,7 +205,7 @@ def estimate_tv_bound(
     for i, _ in enumerate(fns):
         d = np.array([r.f_from_u[i] - r.f_from_ubar[i] for r in records])
         mean_diff.append(float(np.mean(d)))
-        se_diff.append(float(np.std(d, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0)
+        se_diff.append(_standard_error(d))
 
     return TVReport(gamma=gamma, n_samples=n_samples, fail_prob=fail_prob,
                     fail_interval=wilson_interval(fails, n_samples),
@@ -272,17 +278,12 @@ def weighted_expectation(
             plain.append(_final_value(base, b, grid, fn))
 
     weighted, plain = np.array(weighted), np.array(plain)
-
-    def se(x: np.ndarray) -> float:
-        # one sample gives no spread estimate: its standard error is unbounded
-        return float(np.std(x, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
-
     diff = weighted - plain
-    se_d = se(diff)
+    se_d = _standard_error(diff)
     z = float(np.mean(diff) / se_d) if se_d > 0 else 0.0
     return WeightedComparison(
-        shifted_weighted_mean=float(np.mean(weighted)), shifted_weighted_se=se(weighted),
-        unshifted_mean=float(np.mean(plain)), unshifted_se=se(plain),
+        shifted_weighted_mean=float(np.mean(weighted)), shifted_weighted_se=_standard_error(weighted),
+        unshifted_mean=float(np.mean(plain)), unshifted_se=_standard_error(plain),
         z_score=z, n_samples=n_samples)
 
 

@@ -128,18 +128,18 @@ class _SliceStreams:
     so each slice owns a disjoint 2^64-block range of one keyed stream."""
 
     def __init__(self, seed: int, stream: int):
-        self.key = np.array([seed & (2**64 - 1), stream & (2**64 - 1)], dtype=np.uint64)
-        self.bitgen = np.random.Philox(key=self.key)
+        key = np.array([seed & (2**64 - 1), stream & (2**64 - 1)], dtype=np.uint64)
+        self.bitgen = np.random.Philox(key=key)
         self.gen = np.random.Generator(self.bitgen)
-        self._template = self.bitgen.state
+        # one state to reseat from: counter (0, k, 0, 0), key, buffer spent
+        self._state = self.bitgen.state
+        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        self._state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
+        self._counter = self._state["state"]["counter"]
 
     def at_slice(self, k: int) -> np.random.Generator:
-        state = dict(self._template)
-        state["state"] = {"counter": np.array([0, k, 0, 0], dtype=np.uint64), "key": self.key}
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self.bitgen.state = state
+        self._counter[1] = k  # the setter copies the counter, so it can be rewritten
+        self.bitgen.state = self._state
         return self.gen
 
 

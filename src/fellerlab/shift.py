@@ -24,7 +24,7 @@ two solutions; everything downstream treats that residual as data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,27 +123,28 @@ class ShiftResult:
             )
 
 
-def _transfer_slices(paths: _Paths, v_values: np.ndarray, k_t: int, t: float,
-                     spec: EquationSpec, ws) -> tuple[np.ndarray, np.ndarray]:
+def _transfer_slices(paths: _Paths, tangent: np.ndarray, k_t: int, t: float,
+                     spec: EquationSpec) -> tuple[np.ndarray, np.ndarray]:
     """Transfer directions of B stored (possibly truncated) paths at once.
 
-    Returns slices (k_t, B, m, *grid), slice k of row b being
-    (1/t) chi(k/k_t) G^{-1}(u_k) times the tangent value at k+1 for every k
-    the row's stored path reaches (k < n_stored - 1) and zero elsewhere, and
-    per row the first such support slice where G drops below g_min (-1 when
-    none does).
+    ``tangent`` holds the tangent values along the paths, at most k_t + 1
+    entries laid out like ``paths.fields``, zero past each row's stored path
+    (the tangent carried by the evolve, or a ``_sweep``).  Returns slices
+    (k_t, B, m, *grid), slice k of row b being (1/t) chi(k/k_t) G^{-1}(u_k)
+    times the tangent value at k+1 for every k the row's stored path reaches
+    (k < n_stored - 1) and zero elsewhere, and per row the first such support
+    slice where G drops below g_min (-1 when none does).
     """
     n_rows = paths.fields.shape[1]
     steps = np.minimum(paths.n_stored - 1, k_t)
-    sweep = _sweep(paths.fields, paths.noise, np.broadcast_to(v_values, paths.fields.shape[1:]),
-                   steps, spec, ws)
+    n_swept = tangent.shape[0] - 1
     chi_over_t = np.array([bump_chi(k / k_t) / t for k in range(k_t)])
     reached = np.zeros((k_t, n_rows), dtype=bool)
-    reached[:sweep.shape[0] - 1] = np.arange(sweep.shape[0] - 1)[:, None] < steps
+    reached[:n_swept] = np.arange(n_swept)[:, None] < steps
     use = reached & (chi_over_t > 0)[:, None]
     field_axes = (None,) * (paths.fields.ndim - 2)
     contrib = np.zeros((k_t,) + paths.fields.shape[1:])
-    contrib[:sweep.shape[0] - 1] = sweep[1:]
+    contrib[:n_swept] = tangent[1:]
     g = spec.g_values(paths.fields[:k_t])
     first_low = np.full(n_rows, -1)
     if g is not None:
@@ -171,8 +172,11 @@ def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
     k_t = outcome.time_index(t)
     if k_t < 1:
         raise ValueError("need t > 0 on the trajectory grid")
-    values, first_low = _transfer_slices(_Paths.of(outcome), v.values, k_t, t, spec,
-                                         get_workspace(outcome.grid, outcome.dt, spec))
+    paths = _Paths.of(outcome)
+    sweep = _sweep(paths.fields, paths.noise, v.values[None],
+                   np.minimum(paths.n_stored - 1, k_t), spec,
+                   get_workspace(outcome.grid, outcome.dt, spec))
+    values, first_low = _transfer_slices(paths, sweep, k_t, t, spec)
     if first_low[0] >= 0:
         raise NondegeneracyError(
             f"noise coefficient below g_min={spec.g_min} at slice {first_low[0]}")
@@ -245,10 +249,10 @@ def _build_shift_batch(u: Field, u_bar: Field, increments: np.ndarray, t: float,
         u_gamma = u + gamma * v
         shifted = increments[:, rows] + h[:, rows] * dt
         out = _evolve_batch(np.broadcast_to(u_gamma.values, (rows.size,) + shape),
-                            shifted, spec, ws)
+                            shifted, spec, ws, x0=np.broadcast_to(v.values, (rows.size,) + shape))
         alive = out.alive
         if step == 0:
-            from_u = out
+            from_u = replace(out, tangent=None)
             going = alive.copy()  # a row dead at step 0 ends with status 'dead'
         else:
             going = np.ones(rows.size, dtype=bool)
@@ -270,7 +274,8 @@ def _build_shift_batch(u: Field, u_bar: Field, increments: np.ndarray, t: float,
             min_cutoff_per_step[b].append(float(np.min(new_cutoffs[support, i])))
         going &= live.any(axis=0)
 
-        a_slices, first_low = _transfer_slices(out, v.values, k_t, t, spec, ws)
+        a_slices, first_low = _transfer_slices(out, out.tangent, k_t, t, spec)
+        del out  # free this step's paths and tangents before the next evolve
         for i in np.flatnonzero(going & (first_low >= 0)):
             # evolve marks these dead; only reachable through the final stored state
             b = rows[i]

@@ -12,6 +12,20 @@ the equation's monitor exponent) and through non-finite values; once a
 trajectory is dead it stays dead, and evolving the dead state returns the
 dead state for any input.
 
+Each step makes one batched forward and one batched inverse transform
+(``_Workspace.transform``): u_k, u_k + dt F(u_k) and dW_k go forward
+together, and the monitor's shell blocks of u_k, the heat step and the
+mollified increment come back together.  kpz1d makes two of each, since
+its drift needs the gradient of u_k first: one pass for the shell blocks,
+the gradient and the increment, one for the heat step.  The stepper can
+carry the tangent flow
+
+    x_{k+1} = E (x_k + dt DF(u_k) x_k) + DG(u_k) x_k * smooth(dW_k)
+
+in the same transforms (its heat input, and for kpz1d its gradient, ride
+beside the state's); ``tangent._sweep`` replays the same arithmetic along
+a stored path.
+
 Everything here is deterministic: two evolutions from identical inputs agree
 bit for bit, which is what makes the semigroup and noise-locality checks
 exact rather than approximate.  The stepper runs B paths at once along a
@@ -29,7 +43,7 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import (Field, Grid, MollifierSpec, holder_proxy_norm, _dyadic_masks,
-                    _spatial_axes)
+                    _shell_weights, _spatial_axes, _weighted_block_sup)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -60,10 +74,7 @@ DEAD = DeadState()
 
 
 class _Workspace:
-    """Precomputed mode-space data for one (grid, dt, equation) combination.
-
-    Every method acts on arrays with any number of leading batch axes before
-    the (m, *grid) field axes."""
+    """Precomputed mode-space data for one (grid, dt, equation) combination."""
 
     def __init__(self, grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float,
                  mollifier: MollifierSpec):
@@ -80,35 +91,60 @@ class _Workspace:
         self.decay = np.exp(-lam * dt)
         self.moll = None if eps == 0.0 else mollifier.multiplier(grid, eps)
         self.shell_masks = _dyadic_masks(grid.dim, grid.n)
-        self.shell_weights = 2.0 ** (monitor_eta * np.arange(self.shell_masks.shape[0]))
-        self._shell_sel = self.shell_masks[:, None, ...]
+        self.shell_weights = _shell_weights(monitor_eta, self.shell_masks.shape[0])
+        # complex copies of the masks and multipliers multiply the same bits
+        # without a cast on every call
+        self._shell_sel = self.shell_masks[:, None, ...].astype(complex)
+        self.gradient = None  # dealiased derivative multiplier, for kpz1d's drift
         if kind == "kpz1d":
             k = grid.frequencies()[0]
-            self.deriv = (1j * 2.0 * np.pi / grid.extent[0]) * k
-            self.dealias = np.abs(k) <= grid.n // 3
-        else:
-            self.deriv = None
-            self.dealias = None
+            self.gradient = ((1j * 2.0 * np.pi / grid.extent[0]) * k) * (np.abs(k) <= grid.n // 3)
+        self._stacks = {}
 
-    def heat_step(self, arr: np.ndarray) -> np.ndarray:
-        return self.ifft(self.fft(arr) * self.decay).real
+    def _stacked(self, names: tuple) -> np.ndarray:
+        """The multipliers called ``names``, stacked to multiply (B, k, m, *grid) modes."""
+        if names not in self._stacks:
+            stack = np.stack([getattr(self, name) for name in names]).astype(complex)
+            self._stacks[names] = stack[:, None, ...]
+        return self._stacks[names]
 
-    def smooth_increment(self, dw: np.ndarray) -> np.ndarray:
-        if self.moll is None:
-            return dw
-        return self.ifft(self.fft(dw) * self.moll).real
+    def transform(self, parts, monitor: bool = False):
+        """Fourier multipliers applied to several fields in one batched forward
+        and one batched inverse transform.
 
-    def dealiased_gradient(self, u: np.ndarray) -> np.ndarray:
-        modes = np.fft.fft(u, axis=-1)
-        return np.fft.ifft(modes * (self.deriv * self.dealias), axis=-1).real
-
-    def monitor(self, u: np.ndarray) -> np.ndarray:
-        """Running-monitor integrand of each row of u (B, m, *grid): the
-        dyadic proxy norm at monitor_eta, shape (B,)."""
-        blocks = self.ifft(self._shell_sel * self.fft(u)[:, None, ...]).real
-        n_shells = self.shell_masks.shape[0]
-        sup = np.abs(blocks).reshape(u.shape[0], n_shells, -1).max(axis=2)
-        return (self.shell_weights * sup).max(axis=1)
+        ``parts`` is a list of (array, multiplier name) pairs, the arrays of
+        shape (B, m, *grid) and the names those of this workspace's
+        multipliers ('decay', 'moll', 'gradient').  An array with a multiplier
+        comes back as the real inverse transform of its modes times the
+        multiplier; one without (or whose multiplier is None) comes back as it
+        is, and None as None.  With ``monitor`` parts[0] is transformed too and
+        the first result is its dyadic proxy norm at monitor_eta per row;
+        without it the first result is None.
+        """
+        results = [a for a, _ in parts]
+        scaled = [(i, name) for i, (a, name) in enumerate(parts)
+                  if a is not None and name is not None and getattr(self, name) is not None]
+        unscaled = [0] if monitor and (not scaled or scaled[0][0] != 0) else []
+        order = unscaled + [i for i, _ in scaled]
+        if not order:
+            return None, results
+        lead = parts[order[0]][0]
+        stacked = np.empty((lead.shape[0], len(order)) + lead.shape[1:])
+        for k, i in enumerate(order):
+            stacked[:, k] = parts[i][0]
+        modes = self.fft(stacked)
+        n_shells = self.shell_masks.shape[0] if monitor else 0
+        out = np.empty((modes.shape[0], n_shells + len(scaled)) + modes.shape[2:], dtype=complex)
+        if monitor:
+            np.multiply(self._shell_sel, modes[:, :1], out=out[:, :n_shells])
+        if scaled:
+            np.multiply(modes[:, len(unscaled):], self._stacked(tuple(n for _, n in scaled)),
+                        out=out[:, n_shells:])
+        real = self.ifft(out).real
+        for slot, (i, _) in enumerate(scaled, n_shells):
+            results[i] = real[:, slot]
+        norms = _weighted_block_sup(real[:, :n_shells], self.shell_weights) if monitor else None
+        return norms, results
 
 
 @lru_cache(maxsize=32)
@@ -193,6 +229,7 @@ class _Paths:
     n_noise: np.ndarray  # (B,)
     death_step: np.ndarray  # (B,)
     reasons: list
+    tangent: np.ndarray | None = None  # (J+1, B, m, *grid)
 
     @property
     def alive(self) -> np.ndarray:
@@ -213,7 +250,8 @@ class _Paths:
     def rows(self, sl: slice) -> "_Paths":
         """The rows under ``sl``, as views."""
         return _Paths(self.fields[:, sl], self.trace[:, sl], self.noise[:, sl], self.n_stored[sl],
-                      self.n_noise[sl], self.death_step[sl], self.reasons[sl])
+                      self.n_noise[sl], self.death_step[sl], self.reasons[sl],
+                      None if self.tangent is None else self.tangent[:, sl])
 
     def outcome(self, b: int, grid: Grid, s: float, t: float, dt: float) -> FlowOutcome:
         reason = self.reasons[b]
@@ -232,8 +270,44 @@ def _check_state(u0: Field, grid: Grid, m: int, spec: EquationSpec):
         raise ValueError(f"{spec.kind} expects dim={spec.dim}, m={spec.m}")
 
 
+def _tangent_input(x, u, du, dx, spec: EquationSpec, dt: float) -> np.ndarray:
+    """The tangent's input to the heat step, x + dt Df(u) x."""
+    return x + dt * spec.drift_jvp(u, x, du, dx)
+
+
+def _tangent_output(heated, x, u, dwe, spec: EquationSpec) -> np.ndarray:
+    """The tangent after one step: the heat step of its input, plus
+    DG(u) x smooth(dW) under multiplicative noise."""
+    dg = spec.dg_values(u)
+    return heated if dg is None else heated + dg * x * dwe
+
+
+def _step_transforms(u, x, dw, spec: EquationSpec, ws: _Workspace):
+    """The transforms of one step from the states u (B, m, *grid): the monitor
+    integrand of u, the heat steps of u + dt f(u) and of the tangent input
+    (None when x is None) and the smoothed increment of dw.  Without dw only
+    the monitor integrand is computed.
+
+    A pointwise drift takes one batched forward and one batched inverse
+    transform; kpz1d's drift needs the gradient first, so it takes two."""
+    if dw is None:
+        return ws.transform([(u, None)], monitor=True)[0], None, None, None
+    du = dx = None
+    if ws.gradient is not None:
+        mon, (du, dx, dwe) = ws.transform([(u, "gradient"), (x, "gradient"), (dw, "moll")],
+                                          monitor=True)
+    pre = u + ws.dt * spec.drift(u, du)
+    x_in = None if x is None else _tangent_input(x, u, du, dx, spec, ws.dt)
+    if ws.gradient is not None:
+        _, (heat, heat_x) = ws.transform([(pre, "decay"), (x_in, "decay")])
+    else:
+        mon, (_, heat, heat_x, dwe) = ws.transform(
+            [(u, None), (pre, "decay"), (x_in, "decay"), (dw, "moll")], monitor=True)
+    return mon, heat, heat_x, dwe
+
+
 def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace,
-                  final_only: bool = False) -> _Paths:
+                  final_only: bool = False, x0: np.ndarray | None = None) -> _Paths:
     """Evolve B initial states u0 (B, m, *grid) along their own increments
     (J, B, m, *grid), one step per increment slice.
 
@@ -241,16 +315,22 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     ``shape``: an array, or a source that draws slice j of the given rows on
     demand (``noise._SliceSource``).  With ``final_only`` the batch keeps
     only each row's last state and monitor value instead of the trajectory.
+    With a tangent ``x0`` (B, m, *grid) the batch also carries the tangent
+    flow from x0 along each path, in the same transforms as the states; it
+    equals ``tangent._sweep`` along the stored path.
 
-    A row that dies leaves the active set and the other rows go on; every
-    numpy call acts on each row exactly as it would on that row alone, so row
-    b is bit-identical to a batch of one.
+    Step j transforms u_j once: its modes give u_j's monitor value as well as
+    the next state, so u_j is checked and stored at step j, and u_J after
+    the loop.  A row that dies leaves the active set and the other rows go
+    on; every numpy call acts on each row exactly as it would on that row
+    alone, so row b is bit-identical to a batch of one.
     """
     n_rows = u0.shape[0]
     n_steps = increments.shape[0]
-    dt, g_min = ws.dt, spec.g_min
+    g_min = spec.g_min
     n_kept = 1 if final_only else n_steps + 1
     fields = np.zeros((n_kept,) + u0.shape)
+    tangent = None if x0 is None else np.zeros_like(fields)
     trace = np.zeros((n_kept, n_rows))
     noise = np.zeros(((0 if final_only else n_steps),) + u0.shape)
     n_stored = np.full(n_rows, n_steps + 1)
@@ -261,26 +341,48 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     rows = np.arange(n_rows)
     sel = slice(None)  # basic-slice stand-in for ``rows`` while no row has died
     u = np.array(u0, dtype=np.float64)
-    fields[0] = u
-    r = ws.monitor(u)
-    trace[0] = r
+    x = None if x0 is None else np.array(x0, dtype=np.float64)
+    r = None
+    step = ()  # the current step's per-row transforms
 
-    def drop(mask, step, reason, stored, injected):
+    def drop(mask, at, reason, stored, injected):
         """Retire the active rows under ``mask``; returns the survivors' mask."""
-        nonlocal rows, sel, u, r
+        nonlocal rows, sel, u, x, r, step
         for b in rows[mask]:
             reasons[b] = reason
-            death_step[b], n_stored[b], n_noise[b] = step, stored, injected
+            death_step[b], n_stored[b], n_noise[b] = at, stored, injected
         keep = ~mask
         rows, u, r = rows[keep], u[keep], r[keep]
+        x = None if x is None else x[keep]
+        step = [None if a is None else a[keep] for a in step]
         sel = rows
         return keep
 
+    def store(j):
+        at = 0 if final_only else j
+        fields[at, sel] = u
+        trace[at, sel] = r
+        if x is not None:
+            tangent[at, sel] = x
+
     # each check tests the whole batch first and splits by row only on a hit
-    if r.max() > spec.r_blowup:
-        drop(r > spec.r_blowup, 0, "monitor_threshold", 1, 0)
-    for j in range(n_steps):
+    for j in range(n_steps + 1):
         if rows.size == 0:
+            break
+        last = j == n_steps
+        # rows that die below at step j were transformed too; drop() discards
+        # their results with them
+        mon, *step = _step_transforms(u, x, None if last else increments[j, sel], spec, ws)
+        r = mon if r is None else np.maximum(r, mon)
+        if j == 0:
+            store(0)  # u_0 is kept even when it trips the monitor; a later u_j is not
+        if r.max() > spec.r_blowup:
+            drop(r > spec.r_blowup, j, "monitor_threshold", max(j, 1), j)
+            if rows.size == 0:
+                break
+        if j > 0:
+            store(j)
+        if last:
             break
         g = spec.g_values(u)
         if g is not None and g.min() < g_min:
@@ -288,24 +390,16 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
                        j + 1, j)]
             if rows.size == 0:
                 break
-        dwe = ws.smooth_increment(increments[j, sel])
-        f_drift = spec.drift(u, ws)
-        gain = dwe if g is None else g * dwe
-        u = ws.heat_step(u + dt * f_drift) + gain
+        heat, heat_x, dwe = step
+        if x is not None:
+            x = _tangent_output(heat_x, x, u, dwe, spec)
+        u = heat + (dwe if g is None else g * dwe)
         if not final_only:
             noise[j, sel] = dwe
         if not np.isfinite(u).all():
             finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)
             drop(~finite, j + 1, "non_finite", j + 1, j + 1)
-            if rows.size == 0:
-                break
-        r = np.maximum(r, ws.monitor(u))
-        if r.max() > spec.r_blowup:
-            drop(r > spec.r_blowup, j + 1, "monitor_threshold", j + 1, j + 1)
-        at = 0 if final_only else j + 1
-        fields[at, sel] = u
-        trace[at, sel] = r
-    return _Paths(fields, trace, noise, n_stored, n_noise, death_step, reasons)
+    return _Paths(fields, trace, noise, n_stored, n_noise, death_step, reasons, tangent)
 
 
 def _step_range(s: float, t: float, dt: float, n_steps: int) -> tuple[int, int]:

@@ -4,6 +4,8 @@
 Euler rule as the primal solver, reusing the stored states and stored
 mollified noise increments, so it is the exact derivative of the discrete
 flow map (finite differences converge to it at first order in the step).
+The shift construction does not replay it: the solver carries the same
+tangent step along the path as it evolves (``solver._evolve_batch``).
 
 ``malliavin_derivative`` is the derivative of the flow with respect to a
 noise-shift direction.  Each slice of the shift enters the state exactly the
@@ -22,7 +24,7 @@ import numpy as np
 from .equations import EquationSpec
 from .grids import Field
 from .noise import ShiftPath
-from .solver import FlowOutcome, get_workspace
+from .solver import FlowOutcome, _tangent_input, _tangent_output, get_workspace
 
 __all__ = ["jacobian_apply", "tangent_sweep", "malliavin_derivative"]
 
@@ -35,12 +37,13 @@ def _require_covering(outcome: FlowOutcome, s: float, t: float):
 
 
 def _tangent_step(x, u, dwe, spec: EquationSpec, ws):
-    df_x = spec.drift_jvp(u, x, ws)
-    dg = spec.dg_values(u)
-    x_new = ws.heat_step(x + ws.dt * df_x)
-    if dg is not None:
-        x_new = x_new + dg * x * dwe
-    return x_new
+    """One tangent step along the stored state u and smoothed increment dwe,
+    with the same arithmetic as the tangent carried by ``_evolve_batch``."""
+    du = dx = None
+    if ws.gradient is not None:
+        _, (du, dx) = ws.transform([(u, "gradient"), (x, "gradient")])
+    _, (heated,) = ws.transform([(_tangent_input(x, u, du, dx, spec, ws.dt), "decay")])
+    return _tangent_output(heated, x, u, dwe, spec)
 
 
 def _sweep(fields: np.ndarray, noise: np.ndarray, x0: np.ndarray, steps: np.ndarray,
@@ -105,11 +108,11 @@ def malliavin_derivative(outcome: FlowOutcome, h: ShiftPath, t: float,
     ws = get_workspace(outcome.grid, outcome.dt, spec)
     j_t = outcome.time_index(t)
     dt = outcome.dt
-    acc = np.zeros_like(outcome.fields[0])
+    acc = np.zeros_like(outcome.fields[:1])  # a batch of one
     for j in range(j_t):
-        u = outcome.fields[j]
-        acc = _tangent_step(acc, u, outcome.noise_terms[j], spec, ws)
-        hj = ws.smooth_increment(h.values[j])
+        u = outcome.fields[j:j + 1]
+        acc = _tangent_step(acc, u, outcome.noise_terms[j:j + 1], spec, ws)
+        _, (hj,) = ws.transform([(h.values[j:j + 1], "moll")])
         g = spec.g_values(u)
         acc = acc + (hj if g is None else g * hj) * dt
-    return Field(outcome.grid, acc)
+    return Field(outcome.grid, acc[0])

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fellerlab.cli import main
 from fellerlab.storage import read_field, read_shift_path
@@ -167,6 +168,33 @@ def test_renorm_shift_op(capsys):
 def test_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "equation.kind = teleportation\ngrid.n = 32\ntime.dt = 0.01\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("solve", HEAT_CONFIG.replace("grid.n = 32", "grid.n = 33"), "power of two"),
+    ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = 0.1"), "multiple of time.dt"),
+    ("tv", COUPLE_CONFIG + "coupling.gamma_list = 0.01,0.2\n", "gamma_list"),
+])
+def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
+    """A fault found while the run is built from its config (here a
+    ValueError of the grid, a horizon off the time grid, a gamma_list entry
+    over the budget) is a configuration error."""
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fault", [ValueError, RuntimeError])
+def test_numerical_fault_exits_one(tmp_path, capsys, monkeypatch, fault):
+    """A fault raised by the numerics after the run is built is not reported
+    as a configuration error."""
+    def failing(*args):
+        raise fault("non-finite state")
+    monkeypatch.setattr("fellerlab.cli.evolve", failing)
+    cfg = _write(tmp_path, HEAT_CONFIG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "non-finite state" in capsys.readouterr().err
 
 
 def test_gamma_m_budget_config_error(tmp_path):

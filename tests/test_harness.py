@@ -173,6 +173,20 @@ def test_empty_sample_counts_rejected(grid, nonlinear):
             weighted_expectation(lambda f: 0.0, u, h, T, nonlinear, n_samples=n, seed=44)
 
 
+def test_tv_single_sample_has_infinite_se(grid, nonlinear):
+    """One sample gives no spread estimate, so the dominance check
+    |mean_diff| <= bound + 4 se cannot be at its strictest there."""
+    u = _state(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = estimate_tv_bound(u, u + _direction(grid) * 0.05, T, nonlinear,
+                                   CouplingParams(m_bound=10.0, k_gamma=4), 1, 42, DT,
+                                   functionals=[("mean", lambda f: float(np.mean(f.values)))])
+    assert report.n_samples == 1 and report.se_diff == (math.inf,)
+    assert math.isfinite(report.mean_diff[0])
+    assert abs(report.mean_diff[0]) <= report.bound + 4.0 * report.se_diff[0]
+
+
 def test_weighted_single_sample_has_infinite_se(grid, nonlinear):
     h = ShiftPath.zeros(grid, 1, N_STEPS, DT)
     with warnings.catch_warnings():

@@ -248,3 +248,78 @@ def test_final_only_evolve_matches_stored_paths():
         for b in range(n):
             assert np.array_equal(final.final(b), stored.final(b))
             assert final.trace[0, b] == stored.trace[stored.n_stored[b] - 1, b]
+
+
+def _fate_batches():
+    """Batches (grid, spec, dt, u0, increments) whose rows die at step 0 and
+    later, by every death reason: she1d with multiplicative noise (twice, the
+    second with a monitor threshold high enough for non-finite deaths), kpz1d
+    with m = 2 and phi4_2d."""
+    from fellerlab import compute_renorm_constants
+    from fellerlab.equations import RenormConstants
+    grid1 = Grid(dim=1, n=32, extent=(1.0,))
+    grid2 = Grid(dim=2, n=16, extent=(1.0, 1.0))
+    dt = 2.0**-8
+    affine = ScalarFn("affine", lambda u: 1.0 + u, lambda u: np.ones_like(u))
+    kpz = EquationSpec.kpz(np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2), eps=0.05)
+    phi = EquationSpec.phi4(quartic=-1.0, eps=0.05, allow_unstable=True, monitor_eta=0.0)
+    cases = [
+        (grid1, EquationSpec.she(drift="cubic_growth", diffusion=affine, g_min=0.5, eps=0.05),
+         [0.0, -0.8, 1e7, 2.0, -0.2, 0.5, 1.0], False),
+        (grid1, EquationSpec.she(drift="cubic_growth", diffusion=affine, g_min=0.5, eps=0.05,
+                                 r_blowup=1e200), [0.0, 1e60, 1e50, 3.0], False),
+        (grid1, kpz.with_renorm(compute_renorm_constants(kpz, grid1, dt)),
+         [0.3, 1e7, 1.0, 10.0, 30.0], True),
+        (grid2, phi.with_renorm(RenormConstants((0.0,))), [1.5, 1.6, 1.7, 1e7, 0.5], False),
+    ]
+    for grid, spec, amps, wave in cases:
+        x = np.meshgrid(*grid.axes(), indexing="ij")[0]
+        profile = np.cos(2 * np.pi * x) if wave else np.ones(grid.shape)
+        u0 = np.stack([np.broadcast_to(a * profile, (spec.m,) + grid.shape) for a in amps])
+        increments = np.stack([sample_white_noise(grid, spec.m, 256, dt, 3, stream=j)
+                               .increments[:64] for j in range(len(amps))], axis=1)
+        yield grid, spec, dt, u0, increments
+
+
+def test_carried_tangent_matches_sweep_replay():
+    """The tangent carried through the evolve equals a replay of the tangent
+    sweep along the stored paths, bit for bit, for rows of every fate, and
+    carrying it changes nothing else."""
+    from fellerlab.solver import _evolve_batch, get_workspace
+    from fellerlab.tangent import _sweep
+    fates = set()
+    for grid, spec, dt, u0, increments in _fate_batches():
+        ws = get_workspace(grid, dt, spec)
+        x0 = np.broadcast_to(np.sin(2 * np.pi * np.arange(grid.total_points) / grid.n)
+                             .reshape(grid.shape), u0.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # the non-finite deaths
+            plain = _evolve_batch(u0, increments, spec, ws)
+            carried = _evolve_batch(u0, increments, spec, ws, x0=x0)
+            replay = _sweep(carried.fields, carried.noise, x0, carried.n_stored - 1, spec, ws)
+        assert plain.tangent is None and carried.reasons == plain.reasons
+        for name in ("fields", "trace", "noise", "n_stored", "n_noise", "death_step"):
+            assert np.array_equal(getattr(carried, name), getattr(plain, name))
+        assert np.array_equal(carried.tangent[:replay.shape[0]], replay)
+        assert not carried.tangent[replay.shape[0]:].any()
+        fates |= {(spec.kind, reason, int(step) > 0)
+                  for reason, step in zip(carried.reasons, carried.death_step)}
+    assert {("she1d", "monitor_threshold", False), ("she1d", "monitor_threshold", True),
+            ("she1d", "nondegenerate", False), ("she1d", "nondegenerate", True),
+            ("she1d", "non_finite", True), ("she1d", None, False),
+            ("kpz1d", "monitor_threshold", False), ("kpz1d", "monitor_threshold", True),
+            ("kpz1d", None, False), ("phi4_2d", "monitor_threshold", False),
+            ("phi4_2d", "monitor_threshold", True), ("phi4_2d", None, False)} <= fates
+
+
+def test_monitor_trace_is_running_max_of_proxy_norm():
+    """Entry j of a row's monitor trace is the running maximum of the proxy
+    norm of its stored states 0..j at the monitor exponent, bit for bit."""
+    from fellerlab.solver import _evolve_batch, get_workspace
+    for grid, spec, dt, u0, increments in _fate_batches():
+        with np.errstate(over="ignore", invalid="ignore"):
+            paths = _evolve_batch(u0, increments, spec, get_workspace(grid, dt, spec))
+        for b in range(u0.shape[0]):
+            n = paths.n_stored[b]
+            norms = [holder_proxy_norm(Field(grid, paths.fields[i, b]), spec.monitor_eta)
+                     for i in range(n)]
+            assert np.array_equal(paths.trace[:n, b], np.maximum.accumulate(norms))
