@@ -70,10 +70,14 @@ def _reading_input():
 
 
 def _load_config(path) -> dict:
-    """The config file at ``path``; an unknown key is a ConfigError that names
-    the nearest valid key."""
+    """The config file at ``path``; a file that cannot be read, or an unknown
+    key, is a ConfigError (the latter names the nearest valid key)."""
     with _reading_input():
-        cfg = load_config(path)
+        try:
+            cfg = load_config(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {str(path)!r}: "
+                              f"{exc.strerror or exc}") from exc
     for key in cfg:
         if key not in _CONFIG_KEYS:
             import difflib

@@ -30,6 +30,12 @@ are exact integer polynomials in two formal constants C1 and C2:
 
 Both are exact; nothing in this module touches floating point.
 
+A tree's plain degree is computed once and stored on the tree, like its sort
+key and hash.  The contractions of the action and the expansions of the
+shift are shared between structurally equal subtrees, but only within one
+public call (``renorm_action``, ``shift_operator``): the memo is local to the
+call and dies when it returns, so there is no cache across calls.
+
 Glyph aliases: the two-digit names count noise leaves in the integrated
 crown and at the root ("22" = I(Xi)^2 * I(I(Xi)^2)); a trailing "h" marks
 one leaf replaced by the hatted noise (a crown leaf whenever the glyph has
@@ -80,12 +86,13 @@ _X_WEIGHTS = (2, 1, 1, 1)
 class Tree:
     """Canonical immutable symbol tree; compare and hash structurally."""
 
-    __slots__ = ("node", "_hash", "_key")
+    __slots__ = ("node", "_hash", "_key", "_degree")
 
     def __init__(self, node):
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_degree", None)
 
     def __setattr__(self, *a):
         raise AttributeError("trees are immutable")
@@ -223,9 +230,13 @@ class DegreeValue:
         return DegreeValue(self.base - other.base, self.kappa - other.kappa)
 
     def __eq__(self, other):
+        if not isinstance(other, DegreeValue):
+            return NotImplemented
         return (self.base, self.kappa) == (other.base, other.kappa)
 
     def __lt__(self, other):
+        if not isinstance(other, DegreeValue):
+            return NotImplemented
         return (self.base, self.kappa) < (other.base, other.kappa)
 
     def __hash__(self):
@@ -250,7 +261,18 @@ _DEG_I = DegreeValue(2, 0)
 
 
 def degree(t: Tree, overline: bool = False) -> DegreeValue:
-    """Exact degree; the overline variant grades XiHat like Xi."""
+    """Exact degree; the overline variant grades XiHat like Xi.
+
+    The plain degree is computed once per tree and stored on it; the overline
+    variant never reads that stored value and is computed afresh."""
+    if overline:
+        return _degree(t, True)
+    if t._degree is None:
+        object.__setattr__(t, "_degree", _degree(t, False))
+    return t._degree
+
+
+def _degree(t: Tree, overline: bool) -> DegreeValue:
     n = t.node
     if n[0] == "xi":
         return DEG_XI
@@ -427,23 +449,30 @@ def _as_sum(x) -> FormalSum:
 # renormalization action
 
 
-def _contract(t: Tree) -> list[tuple[Poly, Tree]]:
+def _contract(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
     """All ways of contracting disjoint patterns inside t (t's own root edge
-    is never consumed).  Returns (coefficient, contracted tree) pairs."""
+    is never consumed).  Returns (coefficient, contracted tree) pairs; ``memo``
+    holds the results already found in the current public call."""
     n = t.node
     if n[0] in ("xi", "xihat", "x"):
         return [(POLY_ONE, t)]
-    if n[0] == "i":
+    if n[0] != "i":
+        return _contract_product(t, memo)
+    key = ("contract", t)
+    if key not in memo:
         out = []
-        for poly, sub in _contract_product(n[1]):
+        for poly, sub in _contract_product(n[1], memo):
             reduced = integ(sub)
             if reduced is not None:  # I of a bare monomial vanishes
                 out.append((poly, reduced))
-        return out
-    return _contract_product(t)
+        memo[key] = out
+    return memo[key]
 
 
-def _contract_product(t: Tree) -> list[tuple[Poly, Tree]]:
+def _contract_product(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
+    key = ("product", t)
+    if key in memo:
+        return memo[key]
     k, factors = _product_parts(t)
     n_bullets = sum(1 for f in factors if f == PSI)
     others = [f for f in factors if f != PSI]
@@ -453,7 +482,7 @@ def _contract_product(t: Tree) -> list[tuple[Poly, Tree]]:
     # by a root pattern, releasing the rest of the crown at this vertex
     option_lists = []
     for f in others:
-        opts = [(False, poly, sub) for poly, sub in _contract(f)]
+        opts = [(False, poly, sub) for poly, sub in _contract(f, memo)]
         if f.kind == "i":
             k_arg, arg_factors = _product_parts(f.node[1])
             crown_bullets = sum(1 for a in arg_factors if a == PSI)
@@ -463,7 +492,7 @@ def _contract_product(t: Tree) -> list[tuple[Poly, Tree]]:
                 remnant_factors.remove(PSI)
                 remnant_factors.remove(PSI)
                 remnant = product(remnant_factors, k_extra=k_arg)
-                for poly, sub in _contract_product(remnant):
+                for poly, sub in _contract_product(remnant, memo):
                     opts.append((True, C2 * (ways_inner) * poly, sub))
         option_lists.append(opts)
 
@@ -484,7 +513,8 @@ def _contract_product(t: Tree) -> list[tuple[Poly, Tree]]:
             tree = product(pieces, k_extra=k)
             coef = combo_poly * Poly.monomial(q, 0, ways)
             merged[tree] = merged.get(tree, Poly()) + coef
-    return [(p, t2) for t2, p in merged.items() if not p.is_zero]
+    memo[key] = [(p, t2) for t2, p in merged.items() if not p.is_zero]
+    return memo[key]
 
 
 def renorm_action(s, g=None) -> FormalSum:
@@ -496,9 +526,10 @@ def renorm_action(s, g=None) -> FormalSum:
     plain-noise patterns, which is its extension to the enlarged structure.
     """
     s = _as_sum(s)
+    memo: dict = {}
     out: dict[Tree, Poly] = {}
     for tree, coef in s.terms.items():
-        for poly, t2 in _contract(tree):
+        for poly, t2 in _contract(tree, memo):
             if g is not None:
                 poly = Poly.const(poly.eval_at(int(g[0]), int(g[1])))
             total = coef * poly
@@ -510,7 +541,9 @@ def renorm_action(s, g=None) -> FormalSum:
 # shift substitution
 
 
-def _z_tree(t: Tree) -> FormalSum:
+def _z_tree(t: Tree, memo: dict) -> FormalSum:
+    """The substituted expansion of t; ``memo`` holds the expansions already
+    found in the current public call."""
     n = t.node
     if n[0] == "xi":
         return FormalSum({XI: POLY_ONE, XI_HAT: POLY_ONE})
@@ -518,26 +551,32 @@ def _z_tree(t: Tree) -> FormalSum:
         raise ValueError("shift substitution expects hat-free input")
     if n[0] == "x":
         return FormalSum.of(t)
+    if t in memo:
+        return memo[t]
     if n[0] == "i":
         out: dict[Tree, Poly] = {}
-        for sub, coef in _z_tree(n[1]).terms.items():
+        for sub, coef in _z_tree(n[1], memo).terms.items():
             tree = integ(sub)
             if tree is not None:
                 out[tree] = out.get(tree, Poly()) + coef
-        return FormalSum(out)
-    acc = FormalSum.of(x_monomial(n[1]))
-    for f in n[2]:
-        acc = acc * _z_tree(f)
+        acc = FormalSum(out)
+    else:
+        acc = FormalSum.of(x_monomial(n[1]))
+        for f in n[2]:
+            acc = acc * _z_tree(f, memo)
+    memo[t] = acc
     return acc
 
 
 def shift_operator(s) -> FormalSum:
     """Substitute Xi -> Xi + XiHat leaf by leaf (sum over hatted subsets)."""
     s = _as_sum(s)
-    out = FormalSum.zero()
+    memo: dict[Tree, FormalSum] = {}
+    out: dict[Tree, Poly] = {}
     for tree, coef in s.terms.items():
-        out = out + _z_tree(tree).scale(coef)
-    return out
+        for t2, c in _z_tree(tree, memo).terms.items():
+            out[t2] = out.get(t2, Poly()) + c * coef
+    return FormalSum(out)
 
 
 def check_commutation(t: Tree) -> bool:
@@ -575,14 +614,15 @@ def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree
     universe: set[Tree] = {ONE, *gens}
 
     def small_products(elements):
-        elems = sorted(elements, key=lambda t: (degree(t).base, t.sort_key()))
+        elems = sorted(((degree(t).base, t) for t in elements),
+                       key=lambda bt: (bt[0], bt[1].sort_key()))
         out = set()
         for r in (1, 2, 3):
             for combo in itertools.combinations_with_replacement(elems, r):
-                d = sum((degree(c).base for c in combo), Fraction(0))
+                d = sum((b for b, _ in combo), Fraction(0))
                 if d > slack.base:
                     continue
-                out.add(product(combo))
+                out.add(product([t for _, t in combo]))
                 if len(out) > cap:
                     raise ValueError(f"basis enumeration passed the cap of {cap} trees")
         return out

@@ -185,6 +185,15 @@ def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    """A config path that cannot be read is a configuration error that names
+    the path, not a traceback."""
+    missing = str(tmp_path / "nonexistent.cfg")
+    assert main(["solve", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("fault", [ValueError, RuntimeError])
 def test_numerical_fault_exits_one(tmp_path, capsys, monkeypatch, fault):
     """A fault raised by the numerics after the run is built is not reported

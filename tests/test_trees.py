@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -59,15 +60,43 @@ def test_degree_additive_under_products():
 
 
 def test_degree_overline_grades_hat_like_plain():
+    """The plain degree stored on a tree is structural, and the overline
+    degree never reads it, whichever of the two is asked for first."""
     assert degree(XI_HAT) == DegreeValue(0, -1)
     assert degree(XI_HAT, overline=True) == degree(XI)
     assert degree(glyph("32h"), overline=True) == degree(glyph("32"))
+
+    built = product([PSI, PSI, integ(product([PSI, PSI, PSI]))])
+    rebuilt = product([integ(product([PSI, PSI, PSI])), PSI, PSI])
+    assert degree(built) == degree(glyph("32"))
+    assert rebuilt is not built and degree(rebuilt) == degree(built)
+
+    def fresh_32h():
+        return product([PSI, PSI, integ(product([PSI, PSI, integ(XI_HAT)]))])
+
+    first, second = fresh_32h(), fresh_32h()
+    assert degree(first, overline=True) == degree(glyph("32"))
+    assert degree(first) == DegreeValue(2, -5)
+    assert degree(second) == DegreeValue(2, -5)
+    assert degree(second, overline=True) == degree(glyph("32"))
+    for attr in ("node", "_degree", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(first, attr, None)
 
 
 def test_degree_ordering_lexicographic():
     assert DegreeValue(0, -4) < DegreeValue(0, 0)
     assert DegreeValue(Fraction(-1, 2), 5) < DegreeValue(0, -100)
     assert not DegreeValue(0, 0) < DegreeValue(0, 0)
+
+
+def test_degree_value_against_other_types():
+    assert DegreeValue(0) != 0 and not DegreeValue(0) == 0
+    assert DegreeValue(0) != (0, 0)
+    for less in (lambda: DegreeValue(0) < 1, lambda: DegreeValue(0) <= 1,
+                 lambda: 1 > DegreeValue(0), lambda: DegreeValue(0) >= Fraction(0)):
+        with pytest.raises(TypeError):
+            less()
 
 
 # -- basis -------------------------------------------------------------------
@@ -141,11 +170,30 @@ def test_action_on_22():
     assert got == want
 
 
+def _termwise(op, s):
+    out = FormalSum.zero()
+    for tree, coef in s.terms.items():
+        out = out + op(tree).scale(coef)
+    return out
+
+
 def test_action_is_linear():
+    """Both operations are linear, also on sums whose terms share subtrees,
+    where one call shares its contractions and expansions between terms."""
     s = fsum((glyph("32"), 2), (glyph("2"), Poly.const(-1)))
     lhs = renorm_action(s)
     rhs = renorm_action(glyph("32")).scale(2) + renorm_action(glyph("2")).scale(-1)
     assert lhs == rhs
+
+    shifted = shift_operator(glyph("32"))
+    assert len(shifted) > 1
+    assert renorm_action(shifted) == _termwise(renorm_action, shifted)
+    hatted = fsum(*((t, i + 1) for i, t in enumerate(generate_basis(2, hat=True))))
+    assert renorm_action(hatted) == _termwise(renorm_action, hatted)
+    assert renorm_action(hatted, (3, -2)) == _termwise(lambda t: renorm_action(t, (3, -2)),
+                                                       hatted)
+    plain = fsum(*((t, C1 * (i + 1)) for i, t in enumerate(generate_basis(2))))
+    assert shift_operator(plain) == _termwise(shift_operator, plain)
 
 
 def test_action_group_law_numeric():
@@ -193,6 +241,21 @@ def test_shift_preserves_leaf_count_and_overline_degree():
         for term, coef in shift_operator(tau):
             assert term.noise_leaves() == n_leaves
             assert degree(term, overline=True) == degree(tau)
+
+
+def test_symbols_output_pinned_bit_for_bit():
+    """The degree-2 bases, their degrees and renormalization actions, and
+    both sides of the commutation, printed and hashed."""
+    plain, hatted = generate_basis(2), generate_basis(2, hat=True)
+    assert (len(plain), len(hatted)) == (56, 62)
+    text = "\n".join([format_tree(t) + " " + str(degree(t)) for t in plain + hatted]
+                     + [format_sum(renorm_action(t)) for t in plain + hatted])
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "4fac5c4a1d9d823d075543a64c83419a5b7225cb20b186c0ee312e1a06f7809c")
+    sides = "\n".join(format_sum(shift_operator(renorm_action(t))) + "|"
+                      + format_sum(renorm_action(shift_operator(t))) for t in plain)
+    assert (hashlib.sha256(sides.encode()).hexdigest()
+            == "a6f0cc5c6b1ec34a741e42da378bcb2d6e9daa97b37899531d64b864f3c6f8a2")
 
 
 def test_commutation_samples_and_exhaustive_small():
