@@ -15,7 +15,7 @@ from .equations import (DIFFUSIONS, DRIFTS, EquationSpec, RenormConstants,
 from .grids import (Field, Grid, MollifierSpec, holder_proxy_norm, l2_norm,
                     mollify, spectral_inverse, spectral_transform)
 from .harness import (BlowupReport, TVReport, WeightedComparison,
-                      blowup_probability, estimate_tv_bound,
+                      blowup_probability, estimate_tv_bound, estimate_tv_sweep,
                       weighted_expectation, wilson_interval)
 from .noise import (NoisePath, ShiftPath, apply_shift, cm_norm_sq,
                     girsanov_weight, log_girsanov_weight, noise_pairing,
@@ -51,5 +51,5 @@ __all__ = [
     "adaptedness_check",
     # harness
     "TVReport", "WeightedComparison", "BlowupReport", "estimate_tv_bound",
-    "weighted_expectation", "blowup_probability", "wilson_interval",
+    "estimate_tv_sweep", "weighted_expectation", "blowup_probability", "wilson_interval",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .equations import EquationSpec, RenormConstants, compute_renorm_constants
 from .grids import Field, Grid, l2_norm
-from .harness import estimate_tv_bound
+from .harness import estimate_tv_sweep
 from .noise import NoisePath, sample_white_noise, zero_noise_path
 from .shift import CouplingParams, build_shift, verify_coupling
 from .solver import evolve
@@ -349,10 +349,10 @@ def cmd_tv(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows, summaries = [], []
-    for gamma in gammas:
-        u_bar = _displaced_state(u, gamma)
-        report = estimate_tv_bound(u, u_bar, t, spec, params, n_samples, seed, dt,
-                                   n_steps=n_steps, functionals=functionals)
+    reports = estimate_tv_sweep(u, [_displaced_state(u, gamma) for gamma in gammas], t, spec,
+                                params, n_samples, seed, dt, n_steps=n_steps,
+                                functionals=functionals)
+    for gamma, report in zip(gammas, reports):
         summaries.append({
             "gamma": gamma, "bound": report.bound, "fail_prob": report.fail_prob,
             "fail_interval": report.fail_interval,

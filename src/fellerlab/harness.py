@@ -10,14 +10,21 @@ not actually couple to tolerance, and the second term is the exponential
 moment control of the reweighting martingale.  The estimator never certifies
 anything; it measures, with Wilson intervals on the failure rate.
 
+``estimate_tv_sweep`` computes that bound for a whole list of targets u_bar
+(one per displacement gamma) on the same noise streams, and
+``estimate_tv_bound`` is its list of one.
+
 Each sample index owns one noise stream.  All three estimators run their
 samples in memory-bounded chunks of rows (``_sample_chunks``), every row of
 a chunk through the same evolve (and, for the tv bound, gamma step) calls
-at once.  Each row is computed exactly as it would be
-alone, so every per-sample result, and hence every report, is bit-identical
-whatever the chunk size.  ``blowup_probability`` keeps no trajectory and
-draws its noise one time step at a time; ``weighted_expectation`` keeps the
-base trajectories only when a callable shift needs them.
+at once.  A tv chunk holds a row per (target, sample) pair of a range of
+samples: each sample's stream is drawn once and shared by every target, and
+all targets go through the same gamma-step and verification evolves.  Each
+row is computed exactly as it would be alone, so every per-sample result,
+and hence every report, is bit-identical whatever the chunk size.
+``blowup_probability`` keeps no trajectory and draws its noise one time step
+at a time; ``weighted_expectation`` keeps the base trajectories only when a
+callable shift needs them.
 """
 
 from __future__ import annotations
@@ -43,12 +50,14 @@ __all__ = [
     "BlowupReport",
     "wilson_interval",
     "estimate_tv_bound",
+    "estimate_tv_sweep",
     "weighted_expectation",
     "blowup_probability",
 ]
 
 EULER_E = math.e
-# Memory one chunk of samples may hold; rows per chunk = this / bytes per row.
+# Memory one chunk of samples may hold; samples per chunk = this / bytes per
+# sample, where a tv sample is one row per target of the sweep.
 _CHUNK_BYTES = 1 << 24
 
 
@@ -119,84 +128,49 @@ class TVReport:
     records: tuple[SampleRecord, ...] = field(repr=False, default=())
 
 
-def _tv_records(u: Field, u_bar: Field, t: float, dt: float, k_t: int, n_steps: int,
-                spec: EquationSpec, params: CouplingParams, seed: int,
-                streams: range, fns) -> list[SampleRecord]:
-    """One chunk of tv samples, a row per noise stream."""
-    grid, n_rows = u.grid, len(streams)
+def _tv_records(u: Field, u_bars: Sequence[Field], t: float, dt: float, k_t: int,
+                n_steps: int, spec: EquationSpec, params: CouplingParams, seed: int,
+                streams: range, fns) -> list[list[SampleRecord]]:
+    """One chunk of tv samples for every target in ``u_bars``: a row per
+    (target, noise stream) pair, target-major, each stream drawn once and
+    shared by all targets.  Returns the records of each target in stream
+    order."""
+    grid, n_streams = u.grid, len(streams)
     ws = get_workspace(grid, dt, spec)
-    increments = np.stack([_draw_increments(grid, u.m, k_t, dt, seed, j) for j in streams],
-                          axis=1)
-    results, from_u = _build_shift_batch(u, u_bar, increments, t, dt, n_steps, spec, params)
-    if from_u is None:
-        from_u = _evolve_batch(_start_rows(u, n_rows), increments, spec, ws)
+    drawn = np.stack([_draw_increments(grid, u.m, k_t, dt, seed, j) for j in streams], axis=1)
+    increments = np.concatenate([drawn] * len(u_bars), axis=1)
+    row_ubars = [u_bar for u_bar in u_bars for _ in streams]
+    n_rows = len(row_ubars)
+    results, from_u = _build_shift_batch(u, row_ubars, increments, t, dt, n_steps, spec, params)
     h = np.stack([r.h.values[:k_t] for r in results], axis=1)
-    # u_bar under the shifted noise (verification) and, for the functionals,
-    # under the plain noise, as one batch
+    # each u_bar under the shifted noise (verification) and, for the
+    # functionals, under the plain noise, as one batch
     noises = [increments + h * dt] + ([increments] if fns else [])
-    from_ubar = _evolve_batch(_start_rows(u_bar, len(noises) * n_rows),
-                              np.concatenate(noises, axis=1), spec, ws)
-    residuals = _coupling_residuals(u, u_bar, from_u, from_ubar.rows(slice(0, n_rows)))
+    starts = np.stack([u_bar.values for u_bar in row_ubars] * len(noises))
+    from_ubar = _evolve_batch(starts, np.concatenate(noises, axis=1), spec, ws)
+    residuals = _coupling_residuals(grid, [r.gamma_target for r in results], from_u,
+                                    from_ubar.rows(slice(0, n_rows)))
     from_ubar = from_ubar.rows(slice(-n_rows, None))
 
     def values(paths, b):
         return tuple(_final_value(paths, b, grid, fn) for _, fn in fns)
 
-    return [SampleRecord(index=j, status=res.status, residual=residuals[b],
-                         h_norm_sq=cm_norm_sq(res.h), f_from_u=values(from_u, b),
-                         f_from_ubar=values(from_ubar, b))
-            for b, (j, res) in enumerate(zip(streams, results))]
+    records = [SampleRecord(index=streams[b % n_streams], status=res.status,
+                            residual=residuals[b], h_norm_sq=cm_norm_sq(res.h),
+                            f_from_u=values(from_u, b), f_from_ubar=values(from_ubar, b))
+               for b, res in enumerate(results)]
+    return [records[i:i + n_streams] for i in range(0, n_rows, n_streams)]
 
 
-def estimate_tv_bound(
-    u: Field,
-    u_bar: Field,
-    t: float,
-    spec: EquationSpec,
-    params: CouplingParams,
-    n_samples: int,
-    seed: int,
-    dt: float,
-    n_steps: int | None = None,
-    functionals: Sequence[tuple[str, Callable[[Field], float]]] = (),
-) -> TVReport:
-    """Sample the coupling and aggregate the law-distance bound at time t.
-
-    Each sample draws its own noise stream, builds the shift from u to u_bar,
-    verifies it, and also records the clamped functionals of the two
-    *unshifted* evolutions (common noise) for the dominance check.  A sample
-    fails when its status is not 'completed' or its absolute endpoint
-    deviation exceeds ``params.tol`` (default 1e-3 * gamma).
-
-    Samples run in chunks of rows evolved together; only the noise slices
-    before t are drawn.
-    """
-    gamma = l2_norm(u_bar - u)
-    if params.m_bound * gamma > 1.0 + 1e-12:
-        raise ValueError(
-            f"gamma * M = {gamma * params.m_bound} > 1; the exponential-moment "
-            "bound needs gamma * M <= 1 (shrink gamma or M)"
-        )
+def _tv_report(gamma: float, records: list[SampleRecord], params: CouplingParams,
+               fns) -> TVReport:
+    """Aggregate one target's records into its law-distance bound."""
+    n_samples = len(records)
     tol_abs = params.tol if params.tol is not None else 1e-3 * gamma
-    n_steps = n_steps or round(1.0 / dt)
-    fns = [(name, _clamped(fn)) for name, fn in functionals]
-    _check_path(u.m, n_steps, dt)
-    _check_state(u, u.grid, u.m, spec)
-    _check_state(u_bar, u.grid, u.m, spec)
-    k_t = _shift_slices(t, dt, n_steps)
-
-    # per row: the noise, the shift and about a dozen (k_t+1)-slice work arrays
-    # (paths and their tangents, transfer slices), plus the full-length shift of its result
-    row_bytes = 8 * u.values.size * (2 * n_steps + 16 * (k_t + 1))
-    records = []
-    for streams in _sample_chunks(n_samples, row_bytes):
-        records += _tv_records(u, u_bar, t, dt, k_t, n_steps, spec, params, seed, streams,
-                              fns)
-
     fails = sum(1 for r in records
                 if r.status != "completed" or r.residual * gamma > tol_abs)
     fail_prob = fails / n_samples
-    mean_h_sq = float(np.mean([r.h_norm_sq for r in records])) if records else 0.0
+    mean_h_sq = float(np.mean([r.h_norm_sq for r in records]))
     if mean_h_sq > params.m_bound**2 * gamma**2 + 1e-9:
         raise RuntimeError("mean |h|^2 exceeded its M^2 gamma^2 bound")
     bound = 2.0 * fail_prob + 2.0 * EULER_E * math.sqrt(mean_h_sq)
@@ -213,6 +187,78 @@ def estimate_tv_bound(
                     functional_names=tuple(name for name, _ in fns),
                     mean_diff=tuple(mean_diff), se_diff=tuple(se_diff),
                     records=tuple(records))
+
+
+def estimate_tv_sweep(
+    u: Field,
+    u_bars: Sequence[Field],
+    t: float,
+    spec: EquationSpec,
+    params: CouplingParams,
+    n_samples: int,
+    seed: int,
+    dt: float,
+    n_steps: int | None = None,
+    functionals: Sequence[tuple[str, Callable[[Field], float]]] = (),
+) -> list[TVReport]:
+    """The law-distance bound at time t from u to each of ``u_bars``, one
+    report per target, on the same noise streams.
+
+    Each sample draws its own noise stream, builds the shift from u to u_bar,
+    verifies it, and also records the clamped functionals of the two
+    *unshifted* evolutions (common noise) for the dominance check.  A sample
+    fails when its status is not 'completed' or its absolute endpoint
+    deviation exceeds ``params.tol`` (default 1e-3 * gamma).
+
+    Samples run in chunks of rows evolved together, a row per (target,
+    sample) pair; each stream's slices before t are drawn once per chunk and
+    shared by every target.
+    """
+    if not u_bars:
+        raise ValueError("need at least one target u_bar")
+    gammas = [l2_norm(u_bar - u) for u_bar in u_bars]
+    for gamma in gammas:
+        if params.m_bound * gamma > 1.0 + 1e-12:
+            raise ValueError(
+                f"gamma * M = {gamma * params.m_bound} > 1; the exponential-moment "
+                "bound needs gamma * M <= 1 (shrink gamma or M)"
+            )
+    n_steps = n_steps or round(1.0 / dt)
+    fns = [(name, _clamped(fn)) for name, fn in functionals]
+    _check_path(u.m, n_steps, dt)
+    _check_state(u, u.grid, u.m, spec)
+    for u_bar in u_bars:
+        _check_state(u_bar, u.grid, u.m, spec)
+    k_t = _shift_slices(t, dt, n_steps)
+
+    # per row: the noise, the shift and about a dozen (k_t+1)-slice work arrays
+    # (paths and their tangents, transfer slices), plus the full-length shift
+    # of its result; a sample has one row per target
+    row_bytes = 8 * u.values.size * (2 * n_steps + 16 * (k_t + 1))
+    records = [[] for _ in u_bars]
+    for streams in _sample_chunks(n_samples, row_bytes * len(u_bars)):
+        chunk = _tv_records(u, u_bars, t, dt, k_t, n_steps, spec, params, seed, streams, fns)
+        for mine, new in zip(records, chunk):
+            mine += new
+    return [_tv_report(gamma, mine, params, fns) for gamma, mine in zip(gammas, records)]
+
+
+def estimate_tv_bound(
+    u: Field,
+    u_bar: Field,
+    t: float,
+    spec: EquationSpec,
+    params: CouplingParams,
+    n_samples: int,
+    seed: int,
+    dt: float,
+    n_steps: int | None = None,
+    functionals: Sequence[tuple[str, Callable[[Field], float]]] = (),
+) -> TVReport:
+    """Sample the coupling and aggregate the law-distance bound at time t:
+    :func:`estimate_tv_sweep` with the single target u_bar."""
+    return estimate_tv_sweep(u, [u_bar], t, spec, params, n_samples, seed, dt, n_steps,
+                             functionals)[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import Grid
 
 __all__ = [
     "NoisePath",
@@ -118,9 +118,6 @@ class ShiftPath:
         vals = self.values.copy()
         vals[k:] = 0.0
         return ShiftPath(self.grid, self.dt, vals)
-
-    def slice_field(self, k: int) -> Field:
-        return Field(self.grid, self.values[k])
 
 
 class _SliceStreams:

@@ -192,46 +192,48 @@ def _shift_slices(t: float, dt: float, n_steps: int) -> int:
     return k_t
 
 
-def _build_shift_batch(u: Field, u_bar: Field, increments: np.ndarray, t: float, dt: float,
+def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t: float, dt: float,
                        n_steps: int, spec: EquationSpec,
-                       params: CouplingParams) -> tuple[list[ShiftResult], _Paths | None]:
+                       params: CouplingParams) -> tuple[list[ShiftResult], _Paths]:
     """The gamma loop of :func:`build_shift` for B noise rows at once.
 
     ``increments`` (k_t, B, m, *grid) holds the noise slices before t of
-    each row.  Rows share u, u_bar and every gamma step; each keeps its own
-    shift, cutoffs, clamps, gamma_star and status, and leaves the active set
-    when it dies at step 0, has no live slice left or trips nondegeneracy.
-    Returns one result per row (shifts padded to ``n_steps`` slices) and the
-    step-0 paths, which are the unshifted evolutions from u (None when
-    u == u_bar, which evolves nothing).
+    each row and ``u_bars`` the B target states.  Rows share u and every
+    gamma step; each keeps its own gamma, shift, cutoffs, clamps, gamma_star
+    and status, and leaves the active set when it dies at step 0, has no
+    live slice left or trips nondegeneracy.  A row whose target is u itself
+    rides only in step 0 and ends 'completed' with a zero shift.  Returns
+    one result per row (shifts padded to ``n_steps`` slices) and the step-0
+    paths, which are the unshifted evolutions from u.
     """
     grid = u.grid
     k_t, n_rows = increments.shape[:2]
     shape = (u.m,) + grid.shape
     m_bound, cutoff_r = params.m_bound, params.cutoff_r
+    field_axes = (None,) * (grid.dim + 1)
 
-    def result(h, status, gamma_reached, gamma_star, diagnostics):
+    def result(b, h, status, gamma_reached, gamma_star, diagnostics):
         h_full = np.zeros((n_steps,) + shape)
         h_full[:k_t] = h
         path = ShiftPath(grid, dt, h_full)
-        return ShiftResult(h=path, gamma_target=gamma_target, gamma_reached=gamma_reached,
-                           status=status, gamma_star=gamma_star,
+        return ShiftResult(h=path, gamma_target=float(gamma_target[b]),
+                           gamma_reached=gamma_reached, status=status, gamma_star=gamma_star,
                            cm_norm=math.sqrt(cm_norm_sq(path)), a_bound_used=m_bound,
                            cutoff_r=cutoff_r, diagnostics=diagnostics)
 
-    gamma_target = l2_norm(u_bar - u)
-    if gamma_target == 0.0:
-        return [result(0.0, "completed", 0.0, None, {"monitor_per_step": []})
-                for _ in range(n_rows)], None
+    # one l2_norm per row keeps each row's reduction order
+    gamma_target = np.array([l2_norm(u_bar - u) for u_bar in u_bars])
+    same = gamma_target == 0.0
+    v = np.zeros((n_rows,) + shape)  # zero for rows with u_bar == u
+    for b in np.flatnonzero(~same):
+        v[b] = ((u_bars[b] - u) * (1.0 / gamma_target[b])).values
+    d_gamma = gamma_target / params.k_gamma
 
     ws = get_workspace(grid, dt, spec)
-    v = (u_bar - u) * (1.0 / gamma_target)
-    d_gamma = gamma_target / params.k_gamma
     support = np.array([bump_chi(k / k_t) > 0 for k in range(k_t)])
     support_measure = float(np.sum(support)) * dt
     slice_cap = m_bound / math.sqrt(support_measure)  # L2 cap per slice of dh/dgamma
     cap = slice_cap * d_gamma
-    field_axes = (None,) * (grid.dim + 1)
 
     vol = grid.cell_volume
     h = np.zeros((k_t, n_rows) + shape)
@@ -241,19 +243,20 @@ def _build_shift_batch(u: Field, u_bar: Field, increments: np.ndarray, t: float,
     clamp_events = np.zeros(n_rows, dtype=int)
     gamma_reached = np.zeros(n_rows)
     gamma_star = [None] * n_rows
-    gamma = 0.0
+    gamma = np.zeros(n_rows)
     from_u = None
     rows = np.arange(n_rows)
 
     for step in range(params.k_gamma):
-        u_gamma = u + gamma * v
+        u_gamma = u.values + gamma[rows][(...,) + field_axes] * v[rows]
+        if step == 0:
+            u_gamma[same] = u.values  # their unshifted path starts from u itself
         shifted = increments[:, rows] + h[:, rows] * dt
-        out = _evolve_batch(np.broadcast_to(u_gamma.values, (rows.size,) + shape),
-                            shifted, spec, ws, x0=np.broadcast_to(v.values, (rows.size,) + shape))
+        out = _evolve_batch(u_gamma, shifted, spec, ws, x0=v[rows])
         alive = out.alive
         if step == 0:
             from_u = replace(out, tangent=None)
-            going = alive.copy()  # a row dead at step 0 ends with status 'dead'
+            going = alive & ~same  # a row dead at step 0 ends with status 'dead'
         else:
             going = np.ones(rows.size, dtype=bool)
 
@@ -268,7 +271,7 @@ def _build_shift_batch(u: Field, u_bar: Field, increments: np.ndarray, t: float,
             if not going[i]:
                 continue
             if gamma_star[b] is None and np.any((new_cutoffs[:, i] == 0.0) & support):
-                gamma_star[b] = gamma
+                gamma_star[b] = float(gamma[b])
             monitor_per_step[b].append(float(out.trace[out.n_stored[i] - 1, i])
                                        if alive[i] else math.inf)
             min_cutoff_per_step[b].append(float(np.min(new_cutoffs[support, i])))
@@ -279,35 +282,39 @@ def _build_shift_batch(u: Field, u_bar: Field, increments: np.ndarray, t: float,
         for i in np.flatnonzero(going & (first_low >= 0)):
             # evolve marks these dead; only reachable through the final stored state
             b = rows[i]
-            gamma_star[b] = gamma if gamma_star[b] is None else gamma_star[b]
+            gamma_star[b] = float(gamma[b]) if gamma_star[b] is None else gamma_star[b]
         going &= first_low < 0
-        gamma_reached[rows[~going]] = gamma
+        gamma_reached[rows[~going]] = gamma[rows[~going]]
         rows = rows[going]
         if rows.size == 0:
             break
 
-        increment = -d_gamma * a_slices[:, going] * new_cutoffs[:, going][(...,) + field_axes]
+        increment = (-d_gamma[rows][(...,) + field_axes] * a_slices[:, going]
+                     * new_cutoffs[:, going][(...,) + field_axes])
         # slice-wise clamp keeps |h| <= M * gamma without looking across slices
         norms = np.sqrt(vol * np.sum(increment.reshape(k_t, rows.size, -1) ** 2, axis=2))
-        over = norms > cap
+        over = norms > cap[rows]
         clamp_events[rows] += over.sum(axis=0)
-        scale = cap / np.where(over, norms, cap)
+        scale = cap[rows] / np.where(over, norms, cap[rows])
         h[:, rows] += increment * scale[(...,) + field_axes]
         gamma += d_gamma
-    gamma_reached[rows] = gamma_target
+    gamma_reached[rows] = gamma_target[rows]
     ran_all_steps = np.zeros(n_rows, dtype=bool)
     ran_all_steps[rows] = True
 
     results = []
     for b in range(n_rows):
+        if same[b]:
+            results.append(result(b, 0.0, "completed", 0.0, None, {"monitor_per_step": []}))
+            continue
         if from_u.reasons[b] is not None:
-            results.append(result(0.0, "dead", 0.0, None,
+            results.append(result(b, 0.0, "dead", 0.0, None,
                                   {"monitor_per_step": [math.inf], "reason": from_u.reasons[b]}))
             continue
         frozen = int(np.sum((cutoffs[:, b] == 0.0) & support))
         completed = gamma_star[b] is None and ran_all_steps[b]
         results.append(result(
-            h[:, b], "completed" if completed else "frozen", float(gamma_reached[b]),
+            b, h[:, b], "completed" if completed else "frozen", float(gamma_reached[b]),
             gamma_star[b],
             {"monitor_per_step": monitor_per_step[b], "clamp_events": int(clamp_events[b]),
              "frozen_slice_count": frozen, "min_cutoff": float(np.min(cutoffs[:, b])),
@@ -329,17 +336,17 @@ def build_shift(u: Field, u_bar: Field, w: NoisePath, t: float, spec: EquationSp
     _check_state(u, w.grid, w.m, spec)
     _check_state(u_bar, w.grid, w.m, spec)
     k_t = _shift_slices(t, w.dt, w.n_steps)
-    results, _ = _build_shift_batch(u, u_bar, w.increments[:k_t, None], t, w.dt, w.n_steps,
+    results, _ = _build_shift_batch(u, [u_bar], w.increments[:k_t, None], t, w.dt, w.n_steps,
                                     spec, params)
     return results[0]
 
 
-def _coupling_residuals(u: Field, u_bar: Field, from_u: _Paths, moved: _Paths) -> list[float]:
+def _coupling_residuals(grid, gammas, from_u: _Paths, moved: _Paths) -> list[float]:
     """Relative coupling residual of each row: the endpoint distance of the
     paths from u and the paths from u_bar under the shifted noise, over the
-    initial distance; +inf for a row where either side dies."""
-    gamma = max(l2_norm(u_bar - u), 1e-300)
-    return [l2_norm(Field(u.grid, from_u.final(b)) - Field(u.grid, moved.final(b))) / gamma
+    row's initial distance ``gammas[b]``; +inf for a row where either side dies."""
+    return [l2_norm(Field(grid, from_u.final(b)) - Field(grid, moved.final(b)))
+            / max(gammas[b], 1e-300)
             if from_u.reasons[b] is None and moved.reasons[b] is None else math.inf
             for b in range(len(from_u.reasons))]
 
@@ -361,7 +368,8 @@ def verify_coupling(u: Field, u_bar: Field, w: NoisePath, h: ShiftPath, t: float
     both = _evolve_batch(np.stack([u.values, u_bar.values]),
                          np.stack([w.increments[:k_t], moved.increments[:k_t]], axis=1),
                          spec, get_workspace(w.grid, w.dt, spec))
-    return _coupling_residuals(u, u_bar, both.rows(slice(0, 1)), both.rows(slice(1, 2)))[0]
+    return _coupling_residuals(u.grid, [l2_norm(u_bar - u)], both.rows(slice(0, 1)),
+                               both.rows(slice(1, 2)))[0]
 
 
 def adaptedness_check(u: Field, u_bar: Field, w_a: NoisePath, w_b: NoisePath,

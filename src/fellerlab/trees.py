@@ -292,6 +292,9 @@ def _degree(t: Tree, overline: bool) -> DegreeValue:
 # coefficients: integer polynomials in C1, C2
 
 
+_UNIT_COEF = {(0, 0): 1}
+
+
 class Poly:
     """Integer polynomial in the formal constants C1, C2."""
 
@@ -331,6 +334,11 @@ class Poly:
 
     def __mul__(self, other):
         other = _as_poly(other)
+        # most products have the unit as a factor; both operands are immutable
+        if other.coef == _UNIT_COEF:
+            return self
+        if self.coef == _UNIT_COEF:
+            return other
         out = {}
         for (a1, a2), va in self.coef.items():
             for (b1, b2), vb in other.coef.items():
@@ -410,6 +418,8 @@ class FormalSum:
 
     def scale(self, coef) -> "FormalSum":
         coef = _as_poly(coef)
+        if coef.coef == _UNIT_COEF:
+            return self
         return FormalSum({t: c * coef for t, c in self.terms.items()})
 
     def __mul__(self, other: "FormalSum") -> "FormalSum":

@@ -6,7 +6,7 @@ import pytest
 
 from fellerlab import (CouplingParams, EquationSpec, Field, Grid, ShiftPath,
                        apply_shift, blowup_probability, build_shift, cm_norm_sq,
-                       RenormConstants, estimate_tv_bound, evolve,
+                       RenormConstants, estimate_tv_bound, estimate_tv_sweep, evolve,
                        girsanov_weight, harness, l2_norm, sample_white_noise,
                        verify_coupling, weighted_expectation, wilson_interval)
 
@@ -93,6 +93,30 @@ def test_tv_records_batch_invariant(grid, nonlinear, monkeypatch):
     assert single.records == batched.records
     assert single.bound == batched.bound
     assert single.mean_diff == batched.mean_diff
+
+
+def test_tv_sweep_matches_per_gamma_calls(grid, monkeypatch):
+    """One sweep over a gamma list equals one estimate_tv_bound call per
+    gamma, bit for bit in every report field and every record, whatever the
+    chunk size.  The list mixes fates: at both nonzero gammas some rows
+    freeze, others complete and the slice clamp fires; gamma 0 couples u to
+    itself."""
+    spec = EquationSpec.she(drift="cubic_growth", diffusion="one", r_blowup=50.0)
+    u = Field.constant(grid, 1.0)
+    direction = Field.constant(grid, 1.0) * (1.0 / l2_norm(Field.constant(grid, 1.0)))
+    params = CouplingParams(m_bound=5.0, k_gamma=4, cutoff_r=2.0)
+    fns = [("mean", lambda f: float(np.mean(f.values)))]
+    u_bars = [u + direction * gamma for gamma in (0.2, 0.02, 0.0)]
+    want = [estimate_tv_bound(u, u_bar, T, spec, params, 8, 5, DT, functionals=fns)
+            for u_bar in u_bars]
+    statuses = {r.status for rep in want[:2] for r in rep.records}
+    assert statuses >= {"frozen", "completed"}
+    assert any(0.0 < r.residual < math.inf for r in want[0].records)
+    assert [r.status for r in want[2].records] == ["completed"] * 8
+    for chunk_bytes in (harness._CHUNK_BYTES, 1):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        got = estimate_tv_sweep(u, u_bars, T, spec, params, 8, 5, DT, functionals=fns)
+        assert got == want
 
 
 def test_tv_fail_prob_weakly_better_at_smaller_t(grid, nonlinear):

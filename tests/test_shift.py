@@ -189,7 +189,8 @@ def test_batched_rows_match_single_path_across_fates(grid):
     params = CouplingParams(m_bound=50.0, k_gamma=6, cutoff_r=1.2)
     paths = [sample_white_noise(grid, 1, n_steps, dt, seed=5, stream=j) for j in range(10)]
     k_t = round(t / dt)
-    batch, _ = _build_shift_batch(u, u_bar, np.stack([w.increments[:k_t] for w in paths], axis=1),
+    batch, _ = _build_shift_batch(u, [u_bar] * len(paths),
+                                  np.stack([w.increments[:k_t] for w in paths], axis=1),
                                   t, dt, n_steps, spec, params)
     singles = [build_shift(u, u_bar, w, t, spec, params) for w in paths]
     fates = {(r.status, len(r.diagnostics["monitor_per_step"]) < params.k_gamma) for r in singles}
@@ -203,6 +204,36 @@ def test_batched_rows_match_single_path_across_fates(grid):
         assert np.array_equal(got.h.values, want.h.values)
         if want.status == "dead":
             assert np.all(got.h.values == 0.0) and got.gamma_reached == 0.0
+
+
+def test_batched_rows_with_own_targets_match_single_path(grid):
+    """A batch whose rows each couple u to their own u_bar (u itself among
+    them) gives each row exactly build_shift for that target alone."""
+    from fellerlab.shift import _build_shift_batch
+    spec = EquationSpec.she(drift="cubic_growth", diffusion="one", r_blowup=50.0)
+    dt, n_steps, t = 2.0**-7, 128, 0.25
+    u = Field.constant(grid, 1.4)
+    params = CouplingParams(m_bound=50.0, k_gamma=6, cutoff_r=1.2)
+    gammas = [0.01, 0.002, 0.0, 0.015, 0.01, 0.0, 0.005, 0.002]
+    u_bars = [u + _direction(grid, mode=1 + b % 2) * g for b, g in enumerate(gammas)]
+    paths = [sample_white_noise(grid, 1, n_steps, dt, seed=5, stream=j) for j in range(8)]
+    k_t = round(t / dt)
+    batch, from_u = _build_shift_batch(u, u_bars,
+                                       np.stack([w.increments[:k_t] for w in paths], axis=1),
+                                       t, dt, n_steps, spec, params)
+    singles = [build_shift(u, u_bar, w, t, spec, params) for u_bar, w in zip(u_bars, paths)]
+    assert {r.status for r in singles} >= {"dead", "frozen", "completed"}
+    for b, (got, want) in enumerate(zip(batch, singles)):
+        assert got.status == want.status
+        assert got.gamma_target == want.gamma_target
+        assert got.gamma_star == want.gamma_star
+        assert got.gamma_reached == want.gamma_reached
+        assert got.cm_norm == want.cm_norm
+        assert got.diagnostics == want.diagnostics
+        assert np.array_equal(got.h.values, want.h.values)
+        plain = evolve(u, paths[b], 0.0, t, spec)
+        assert from_u.reasons[b] == plain.reason
+        assert np.array_equal(from_u.fields[:from_u.n_stored[b], b], plain.fields)
 
 
 def test_adaptedness_trivial_cases(grid, nonlinear):
