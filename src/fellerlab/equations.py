@@ -56,8 +56,8 @@ def _bounded_smooth_d(u):
 DRIFTS = {
     "zero": ScalarFn("zero", lambda u: np.zeros_like(u), lambda u: np.zeros_like(u)),
     "linear_decay": ScalarFn("linear_decay", lambda u: -u, lambda u: -np.ones_like(u)),
-    "cubic_decay": ScalarFn("cubic_decay", lambda u: -u**3, lambda u: -3.0 * u * u),
-    "cubic_growth": ScalarFn("cubic_growth", lambda u: u**3, lambda u: 3.0 * u * u),
+    "cubic_decay": ScalarFn("cubic_decay", lambda u: -(u * u * u), lambda u: -3.0 * u * u),
+    "cubic_growth": ScalarFn("cubic_growth", lambda u: u * u * u, lambda u: 3.0 * u * u),
 }
 
 DIFFUSIONS = {
@@ -196,7 +196,7 @@ class EquationSpec:
             return self.drift_fn.fn(u)
         if self.kind == "phi4_2d":
             c = self.renorm_values()[0]
-            return -self.quartic * u**3 - self.mass * u + 3.0 * self.quartic * c * u
+            return -self.quartic * (u * u * u) - self.mass * u + 3.0 * self.quartic * c * u
         s = self.coupling_array
         quad = np.einsum("ijk,...jx,...kx->...ix", s, du, du)
         return quad - self.renorm_values()[:, None]

@@ -3,7 +3,10 @@
 Fields live on a periodic lattice with a power-of-two number of points per
 axis, which keeps the dyadic frequency shells used by the Hoelder proxy norm
 exact.  The spectral convention throughout the package is the plain FFT pair:
-forward transform unscaled, inverse scaled by 1/N.
+forward transform unscaled, inverse scaled by 1/N.  The public helpers use
+the full complex spectrum; the proxy norm and the solver transform real
+fields on the half spectrum (``_real_transform``), whose last axis keeps
+the frequencies 0..n/2.
 
 All value types here are immutable; operations return new objects and are
 safe to share across threads.
@@ -191,15 +194,37 @@ def spectral_inverse(modes: np.ndarray, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
+def _half_spectrum(a: np.ndarray, n: int) -> np.ndarray:
+    """The entries of a full-spectrum array (last axis in FFT order) that a
+    real transform keeps: frequencies 0..n/2 on the last axis."""
+    return a[..., :n // 2 + 1]
+
+
+def _real_transform(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Forward transform of real fields over the trailing grid axes, unscaled,
+    on the half spectrum."""
+    if grid.dim == 1:
+        return np.fft.rfft(values, axis=-1)
+    return np.fft.rfftn(values, axes=_spatial_axes(grid))
+
+
+def _real_inverse(modes: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of ``_real_transform`` (scaled by 1/N): real fields on the grid."""
+    if grid.dim == 1:
+        return np.fft.irfft(modes, n=grid.n, axis=-1)
+    return np.fft.irfftn(modes, s=grid.shape, axes=_spatial_axes(grid))
+
+
 @lru_cache(maxsize=32)
 def _dyadic_masks(dim: int, n: int) -> np.ndarray:
-    """Boolean shell masks, shape (n_shells, n, ..): shell 0 is |k| <= 1,
-    shell j is 2^(j-1) < |k| <= 2^j in the max norm."""
+    """Boolean shell masks on the half spectrum, shape (n_shells, .., n//2 + 1):
+    shell 0 is |k| <= 1, shell j is 2^(j-1) < |k| <= 2^j in the max norm."""
     k = np.arange(n)
     k[k > n // 2] -= n
     mag = np.abs(k)
     if dim == 2:
         mag = np.maximum(mag[:, None], mag[None, :])
+    mag = _half_spectrum(mag, n)
     n_shells = int(math.log2(n // 2)) + 1
     masks = np.zeros((n_shells,) + mag.shape, dtype=bool)
     masks[0] = mag <= 1
@@ -220,10 +245,10 @@ def holder_proxy_norm(f: Field, alpha: float) -> float:
         raise ValueError(f"|alpha| must be < 2, got {alpha}")
     grid = f.grid
     masks = _dyadic_masks(grid.dim, grid.n)
-    modes = spectral_transform(f)
+    modes = _real_transform(f.values, grid)
     # one batched inverse transform over (shell, component) pairs
     stacked = masks[:, None, ...] * modes[None, ...]
-    blocks = np.fft.ifftn(stacked, axes=_spatial_axes(grid)).real
+    blocks = _real_inverse(stacked, grid)
     return float(_weighted_block_sup(blocks[None], _shell_weights(alpha, masks.shape[0]))[0])
 
 
@@ -233,9 +258,14 @@ def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:
 
 def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Proxy norm of each row of real shell blocks (B, n_shells, m, *grid): the
-    largest over shells j of weights[j] times the block's sup-norm, shape (B,)."""
-    sup = np.abs(blocks).reshape(blocks.shape[:2] + (-1,)).max(axis=2)
-    return (weights * sup).max(axis=1)
+    largest over shells j of weights[j] times the block's sup-norm, shape (B,).
+
+    Rounding is monotone, so a positive weight times a block's largest entry
+    is the largest of its weighted entries, bit for bit: each row is reduced
+    in one pass."""
+    weighted = np.abs(blocks)
+    weighted *= weights.reshape((-1,) + (1,) * (blocks.ndim - 2))
+    return weighted.reshape(blocks.shape[0], -1).max(axis=1)
 
 
 def mollify(f: Field, eps: float, kernel: MollifierSpec = MollifierSpec()) -> Field:

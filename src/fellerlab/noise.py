@@ -157,7 +157,7 @@ def _draw_increments(grid: Grid, m: int, n_slices: int, dt: float, seed: int,
     streams = _SliceStreams(seed, stream)
     inc = np.empty((n_slices,) + shape)
     for k in range(n_slices):
-        inc[k] = streams.at_slice(k).standard_normal(shape)
+        streams.at_slice(k).standard_normal(out=inc[k])
     inc *= sigma
     return inc
 
@@ -181,7 +181,7 @@ class _SliceSource:
         picked = np.arange(len(self._streams))[rows]
         inc = np.empty((picked.size,) + self.shape[2:])
         for i, b in enumerate(picked):
-            inc[i] = self._streams[b].at_slice(k).standard_normal(self.shape[2:])
+            self._streams[b].at_slice(k).standard_normal(out=inc[i])
         inc *= self._sigma
         return inc
 

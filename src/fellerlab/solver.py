@@ -26,6 +26,14 @@ in the same transforms (its heat input, and for kpz1d its gradient, ride
 beside the state's); ``tangent._sweep`` replays the same arithmetic along
 a stored path.
 
+The fields are real, so the transforms are real-to-complex (``rfft``,
+``rfftn``): modes are kept on the half spectrum, frequencies 0..n/2 on the
+last axis, and so is every multiplier.  That halves the transform work of
+the full complex FFT.  The cubic drifts are products of doubles, ``u * u * u``:
+numpy evaluates ``u**3`` through a power loop chosen at run time for the
+CPU, whose last bit on mixed-sign input depends on that choice, while a
+product is rounded the same way on every IEEE machine.
+
 Everything here is deterministic: two evolutions from identical inputs agree
 bit for bit, which is what makes the semigroup and noise-locality checks
 exact rather than approximate.  The stepper runs B paths at once along a
@@ -43,7 +51,8 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import (Field, Grid, MollifierSpec, holder_proxy_norm, _dyadic_masks,
-                    _shell_weights, _spatial_axes, _weighted_block_sup)
+                    _half_spectrum, _real_inverse, _real_transform, _shell_weights,
+                    _weighted_block_sup)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -74,22 +83,18 @@ DEAD = DeadState()
 
 
 class _Workspace:
-    """Precomputed mode-space data for one (grid, dt, equation) combination."""
+    """Precomputed mode-space data for one (grid, dt, equation) combination.
+
+    Fields are real, so their modes are kept on the half spectrum
+    (``grids._real_transform``), and so is every multiplier."""
 
     def __init__(self, grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float,
                  mollifier: MollifierSpec):
         self.grid = grid
         self.dt = dt
-        self.axes = _spatial_axes(grid)
-        if grid.dim == 1:
-            self.fft = lambda a: np.fft.fft(a, axis=-1)
-            self.ifft = lambda a: np.fft.ifft(a, axis=-1)
-        else:
-            self.fft = lambda a: np.fft.fftn(a, axes=self.axes)
-            self.ifft = lambda a: np.fft.ifftn(a, axes=self.axes)
-        lam = grid.wavenumbers_sq()
-        self.decay = np.exp(-lam * dt)
-        self.moll = None if eps == 0.0 else mollifier.multiplier(grid, eps)
+        half = lambda a: _half_spectrum(a, grid.n)
+        self.decay = half(np.exp(-grid.wavenumbers_sq() * dt))
+        self.moll = None if eps == 0.0 else half(mollifier.multiplier(grid, eps))
         self.shell_masks = _dyadic_masks(grid.dim, grid.n)
         self.shell_weights = _shell_weights(monitor_eta, self.shell_masks.shape[0])
         # complex copies of the masks and multipliers multiply the same bits
@@ -97,7 +102,7 @@ class _Workspace:
         self._shell_sel = self.shell_masks[:, None, ...].astype(complex)
         self.gradient = None  # dealiased derivative multiplier, for kpz1d's drift
         if kind == "kpz1d":
-            k = grid.frequencies()[0]
+            k = half(grid.frequencies()[0])
             self.gradient = ((1j * 2.0 * np.pi / grid.extent[0]) * k) * (np.abs(k) <= grid.n // 3)
         self._stacks = {}
 
@@ -110,7 +115,7 @@ class _Workspace:
 
     def transform(self, parts, monitor: bool = False):
         """Fourier multipliers applied to several fields in one batched forward
-        and one batched inverse transform.
+        and one batched inverse real transform.
 
         ``parts`` is a list of (array, multiplier name) pairs, the arrays of
         shape (B, m, *grid) and the names those of this workspace's
@@ -132,7 +137,7 @@ class _Workspace:
         stacked = np.empty((lead.shape[0], len(order)) + lead.shape[1:])
         for k, i in enumerate(order):
             stacked[:, k] = parts[i][0]
-        modes = self.fft(stacked)
+        modes = _real_transform(stacked, self.grid)
         n_shells = self.shell_masks.shape[0] if monitor else 0
         out = np.empty((modes.shape[0], n_shells + len(scaled)) + modes.shape[2:], dtype=complex)
         if monitor:
@@ -140,7 +145,7 @@ class _Workspace:
         if scaled:
             np.multiply(modes[:, len(unscaled):], self._stacked(tuple(n for _, n in scaled)),
                         out=out[:, n_shells:])
-        real = self.ifft(out).real
+        real = _real_inverse(out, self.grid)
         for slot, (i, _) in enumerate(scaled, n_shells):
             results[i] = real[:, slot]
         norms = _weighted_block_sup(real[:, :n_shells], self.shell_weights) if monitor else None
@@ -254,6 +259,8 @@ class _Paths:
                       None if self.tangent is None else self.tangent[:, sl])
 
     def outcome(self, b: int, grid: Grid, s: float, t: float, dt: float) -> FlowOutcome:
+        """Row b as an evolution from s to t.  From a final-state-only batch
+        the outcome holds just the row's last state and monitor value."""
         reason = self.reasons[b]
         died_at = None if reason is None else s + int(self.death_step[b]) * dt
         return FlowOutcome(grid=grid, m=self.fields.shape[2], s=s, t=t, dt=dt,

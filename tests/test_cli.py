@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fellerlab.cli import main
 from fellerlab.storage import read_field, read_shift_path
+
+SHIPPED = Path(__file__).parents[1] / "configs"
 
 HEAT_CONFIG = """
 equation.kind = she1d
@@ -76,6 +79,45 @@ def test_solve_blowup_exits_three(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["alive"] is False
     assert manifest["blow_up_time"] <= 0.02
+
+
+@pytest.mark.parametrize("name, code", [("heat_decay.cfg", 0), ("blowup_phi4.cfg", 3)])
+def test_solve_without_snapshots_keeps_final_state_only(tmp_path, monkeypatch, name, code):
+    """With output.snapshot_stride = 0, solve evolves keeping only the final
+    state, and writes what a stored-path evolve gives: the final state, the
+    exit code and the manifest's fate and last monitor value."""
+    from fellerlab import cli
+    from fellerlab.solver import _evolve_batch, evolve
+    lines = [line for line in (SHIPPED / name).read_text().splitlines()
+             if not line.startswith("output.snapshot_stride")]
+    cfg_path = _write(tmp_path, "\n".join(lines + ["output.snapshot_stride = 0"]))
+    kept = []
+
+    def spy(*args, **kwargs):
+        paths = _evolve_batch(*args, **kwargs)
+        kept.append(paths.fields.shape[0])
+        return paths
+
+    monkeypatch.setattr(cli, "_evolve_batch", spy)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == code
+    assert kept == [1]
+
+    cfg = cli._load_config(cfg_path)
+    grid = cli.build_grid(cfg)
+    dt, t, n_steps = cli.build_times(cfg)
+    spec = cli.attach_renorm(cli.build_spec(cfg), grid, dt, cfg)
+    w = cli.build_noise(cfg, grid, spec.m, n_steps, dt, int(cfg["harness.seed"]))
+    want = evolve(cli.build_initial(cfg, grid, spec.m), w, 0.0, t, spec)
+    assert code == (0 if want.alive else 3)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["alive"], manifest["reason"], manifest["blow_up_time"],
+            manifest["monitor_final"]) == (want.alive, want.reason, want.blow_up_time,
+                                           float(want.monitor_trace[-1]))
+    assert (out / "state_final.flb").exists() == want.alive
+    if want.alive:
+        assert np.array_equal(read_field(out / "state_final.flb").values, want.final.values)
+    assert not list(out.glob("state_0*.flb"))
 
 
 def test_solve_rerun_same_digest(tmp_path):

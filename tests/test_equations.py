@@ -111,3 +111,15 @@ def test_digest_dict_stable():
     spec = EquationSpec.she(drift="cubic_decay", diffusion="bounded_smooth")
     d1, d2 = spec.digest_dict(), spec.digest_dict()
     assert d1 == d2 and d1["drift"] == "cubic_decay"
+
+
+def test_cubic_drifts_are_ieee_products():
+    """The cubic drifts are products of doubles, bit for bit, on mixed-sign
+    input: their bits do not depend on which loop numpy's power dispatches to."""
+    from fellerlab.equations import DRIFTS
+    u = 3.0 * np.random.default_rng(0).standard_normal((7, 1, 512))
+    assert (u < 0).any() and (u > 0).any()
+    assert np.array_equal(DRIFTS["cubic_decay"](u), -(u * u * u))
+    assert np.array_equal(DRIFTS["cubic_growth"](u), u * u * u)
+    spec = EquationSpec.phi4(quartic=0.7, mass=0.3, eps=0.1, renorm=RenormConstants((0.2,)))
+    assert np.array_equal(spec.drift(u), -0.7 * (u * u * u) - 0.3 * u + 3.0 * 0.7 * 0.2 * u)

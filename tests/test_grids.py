@@ -101,6 +101,22 @@ def test_holder_proxy_triangle_sampled(grid):
         assert lhs <= rhs * (1 + 1e-12)
 
 
+def test_weighted_block_sup_matches_per_shell_sup():
+    """Weighting every entry before one max per row gives the weighted
+    per-shell sup-norms bit for bit, zeros, ties and infinities included."""
+    from fellerlab.grids import _shell_weights, _weighted_block_sup
+    rng = np.random.default_rng(4)
+    blocks = rng.standard_normal((6, 5, 2, 16)) * 10.0 ** rng.integers(-300, 300, (6, 5, 1, 1))
+    blocks[0] = 0.0
+    blocks[1, :, 0, 0] = 7.0
+    blocks[2, 3, 1, 5] = -np.inf
+    for alpha in (-1.5, -0.25, 0.0, 0.25, 1.9):
+        weights = _shell_weights(alpha, 5)
+        per_shell = np.abs(blocks).reshape(6, 5, -1).max(axis=2)
+        assert np.array_equal(_weighted_block_sup(blocks, weights),
+                              (weights * per_shell).max(axis=1))
+
+
 def test_holder_proxy_rejects_large_alpha(grid):
     with pytest.raises(ValueError):
         holder_proxy_norm(Field.zeros(grid), 2.0)

@@ -323,3 +323,56 @@ def test_monitor_trace_is_running_max_of_proxy_norm():
             norms = [holder_proxy_norm(Field(grid, paths.fields[i, b]), spec.monitor_eta)
                      for i in range(n)]
             assert np.array_equal(paths.trace[:n, b], np.maximum.accumulate(norms))
+
+
+def _full_spectrum_step(u, x, dw, spec, grid, dt):
+    """One step's transforms on the full complex spectrum, the reference for
+    the half-spectrum step: the monitor norm per row, the heat steps of the
+    state and tangent inputs and the smoothed increment."""
+    axes = tuple(range(-grid.dim, 0))
+    fwd = lambda a: np.fft.fftn(a, axes=axes)
+    inv = lambda modes: np.fft.ifftn(modes, axes=axes).real
+    k = np.abs(grid.frequencies()[0])
+    mag = k if grid.dim == 1 else np.maximum(k[:, None], k[None, :])
+    n_shells = int(math.log2(grid.n // 2)) + 1
+    shells = [mag <= 1] + [(mag > 2 ** (j - 1)) & (mag <= 2**j) for j in range(1, n_shells)]
+    sups = [2.0 ** (spec.monitor_eta * j) * np.abs(inv(mask * fwd(u))).reshape(len(u), -1).max(axis=1)
+            for j, mask in enumerate(shells)]
+    du = dx = None
+    if spec.kind == "kpz1d":
+        freq = grid.frequencies()[0]
+        gradient = (1j * 2.0 * np.pi / grid.extent[0]) * freq * (np.abs(freq) <= grid.n // 3)
+        du, dx = inv(gradient * fwd(u)), inv(gradient * fwd(x))
+    decay = np.exp(-grid.wavenumbers_sq() * dt)
+    heat = inv(decay * fwd(u + dt * spec.drift(u, du)))
+    heat_x = inv(decay * fwd(x + dt * spec.drift_jvp(u, x, du, dx)))
+    moll = spec.mollifier.multiplier(grid, spec.eps)
+    return np.max(sups, axis=0), heat, heat_x, inv(moll * fwd(dw))
+
+
+def test_half_spectrum_step_matches_full_spectrum_reference():
+    """The half-spectrum transforms of one step agree with full complex FFTs
+    and full multipliers to 1e-12 relative: monitor, heat step, tangent heat
+    step and smoothed increment, for she1d with a mollifier, kpz1d (m = 2,
+    gradient pass and Nyquist column) and phi4_2d."""
+    from fellerlab import compute_renorm_constants
+    from fellerlab.solver import _step_transforms, get_workspace
+    dt = 2.0**-8
+    grid1 = Grid(dim=1, n=32, extent=(1.0,))
+    grid2 = Grid(dim=2, n=16, extent=(1.0, 2.0))
+    kpz = EquationSpec.kpz(np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2), eps=0.05)
+    phi = EquationSpec.phi4(quartic=1.0, mass=0.5, eps=0.05)
+    cases = [
+        (grid1, EquationSpec.she(drift="cubic_decay", diffusion="bounded_smooth", eps=0.05)),
+        (grid1, kpz.with_renorm(compute_renorm_constants(kpz, grid1, dt))),
+        (grid2, phi.with_renorm(compute_renorm_constants(phi, grid2, dt))),
+    ]
+    rng = np.random.default_rng(8)
+    for grid, spec in cases:
+        u, x, dw = rng.standard_normal((3, 3, spec.m) + grid.shape)
+        u += 2.0 * (-1.0) ** np.arange(grid.n)  # weight on the last axis's Nyquist mode
+        got = _step_transforms(u, x, dw, spec, get_workspace(grid, dt, spec))
+        want = _full_spectrum_step(u, x, dw, spec, grid, dt)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
