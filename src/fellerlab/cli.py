@@ -267,14 +267,12 @@ def cmd_solve(args) -> int:
         u0 = build_initial(cfg, grid, spec.m)
         w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
         stride = _get_int(cfg, "output.snapshot_stride", 0)
-    if stride:
-        out = evolve(u0, w, 0.0, t, spec)
-    else:  # only the final state is written, so only it is kept
-        _, k_t = _step_range(0.0, t, dt, w.n_steps)
-        _check_state(u0, grid, w.m, spec)
-        paths = _evolve_batch(u0.values[None], w.increments[:k_t, None], spec,
-                              get_workspace(grid, dt, spec), final_only=True)
-        out = paths.outcome(0, grid, 0.0, t, dt)
+    # without snapshots only the final state is written, so only it is kept
+    _, k_t = _step_range(0.0, t, dt, w.n_steps)
+    _check_state(u0, grid, w.m, spec)
+    paths = _evolve_batch(u0.values[None], w.increments[:k_t, None], spec,
+                          get_workspace(grid, dt, spec), final_only=not stride)
+    out = paths.outcome(0, grid, 0.0, t, dt)
 
     out_dir = Path(args.out or _get(cfg, "output.dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)

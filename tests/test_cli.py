@@ -240,9 +240,9 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
 def test_numerical_fault_exits_one(tmp_path, capsys, monkeypatch, fault):
     """A fault raised by the numerics after the run is built is not reported
     as a configuration error."""
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise fault("non-finite state")
-    monkeypatch.setattr("fellerlab.cli.evolve", failing)
+    monkeypatch.setattr("fellerlab.cli._evolve_batch", failing)
     cfg = _write(tmp_path, HEAT_CONFIG)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "non-finite state" in capsys.readouterr().err
