@@ -20,11 +20,11 @@ from .harness import (BlowupReport, TVReport, WeightedComparison,
 from .noise import (NoisePath, ShiftPath, apply_shift, cm_norm_sq,
                     girsanov_weight, log_girsanov_weight, noise_pairing,
                     sample_white_noise, splice, zero_noise_path)
-from .shift import (CouplingParams, NondegeneracyError, ShiftResult,
-                    adaptedness_check, build_shift, bump_chi,
-                    compensating_direction, cutoff_chi, verify_coupling)
-from .solver import (DEAD, DeadState, FlowOutcome, check_semigroup, evolve,
-                     r_monitor)
+from .shift import (CouplingParams, ShiftResult, adaptedness_check,
+                    build_shift, bump_chi, compensating_direction, cutoff_chi,
+                    verify_coupling)
+from .solver import (DEAD, DeadState, FlowOutcome, NondegeneracyError,
+                     check_semigroup, evolve, r_monitor)
 from .tangent import jacobian_apply, malliavin_derivative, tangent_sweep
 
 __version__ = "0.1.0"

@@ -270,9 +270,10 @@ def cmd_solve(args) -> int:
     # without snapshots only the final state is written, so only it is kept
     _, k_t = _step_range(0.0, t, dt, w.n_steps)
     _check_state(u0, grid, w.m, spec)
-    paths = _evolve_batch(u0.values[None], w.increments[:k_t, None], spec,
+    increments = w.increments[:k_t]
+    paths = _evolve_batch(u0.values[None], increments[:, None], spec,
                           get_workspace(grid, dt, spec), final_only=not stride)
-    out = paths.outcome(0, grid, 0.0, t, dt)
+    out = paths.outcome(0, grid, 0.0, t, dt, increments)
 
     out_dir = Path(args.out or _get(cfg, "output.dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -294,11 +294,11 @@ def weighted_expectation(
     if fixed:
         dt = h.dt
         n_steps = h.n_steps
-        h_of = lambda base, b: h
+        h_of = lambda base, b, w: h
     else:
         if dt is None or n_steps is None:
             raise ValueError("callable h needs explicit dt and n_steps")
-        h_of = lambda base, b: h(base.outcome(b, grid, 0.0, t, dt))
+        h_of = lambda base, b, w: h(base.outcome(b, grid, 0.0, t, dt, w.increments[:k_t]))
     fn = _clamped(functional)
     _check_path(u.m, n_steps, dt)
     _check_state(u, grid, u.m, spec)
@@ -314,7 +314,7 @@ def weighted_expectation(
         base = _evolve_batch(_start_rows(u, len(streams)),
                              np.stack([w.increments[:k_t] for w in noises], axis=1), spec, ws,
                              final_only=fixed)
-        shifts = [h_of(base, b) for b in range(len(streams))]
+        shifts = [h_of(base, b, w) for b, w in enumerate(noises)]
         moved = _evolve_batch(_start_rows(u, len(streams)),
                               np.stack([apply_shift(w, h_b).increments[:k_t]
                                         for w, h_b in zip(noises, shifts)], axis=1),

@@ -31,8 +31,9 @@ import numpy as np
 from .equations import EquationSpec
 from .grids import Field, l2_norm
 from .noise import NoisePath, ShiftPath, _snap_index, apply_shift, cm_norm_sq, splice
-from .solver import FlowOutcome, _check_state, _evolve_batch, _Paths, get_workspace
-from .tangent import _sweep
+from .solver import (FlowOutcome, NondegeneracyError, _check_state, _evolve_batch, _Paths,
+                     get_workspace)
+from .tangent import _replay
 
 __all__ = [
     "NondegeneracyError",
@@ -47,10 +48,6 @@ __all__ = [
 ]
 
 NORM_BOUND_SLACK = 1e-9
-
-
-class NondegeneracyError(ValueError):
-    """Raised when the noise coefficient drops below its configured floor."""
 
 
 def bump_chi(s: float) -> float:
@@ -129,11 +126,11 @@ def _transfer_slices(paths: _Paths, tangent: np.ndarray, k_t: int, t: float,
 
     ``tangent`` holds the tangent values along the paths, at most k_t + 1
     entries laid out like ``paths.fields``, zero past each row's stored path
-    (the tangent carried by the evolve, or a ``_sweep``).  Returns slices
-    (k_t, B, m, *grid), slice k of row b being (1/t) chi(k/k_t) G^{-1}(u_k)
-    times the tangent value at k+1 for every k the row's stored path reaches
-    (k < n_stored - 1) and zero elsewhere, and per row the first such support
-    slice where G drops below g_min (-1 when none does).
+    (the tangent carried by the evolve).  Returns slices (k_t, B, m, *grid),
+    slice k of row b being (1/t) chi(k/k_t) G^{-1}(u_k) times the tangent
+    value at k+1 for every k the row's stored path reaches (k < n_stored - 1)
+    and zero elsewhere, and per row the first such support slice where G
+    drops below g_min (-1 when none does).
     """
     n_rows = paths.fields.shape[1]
     steps = np.minimum(paths.n_stored - 1, k_t)
@@ -163,23 +160,16 @@ def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
     Slice k carries (1/t) chi(t_k / t) G(u(t_k))^{-1} times the tangent value
     transported to the end of that slice, so injecting the returned path into
     the linearized flow reproduces J_{0,t} v exactly for the discrete stepper.
-    Fails fast when G drops below the configured floor.
+    Raises NondegeneracyError when G drops below the floor of ``spec``
+    anywhere before t on the replayed path.
     """
-    if not outcome.alive:
-        raise ValueError("compensating direction requires a live trajectory")
     if outcome.s != 0.0:
         raise ValueError("transfer paths are built from time 0")
     k_t = outcome.time_index(t)
     if k_t < 1:
         raise ValueError("need t > 0 on the trajectory grid")
-    paths = _Paths.of(outcome)
-    sweep = _sweep(paths.fields, paths.noise, v.values[None],
-                   np.minimum(paths.n_stored - 1, k_t), spec,
-                   get_workspace(outcome.grid, outcome.dt, spec))
-    values, first_low = _transfer_slices(paths, sweep, k_t, t, spec)
-    if first_low[0] >= 0:
-        raise NondegeneracyError(
-            f"noise coefficient below g_min={spec.g_min} at slice {first_low[0]}")
+    paths = _replay(outcome, v, 0, k_t, spec)
+    values, _ = _transfer_slices(paths, paths.tangent, k_t, t, spec)
     # full path length: pad to the trajectory's noise grid when embedded later
     return ShiftPath(outcome.grid, outcome.dt, values[:, 0])
 

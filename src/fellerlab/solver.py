@@ -23,8 +23,9 @@ carry the tangent flow
     x_{k+1} = E (x_k + dt DF(u_k) x_k) + DG(u_k) x_k * smooth(dW_k)
 
 in the same transforms (its heat input, and for kpz1d its gradient, ride
-beside the state's); ``tangent._sweep`` replays the same arithmetic along
-a stored path.
+beside the state's).  It is the only tangent loop: the linearizations in
+``tangent`` and ``shift`` replay a stored path by evolving it again from a
+stored state along the same raw increments, with the tangent carried.
 
 The fields are real, so the transforms are real-to-complex (``rfft``,
 ``rfftn``): modes are kept on the half spectrum, frequencies 0..n/2 on the
@@ -59,6 +60,7 @@ __all__ = [
     "DEAD",
     "DeadState",
     "FlowOutcome",
+    "NondegeneracyError",
     "evolve",
     "r_monitor",
     "check_semigroup",
@@ -80,6 +82,10 @@ class DeadState:
 
 
 DEAD = DeadState()
+
+
+class NondegeneracyError(ValueError):
+    """Raised when the noise coefficient drops below its configured floor."""
 
 
 class _Workspace:
@@ -167,9 +173,10 @@ class FlowOutcome:
     """Result of one evolution: a trajectory with its monitor trace, or death.
 
     ``fields`` holds the states at every visited grid time that was still
-    alive (shape (J+1, m, spatial)); ``noise_terms`` the mollified increments
-    actually injected (shape (J, m, spatial)), kept so linearizations can be
-    replayed along the exact same path.
+    alive (shape (J+1, m, spatial)); ``noise_terms`` a read-only view, not a
+    copy, of the raw noise increments of the steps taken (J of them for a
+    live trajectory, shape (J, m, spatial)), so linearizations can evolve
+    the exact same path again.
     """
 
     grid: Grid
@@ -219,19 +226,17 @@ class FlowOutcome:
 class _Paths:
     """B trajectories evolved together, stored time-major.
 
-    Row b holds states ``fields[:n_stored[b], b]``, monitor values
-    ``trace[:n_stored[b], b]`` and injected noise ``noise[:n_noise[b], b]``;
-    entries past those counts are zero.  A dead row records its reason and
-    the step count at which it died (its blow-up time is s + death_step * dt).
-    A final-state-only batch keeps one entry per row, its last stored state
-    and monitor value, and no noise; the counts are those of the full batch.
+    Row b holds states ``fields[:n_stored[b], b]`` and monitor values
+    ``trace[:n_stored[b], b]``; entries past that count are zero.  A dead row
+    records its reason and the step count at which it died (its blow-up time
+    is s + death_step * dt); a live row took every step.  A final-state-only
+    batch keeps one entry per row, its last stored state and monitor value;
+    the counts are those of the full batch.  The noise stays with the caller.
     """
 
     fields: np.ndarray  # (J+1, B, m, *grid)
     trace: np.ndarray  # (J+1, B)
-    noise: np.ndarray  # (J, B, m, *grid)
     n_stored: np.ndarray  # (B,)
-    n_noise: np.ndarray  # (B,)
     death_step: np.ndarray  # (B,)
     reasons: list
     tangent: np.ndarray | None = None  # (J+1, B, m, *grid)
@@ -244,29 +249,25 @@ class _Paths:
         """Row b's last stored state (the state before death for a dead row)."""
         return self.fields[min(self.n_stored[b], self.fields.shape[0]) - 1, b]
 
-    @classmethod
-    def of(cls, outcome: FlowOutcome) -> "_Paths":
-        """One stored evolution as a batch of one."""
-        return cls(outcome.fields[:, None], outcome.monitor_trace[:, None],
-                   outcome.noise_terms[:, None], np.array([outcome.n_stored]),
-                   np.array([outcome.noise_terms.shape[0]]), np.zeros(1, dtype=int),
-                   [outcome.reason])
-
     def rows(self, sl: slice) -> "_Paths":
         """The rows under ``sl``, as views."""
-        return _Paths(self.fields[:, sl], self.trace[:, sl], self.noise[:, sl], self.n_stored[sl],
-                      self.n_noise[sl], self.death_step[sl], self.reasons[sl],
+        return _Paths(self.fields[:, sl], self.trace[:, sl], self.n_stored[sl],
+                      self.death_step[sl], self.reasons[sl],
                       None if self.tangent is None else self.tangent[:, sl])
 
-    def outcome(self, b: int, grid: Grid, s: float, t: float, dt: float) -> FlowOutcome:
-        """Row b as an evolution from s to t.  From a final-state-only batch
-        the outcome holds just the row's last state and monitor value."""
+    def outcome(self, b: int, grid: Grid, s: float, t: float, dt: float,
+                increments: np.ndarray) -> FlowOutcome:
+        """Row b, evolved along ``increments`` (J, m, *grid), as an evolution
+        from s to t.  From a final-state-only batch the outcome holds just the
+        row's last state and monitor value."""
         reason = self.reasons[b]
-        died_at = None if reason is None else s + int(self.death_step[b]) * dt
+        taken = self.n_stored[b] - 1 if reason is None else int(self.death_step[b])
+        died_at = None if reason is None else s + taken * dt
         return FlowOutcome(grid=grid, m=self.fields.shape[2], s=s, t=t, dt=dt,
-                           alive=reason is None, blow_up_time=died_at, reason=reason, fields=self.fields[:self.n_stored[b], b],
+                           alive=reason is None, blow_up_time=died_at, reason=reason,
+                           fields=self.fields[:self.n_stored[b], b],
                            monitor_trace=self.trace[:self.n_stored[b], b],
-                           noise_terms=self.noise[:self.n_noise[b], b])
+                           noise_terms=increments[:taken])
 
 
 def _check_state(u0: Field, grid: Grid, m: int, spec: EquationSpec):
@@ -275,18 +276,6 @@ def _check_state(u0: Field, grid: Grid, m: int, spec: EquationSpec):
         raise ValueError("initial state incompatible with the noise path")
     if grid.dim != spec.dim or m != spec.m:
         raise ValueError(f"{spec.kind} expects dim={spec.dim}, m={spec.m}")
-
-
-def _tangent_input(x, u, du, dx, spec: EquationSpec, dt: float) -> np.ndarray:
-    """The tangent's input to the heat step, x + dt Df(u) x."""
-    return x + dt * spec.drift_jvp(u, x, du, dx)
-
-
-def _tangent_output(heated, x, u, dwe, spec: EquationSpec) -> np.ndarray:
-    """The tangent after one step: the heat step of its input, plus
-    DG(u) x smooth(dW) under multiplicative noise."""
-    dg = spec.dg_values(u)
-    return heated if dg is None else heated + dg * x * dwe
 
 
 def _step_transforms(u, x, dw, spec: EquationSpec, ws: _Workspace):
@@ -304,7 +293,7 @@ def _step_transforms(u, x, dw, spec: EquationSpec, ws: _Workspace):
         mon, (du, dx, dwe) = ws.transform([(u, "gradient"), (x, "gradient"), (dw, "moll")],
                                           monitor=True)
     pre = u + ws.dt * spec.drift(u, du)
-    x_in = None if x is None else _tangent_input(x, u, du, dx, spec, ws.dt)
+    x_in = None if x is None else x + ws.dt * spec.drift_jvp(u, x, du, dx)
     if ws.gradient is not None:
         _, (heat, heat_x) = ws.transform([(pre, "decay"), (x_in, "decay")])
     else:
@@ -314,7 +303,8 @@ def _step_transforms(u, x, dw, spec: EquationSpec, ws: _Workspace):
 
 
 def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace,
-                  final_only: bool = False, x0: np.ndarray | None = None) -> _Paths:
+                  final_only: bool = False, x0: np.ndarray | None = None,
+                  inject: np.ndarray | None = None) -> _Paths:
     """Evolve B initial states u0 (B, m, *grid) along their own increments
     (J, B, m, *grid), one step per increment slice.
 
@@ -323,8 +313,10 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     demand (``noise._SliceSource``).  With ``final_only`` the batch keeps
     only each row's last state and monitor value instead of the trajectory.
     With a tangent ``x0`` (B, m, *grid) the batch also carries the tangent
-    flow from x0 along each path, in the same transforms as the states; it
-    equals ``tangent._sweep`` along the stored path.
+    flow from x0 along each path, in the same transforms as the states.
+    ``inject`` (J, B, m, *grid), smoothed shift slices h_j, makes that the
+    inhomogeneous flow: after step j the tangent gains G(u_j) h_j dt (h_j dt
+    under additive noise).
 
     Step j transforms u_j once: its modes give u_j's monitor value as well as
     the next state, so u_j is checked and stored at step j, and u_J after
@@ -339,9 +331,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     fields = np.zeros((n_kept,) + u0.shape)
     tangent = None if x0 is None else np.zeros_like(fields)
     trace = np.zeros((n_kept, n_rows))
-    noise = np.zeros(((0 if final_only else n_steps),) + u0.shape)
     n_stored = np.full(n_rows, n_steps + 1)
-    n_noise = np.full(n_rows, n_steps)
     death_step = np.zeros(n_rows, dtype=int)
     reasons = [None] * n_rows
 
@@ -352,12 +342,12 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     r = None
     step = ()  # the current step's per-row transforms
 
-    def drop(mask, at, reason, stored, injected):
+    def drop(mask, at, reason, stored):
         """Retire the active rows under ``mask``; returns the survivors' mask."""
         nonlocal rows, sel, u, x, r, step
         for b in rows[mask]:
             reasons[b] = reason
-            death_step[b], n_stored[b], n_noise[b] = at, stored, injected
+            death_step[b], n_stored[b] = at, stored
         keep = ~mask
         rows, u, r = rows[keep], u[keep], r[keep]
         x = None if x is None else x[keep]
@@ -384,7 +374,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
         if j == 0:
             store(0)  # u_0 is kept even when it trips the monitor; a later u_j is not
         if r.max() > spec.r_blowup:
-            drop(r > spec.r_blowup, j, "monitor_threshold", max(j, 1), j)
+            drop(r > spec.r_blowup, j, "monitor_threshold", max(j, 1))
             if rows.size == 0:
                 break
         if j > 0:
@@ -394,19 +384,21 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
         g = spec.g_values(u)
         if g is not None and g.min() < g_min:
             g = g[drop(g.reshape(rows.size, -1).min(axis=1) < g_min, j, "nondegenerate",
-                       j + 1, j)]
+                       j + 1)]
             if rows.size == 0:
                 break
         heat, heat_x, dwe = step
         if x is not None:
-            x = _tangent_output(heat_x, x, u, dwe, spec)
+            dg = spec.dg_values(u)
+            x = heat_x if dg is None else heat_x + dg * x * dwe
+            if inject is not None:
+                h_j = inject[j, sel]
+                x = x + (h_j if g is None else g * h_j) * ws.dt
         u = heat + (dwe if g is None else g * dwe)
-        if not final_only:
-            noise[j, sel] = dwe
         if not np.isfinite(u).all():
             finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)
-            drop(~finite, j + 1, "non_finite", j + 1, j + 1)
-    return _Paths(fields, trace, noise, n_stored, n_noise, death_step, reasons, tangent)
+            drop(~finite, j + 1, "non_finite", j + 1)
+    return _Paths(fields, trace, n_stored, death_step, reasons, tangent)
 
 
 def _step_range(s: float, t: float, dt: float, n_steps: int) -> tuple[int, int]:
@@ -442,8 +434,9 @@ def evolve(u0, w: NoisePath, s: float, t: float, spec: EquationSpec) -> FlowOutc
     _check_state(u0, grid, w.m, spec)
 
     ws = get_workspace(grid, dt, spec)
-    paths = _evolve_batch(u0.values[None], w.increments[k_s:k_t, None], spec, ws)
-    return paths.outcome(0, grid, s, t, dt)
+    increments = w.increments[k_s:k_t]
+    paths = _evolve_batch(u0.values[None], increments[:, None], spec, ws)
+    return paths.outcome(0, grid, s, t, dt, increments)
 
 
 def r_monitor(outcome: FlowOutcome, time: float, eta: float) -> float:

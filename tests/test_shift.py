@@ -8,7 +8,7 @@ from fellerlab import (CouplingParams, EquationSpec, Field, Grid,
                        apply_shift, build_shift, bump_chi,
                        compensating_direction, cutoff_chi, evolve,
                        jacobian_apply, l2_norm, sample_white_noise,
-                       verify_coupling)
+                       tangent_sweep, verify_coupling)
 
 
 @pytest.fixture
@@ -98,6 +98,17 @@ def test_compensating_direction_nondegeneracy_guard(grid):
     out = evolve(u0, w, 0.0, T, spec)
     with pytest.raises(NondegeneracyError):
         compensating_direction(out, _direction(grid), T, strict)
+    # any replay of the path under the stricter floor dies, and says why
+    with pytest.raises(NondegeneracyError):
+        tangent_sweep(out, _direction(grid), 0.0, T, strict)
+    # a replay tripping a threshold below the path's monitor is no nondegeneracy fault
+    low = EquationSpec.she(drift="zero", diffusion="bounded_smooth", g_min=1.0,
+                           r_blowup=0.5 * float(out.monitor_trace[-1]))
+    with pytest.raises(ValueError) as err:
+        tangent_sweep(out, _direction(grid), 0.0, T, low)
+    assert not isinstance(err.value, NondegeneracyError)
+    from fellerlab import shift, solver
+    assert shift.NondegeneracyError is solver.NondegeneracyError is NondegeneracyError
 
 
 def test_build_shift_same_states(grid, nonlinear):

@@ -201,12 +201,12 @@ def test_batched_evolve_rows_match_single_path():
         dt = 2.0**-8
         spec = spec.with_renorm(compute_renorm_constants(spec, grid, dt))
         paths = [sample_white_noise(grid, spec.m, 256, dt, seed=12, stream=j) for j in range(4)]
-        batch = _evolve_batch(np.broadcast_to(u0.values, (4,) + u0.values.shape),
-                              np.stack([w.increments[:64] for w in paths], axis=1),
+        increments = np.stack([w.increments[:64] for w in paths], axis=1)
+        batch = _evolve_batch(np.broadcast_to(u0.values, (4,) + u0.values.shape), increments,
                               spec, get_workspace(grid, dt, spec))
         for b, w in enumerate(paths):
             want = evolve(u0, w, 0.0, 0.25, spec)
-            got = batch.outcome(b, grid, 0.0, 0.25, dt)
+            got = batch.outcome(b, grid, 0.0, 0.25, dt, increments[:, b])
             assert (got.alive, got.reason, got.blow_up_time) == (want.alive, want.reason,
                                                                   want.blow_up_time)
             assert np.array_equal(got.fields, want.fields)
@@ -241,7 +241,7 @@ def test_final_only_evolve_matches_stored_paths():
     assert len(set(stored.death_step[~stored.alive])) >= 3 and stored.alive.any()
     for noise in (increments, source):
         final = _evolve_batch(u0, noise, spec, ws, final_only=True)
-        assert final.fields.shape[0] == 1 and final.noise.shape[0] == 0
+        assert final.fields.shape[0] == 1
         assert final.reasons == stored.reasons
         assert np.array_equal(final.death_step, stored.death_step)
         assert np.array_equal(final.n_stored, stored.n_stored)
@@ -282,22 +282,26 @@ def _fate_batches():
 
 
 def test_carried_tangent_matches_sweep_replay():
-    """The tangent carried through the evolve equals a replay of the tangent
-    sweep along the stored paths, bit for bit, for rows of every fate, and
-    carrying it changes nothing else."""
+    """The tangent carried through the evolve equals the reference tangent
+    sweep along the stored paths and raw increments, bit for bit, for rows
+    of every fate, and carrying it changes nothing else."""
+    from linear_oracles import Oracle
     from fellerlab.solver import _evolve_batch, get_workspace
-    from fellerlab.tangent import _sweep
     fates = set()
     for grid, spec, dt, u0, increments in _fate_batches():
         ws = get_workspace(grid, dt, spec)
+        oracle = Oracle(grid, dt, spec)
         x0 = np.broadcast_to(np.sin(2 * np.pi * np.arange(grid.total_points) / grid.n)
                              .reshape(grid.shape), u0.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # the non-finite deaths
             plain = _evolve_batch(u0, increments, spec, ws)
             carried = _evolve_batch(u0, increments, spec, ws, x0=x0)
-            replay = _sweep(carried.fields, carried.noise, x0, carried.n_stored - 1, spec, ws)
+            replay = np.zeros((carried.n_stored.max(),) + u0.shape)
+            for b, n in enumerate(carried.n_stored):
+                replay[:n, b] = oracle.sweep(carried.fields[:n, b], increments[:n - 1, b],
+                                             x0[b:b + 1])
         assert plain.tangent is None and carried.reasons == plain.reasons
-        for name in ("fields", "trace", "noise", "n_stored", "n_noise", "death_step"):
+        for name in ("fields", "trace", "n_stored", "death_step"):
             assert np.array_equal(getattr(carried, name), getattr(plain, name))
         assert np.array_equal(carried.tangent[:replay.shape[0]], replay)
         assert not carried.tangent[replay.shape[0]:].any()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from linear_oracles import Oracle
 
 from fellerlab import (EquationSpec, Field, Grid, ShiftPath, apply_shift,
+                       compensating_direction, compute_renorm_constants,
                        evolve, jacobian_apply, l2_norm, malliavin_derivative,
                        sample_white_noise, tangent_sweep, zero_noise_path)
 
@@ -149,3 +151,70 @@ def test_malliavin_noise_fd(grid, nonlinear):
         errs.append(l2_norm(Field(grid, (moved.final.values - out.final.values) / delta
                                   - md.values)))
     assert 1.7 <= errs[0] / errs[1] <= 2.3
+
+
+def _live_path(kind, seed=41):
+    """(grid, spec, noise, outcome): a live 64-step path of she1d with
+    multiplicative noise at eps 0.05, kpz1d with m = 2, or phi4_2d."""
+    dt = 2.0**-8
+    grid = Grid(dim=2, n=16, extent=(1.0, 1.0)) if kind == "phi4_2d" else Grid(dim=1, n=32, extent=(1.0,))
+    spec = {"she1d": EquationSpec.she(drift="cubic_decay", diffusion="bounded_smooth",
+                                      g_min=1.0, eps=0.05),
+            "kpz1d": EquationSpec.kpz(np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2),
+                                      eps=0.05),
+            "phi4_2d": EquationSpec.phi4(quartic=1.0, eps=0.05)}[kind]
+    if kind != "she1d":
+        spec = spec.with_renorm(compute_renorm_constants(spec, grid, dt))
+    x = np.meshgrid(*grid.axes(), indexing="ij")[0]
+    u0 = Field(grid, np.broadcast_to(0.3 * np.cos(2 * np.pi * x), (spec.m,) + grid.shape))
+    w = sample_white_noise(grid, spec.m, 256, dt, seed=seed)
+    out = evolve(u0, w, 0.0, 0.25, spec)
+    assert out.alive
+    return grid, spec, w, out
+
+
+@pytest.mark.parametrize("kind", ["she1d", "kpz1d", "phi4_2d"])
+def test_linearizations_match_reference_loops(kind):
+    """The replays behind tangent_sweep, jacobian_apply, malliavin_derivative
+    and compensating_direction equal the step-by-step reference loops bit for
+    bit, on the windows [0, 64], [16, 64] and [16, 40] and at t and t/2."""
+    grid, spec, w, out = _live_path(kind)
+    dt = w.dt
+    oracle = Oracle(grid, dt, spec)
+    rng = np.random.default_rng(42)
+    v = Field(grid, rng.normal(size=(spec.m,) + grid.shape))
+    for a, b in ((0, 64), (16, 64), (16, 40)):
+        want = oracle.sweep(out.fields[a:b + 1], w.increments[a:b], v.values[None])
+        assert np.array_equal(tangent_sweep(out, v, a * dt, b * dt, spec), want)
+        assert np.array_equal(jacobian_apply(out, v, a * dt, b * dt, spec).values, want[-1])
+    h = ShiftPath(grid, dt, rng.normal(size=(256, spec.m) + grid.shape))
+    for j_t in (64, 32):
+        assert np.array_equal(malliavin_derivative(out, h, j_t * dt, spec).values,
+                              oracle.malliavin(out.fields, w.increments, h.values, j_t))
+    sweep = oracle.sweep(out.fields, w.increments[:64], v.values[None])
+    assert np.array_equal(compensating_direction(out, v, 0.25, spec).values,
+                          oracle.transfer(out.fields, sweep, 0.25))
+
+
+@pytest.mark.parametrize("call, match", [
+    ("tangent_sweep", "tangent vector"), ("jacobian_apply", "tangent vector"),
+    ("compensating_direction", "tangent vector"), ("malliavin_derivative", "shift incompatible"),
+    ("malliavin_derivative_short", "slices"), ("tangent_sweep_reversed", "s <= t")])
+def test_linearization_inputs_checked(call, match):
+    """A direction or shift that does not fit the m = 2 path, a shift that
+    ends before t, or a window with s > t is rejected rather than broadcast."""
+    grid, spec, w, out = _live_path("kpz1d")
+    v = Field.zeros(grid)  # one component
+    calls = {
+        "tangent_sweep": lambda: tangent_sweep(out, v, 0.0, 0.25, spec),
+        "jacobian_apply": lambda: jacobian_apply(out, v, 0.0, 0.25, spec),
+        "compensating_direction": lambda: compensating_direction(out, v, 0.25, spec),
+        "malliavin_derivative": lambda: malliavin_derivative(
+            out, ShiftPath.zeros(grid, 1, w.n_steps, w.dt), 0.25, spec),
+        "malliavin_derivative_short": lambda: malliavin_derivative(
+            out, ShiftPath.zeros(grid, 2, 32, w.dt), 0.25, spec),
+        "tangent_sweep_reversed": lambda: tangent_sweep(out, Field.zeros(grid, 2), 0.25, 0.125,
+                                                        spec),
+    }
+    with pytest.raises(ValueError, match=match):
+        calls[call]()
