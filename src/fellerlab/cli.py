@@ -2,9 +2,10 @@
 
 Subcommands: solve | couple | tv | jacobian-check | symbols | renorm |
 selftest.  Runs are driven by a flat key-value config file (see README) plus
-a few flags; a key the commands do not read is a configuration error.  Every
-run writes a JSON manifest whose digest covers the reproducible inputs, so
-identical config + seed gives an identical digest.
+a few flags.  ``_KEYS`` gives each config key its parser and default; a file
+with an unknown key or a malformed value, whatever the command reads, is a
+configuration error.  Every run writes a JSON manifest whose digest covers
+the reproducible inputs, so identical config + seed gives an identical digest.
 
 Exit codes: 0 success / trajectory alive, 2 configuration error (any fault
 found while the run is built from its config and arguments), 3 trajectory
@@ -23,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equations import EquationSpec, RenormConstants, compute_renorm_constants
+from .equations import DIFFUSIONS, DRIFTS, EquationSpec, RenormConstants, compute_renorm_constants
 from .grids import Field, Grid, l2_norm
 from .harness import estimate_tv_sweep
-from .noise import NoisePath, sample_white_noise, zero_noise_path
-from .shift import CouplingParams, build_shift, verify_coupling
+from .noise import NoisePath, _draw_increments, sample_white_noise
+from .shift import CouplingParams, _shift_slices, build_shift, verify_coupling
 from .solver import _check_state, _evolve_batch, _step_range, evolve, get_workspace
 from .storage import load_config, write_field, write_manifest, write_path
 from .tangent import jacobian_apply
@@ -40,21 +41,72 @@ class ConfigError(ValueError):
     pass
 
 
-# Every config key the commands read.
-_CONFIG_KEYS = frozenset({
-    "equation.kind", "equation.drift", "equation.diffusion", "equation.g_min",
-    "equation.eps", "equation.m", "equation.coupling", "equation.symmetric",
-    "equation.quartic", "equation.mass", "equation.allow_unstable",
-    "equation.monitor_eta", "equation.r_blowup", "equation.renorm",
-    "grid.dim", "grid.n", "grid.extent",
-    "time.dt", "time.t", "time.t_max",
-    "initial.kind", "initial.amplitude", "initial.value", "initial.mode", "initial.seed",
-    "noise.amplitude",
-    "coupling.gamma", "coupling.gamma_list", "coupling.m_bound", "coupling.k_gamma",
-    "coupling.cutoff_r", "coupling.tol",
-    "harness.n_samples", "harness.seed",
-    "output.dir", "output.snapshot_stride",
-})
+def _checked(cast, ok, rule: str):
+    """A parser that casts a raw value and rejects a value failing ``ok``."""
+    def parse(raw: str):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return parse
+
+
+def _choice(*names: str):
+    return _checked(str, set(names).__contains__, "expected one of " + ", ".join(names))
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError("expected true/false, yes/no or 1/0")
+    return raw.lower() in ("true", "yes", "1")
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(","))
+
+
+_REQUIRED = object()  # the default of a key the file must give
+# Every config key: its parser and its default.  A key named after a parameter
+# of the EquationSpec constructors or of CouplingParams defaults to None and is
+# passed on only when the file gives it, so the library's default is the only one.
+_KEYS = {
+    "equation.kind": (_choice("she1d", "kpz1d", "phi4_2d"), _REQUIRED),
+    "equation.drift": (_choice(*DRIFTS), None),
+    "equation.diffusion": (_choice(*DIFFUSIONS), None),
+    "equation.g_min": (float, None),
+    "equation.eps": (_checked(float, lambda v: v >= 0, "must be >= 0"), 0.0),
+    "equation.m": (int, 1),
+    "equation.coupling": (_floats, (1.0,)),
+    "equation.symmetric": (_bool, None),
+    "equation.quartic": (float, 1.0),
+    "equation.mass": (float, None),
+    "equation.allow_unstable": (_bool, None),
+    "equation.monitor_eta": (float, None),
+    "equation.r_blowup": (float, None),
+    "equation.renorm": (_floats, None),
+    "grid.dim": (int, 1),
+    "grid.n": (int, _REQUIRED),
+    "grid.extent": (float, 1.0),
+    "time.dt": (_checked(float, lambda v: 0 < v < np.inf, "must be > 0 and finite"), _REQUIRED),
+    "time.t": (float, 0.25),
+    "time.t_max": (float, 1.0),
+    "initial.kind": (_choice("zero", "constant", "cosine", "random"), "zero"),
+    "initial.amplitude": (float, 1.0),
+    "initial.value": (float, None),  # unset: initial.amplitude
+    "initial.mode": (int, 1),
+    "initial.seed": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0),
+    "noise.amplitude": (float, 1.0),
+    "coupling.gamma": (float, 0.05),
+    "coupling.gamma_list": (_floats, None),  # unset: coupling.gamma alone
+    "coupling.m_bound": (float, _REQUIRED),
+    "coupling.k_gamma": (int, 16),
+    "coupling.cutoff_r": (float, None),
+    "coupling.tol": (float, None),
+    "harness.n_samples": (_checked(int, lambda v: v >= 1, "must be >= 1"), 100),
+    "harness.seed": (int, 0),
+    "output.dir": (str, "out"),
+    "output.snapshot_stride": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0),
+}
 
 
 @contextmanager
@@ -69,9 +121,27 @@ def _reading_input():
         raise ConfigError(str(exc)) from exc
 
 
+def _value(cfg: dict, key: str):
+    """The parsed value of ``key`` in ``cfg``, or its default."""
+    parse, default = _KEYS[key]
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
+    try:
+        return parse(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {cfg[key]!r}: {exc}") from exc
+
+
+def _given(cfg: dict, section: str, *names: str) -> dict:
+    """The parsed values of the keys ``section.name`` that ``cfg`` gives, by name."""
+    return {n: _value(cfg, f"{section}.{n}") for n in names if f"{section}.{n}" in cfg}
+
+
 def _load_config(path) -> dict:
-    """The config file at ``path``; a file that cannot be read, or an unknown
-    key, is a ConfigError (the latter names the nearest valid key)."""
+    """The config file at ``path``, every value parsed; a file that cannot be read, an
+    unknown key (the error names the nearest valid key) or a malformed value is a ConfigError."""
     with _reading_input():
         try:
             cfg = load_config(path)
@@ -79,140 +149,89 @@ def _load_config(path) -> dict:
             raise ConfigError(f"cannot read config file {str(path)!r}: "
                               f"{exc.strerror or exc}") from exc
     for key in cfg:
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             import difflib
-            near = difflib.get_close_matches(key, _CONFIG_KEYS, n=1)
+            near = difflib.get_close_matches(key, _KEYS, n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ConfigError(f"unknown config key {key!r}{hint}")
+        _value(cfg, key)
     return cfg
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
-    assert key in _CONFIG_KEYS, f"{key!r} missing from _CONFIG_KEYS"
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing config key {key!r}")
-    return default
-
-
-def _get_float(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, None, required)
-    return float(raw) if raw is not None else default
-
-
-def _get_int(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, None, required)
-    return int(raw) if raw is not None else default
-
-
-def _get_bool(cfg, key, default=False):
-    raw = _get(cfg, key)
-    if raw is None:
-        return default
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
-
-
 def build_grid(cfg: dict) -> Grid:
-    dim = _get_int(cfg, "grid.dim", 1)
-    n = _get_int(cfg, "grid.n", required=True)
-    extent = _get_float(cfg, "grid.extent", 1.0)
-    return Grid(dim=dim, n=n, extent=(extent,) * dim)
+    dim = _value(cfg, "grid.dim")
+    return Grid(dim=dim, n=_value(cfg, "grid.n"), extent=(_value(cfg, "grid.extent"),) * dim)
 
 
 def build_spec(cfg: dict) -> EquationSpec:
-    kind = _get(cfg, "equation.kind", required=True)
-    eps = _get_float(cfg, "equation.eps", 0.0)
+    kind = _value(cfg, "equation.kind")
+    eps = _value(cfg, "equation.eps")
+    monitor = ("monitor_eta", "r_blowup")
     if kind == "she1d":
-        spec = EquationSpec.she(
-            drift=_get(cfg, "equation.drift", "zero"),
-            diffusion=_get(cfg, "equation.diffusion", "one"),
-            eps=eps, g_min=_get_float(cfg, "equation.g_min", 1e-8))
-    elif kind == "kpz1d":
-        m = _get_int(cfg, "equation.m", 1)
-        raw = _get(cfg, "equation.coupling", "1.0")
-        vals = [float(v) for v in raw.split(",")]
-        if len(vals) == 1 and m == 1:
-            s = np.array(vals).reshape(1, 1, 1)
-        elif len(vals) == m**3:
-            s = np.array(vals).reshape(m, m, m)
-        else:
-            raise ConfigError(f"equation.coupling needs 1 or m^3 = {m**3} values")
-        spec = EquationSpec.kpz(s, eps=eps, symmetric=_get_bool(cfg, "equation.symmetric"))
-    elif kind == "phi4_2d":
-        spec = EquationSpec.phi4(
-            quartic=_get_float(cfg, "equation.quartic", 1.0),
-            mass=_get_float(cfg, "equation.mass", 0.0), eps=eps,
-            allow_unstable=_get_bool(cfg, "equation.allow_unstable"))
-    else:
-        raise ConfigError(f"unknown equation.kind {kind!r}")
-    eta = _get_float(cfg, "equation.monitor_eta")
-    blow = _get_float(cfg, "equation.r_blowup")
-    if eta is not None or blow is not None:
-        from dataclasses import replace
-        spec = replace(spec, **{k: v for k, v in
-                                (("monitor_eta", eta), ("r_blowup", blow)) if v is not None})
-    return spec
+        return EquationSpec.she(eps=eps, **_given(cfg, "equation", "drift", "diffusion",
+                                                  "g_min", *monitor))
+    if kind == "kpz1d":
+        m = _value(cfg, "equation.m")
+        vals = _value(cfg, "equation.coupling")
+        if len(vals) != m**3:
+            raise ConfigError(f"equation.coupling needs m^3 = {m**3} values")
+        return EquationSpec.kpz(np.array(vals).reshape(m, m, m), eps=eps,
+                                **_given(cfg, "equation", "symmetric", *monitor))
+    return EquationSpec.phi4(quartic=_value(cfg, "equation.quartic"), eps=eps,
+                             **_given(cfg, "equation", "mass", "allow_unstable", *monitor))
 
 
 def attach_renorm(spec: EquationSpec, grid: Grid, dt: float, cfg: dict) -> EquationSpec:
     if spec.kind == "she1d" or spec.renorm is not None:
         return spec
-    raw = _get(cfg, "equation.renorm")
-    if raw is not None:
-        vals = tuple(float(v) for v in raw.split(","))
+    vals = _value(cfg, "equation.renorm")
+    if vals is not None:
         return spec.with_renorm(RenormConstants(vals, provenance="user-supplied"))
     if spec.eps > 0:
         return spec.with_renorm(compute_renorm_constants(spec, grid, dt))
-    return spec.with_renorm(RenormConstants((0.0,) * (spec.m if spec.kind == "kpz1d" else 1),
-                                            provenance="user-supplied"))
+    return spec.with_renorm(RenormConstants((0.0,) * spec.m, provenance="user-supplied"))
 
 
 def build_initial(cfg: dict, grid: Grid, m: int) -> Field:
-    kind = _get(cfg, "initial.kind", "zero")
-    amp = _get_float(cfg, "initial.amplitude", 1.0)
+    kind = _value(cfg, "initial.kind")
+    amp = _value(cfg, "initial.amplitude")
     if kind == "zero":
         return Field.zeros(grid, m)
     if kind == "constant":
-        return Field.constant(grid, _get_float(cfg, "initial.value", amp), m)
+        return Field.constant(grid, _given(cfg, "initial", "value").get("value", amp), m)
     if kind == "cosine":
-        mode = _get_int(cfg, "initial.mode", 1)
+        mode = _value(cfg, "initial.mode")
         def profile(*coords):
             phase = sum(2.0 * np.pi * mode * c / e for c, e in zip(coords, grid.extent))
             return amp * np.cos(phase)
         return Field.from_function(grid, profile, m)
-    if kind == "random":
-        rng = np.random.default_rng(_get_int(cfg, "initial.seed", 0))
-        vals = np.zeros((m,) + grid.shape)
-        xs = grid.axes()
-        for mode in range(1, 4):
-            for comp in range(m):
-                a, b = rng.normal(size=2) / mode
-                phase = sum(2.0 * np.pi * mode * c / e for c, e in zip(np.meshgrid(*xs, indexing="ij"), grid.extent))
-                vals[comp] += amp * (a * np.cos(phase) + b * np.sin(phase))
-        return Field(grid, vals)
-    raise ConfigError(f"unknown initial.kind {kind!r}")
+    rng = np.random.default_rng(_value(cfg, "initial.seed"))
+    vals = np.zeros((m,) + grid.shape)
+    coords = np.meshgrid(*grid.axes(), indexing="ij")
+    for mode in range(1, 4):
+        for comp in range(m):
+            a, b = rng.normal(size=2) / mode
+            phase = sum(2.0 * np.pi * mode * c / e for c, e in zip(coords, grid.extent))
+            vals[comp] += amp * (a * np.cos(phase) + b * np.sin(phase))
+    return Field(grid, vals)
+
+
+def _scaled_noise(cfg: dict, draw, shape: tuple) -> np.ndarray:
+    """``draw()`` times noise.amplitude; at amplitude 0, zeros of ``shape``, none drawn."""
+    amp = _value(cfg, "noise.amplitude")
+    return np.zeros(shape) if amp == 0.0 else amp * draw()
 
 
 def build_noise(cfg: dict, grid: Grid, m: int, n_steps: int, dt: float, seed: int):
     """Sampled path scaled by noise.amplitude (0 gives the zero path)."""
-    amp = _get_float(cfg, "noise.amplitude", 1.0)
-    if amp == 0.0:
-        return zero_noise_path(grid, m, n_steps, dt)
-    w = sample_white_noise(grid, m, n_steps, dt, seed)
-    if amp == 1.0:
-        return w
-    return NoisePath(grid, dt, amp * w.increments, seed_info=w.seed_info)
+    return NoisePath(grid, dt, _scaled_noise(cfg, lambda: sample_white_noise(
+        grid, m, n_steps, dt, seed).increments, (n_steps, m) + grid.shape), seed_info=(seed, 0))
 
 
 def build_times(cfg: dict):
-    dt = _get_float(cfg, "time.dt", required=True)
-    t = _get_float(cfg, "time.t", 0.25)
-    t_max = _get_float(cfg, "time.t_max", 1.0)
+    dt = _value(cfg, "time.dt")
+    t = _value(cfg, "time.t")
+    t_max = _value(cfg, "time.t_max")
     if not (t <= 1.0 + 1e-12 <= t_max + 1e-12):
         raise ConfigError(f"need t <= 1 <= t_max, got t={t}, t_max={t_max}")
     if abs(t / dt - round(t / dt)) > 1e-9:
@@ -224,12 +243,10 @@ def build_times(cfg: dict):
 
 
 def build_coupling(cfg: dict) -> tuple[CouplingParams, float]:
-    gamma = _get_float(cfg, "coupling.gamma", 0.05)
-    params = CouplingParams(
-        m_bound=_get_float(cfg, "coupling.m_bound", required=True),
-        k_gamma=_get_int(cfg, "coupling.k_gamma", 16),
-        cutoff_r=_get_float(cfg, "coupling.cutoff_r", 1e9),
-        tol=_get_float(cfg, "coupling.tol"))
+    gamma = _value(cfg, "coupling.gamma")
+    params = CouplingParams(m_bound=_value(cfg, "coupling.m_bound"),
+                            k_gamma=_value(cfg, "coupling.k_gamma"),
+                            **_given(cfg, "coupling", "cutoff_r", "tol"))
     _check_budget("coupling.gamma", gamma, params)
     return params, gamma
 
@@ -241,41 +258,47 @@ def _check_budget(key: str, gamma: float, params: CouplingParams):
             "the exponential-moment budget needs gamma * M <= 1")
 
 
+def _build_run(cfg: dict, args):
+    """Grid, times (dt, t, n_steps), renormalized equation, seed and initial
+    state of a run command, the state checked against the equation."""
+    grid = build_grid(cfg)
+    dt, t, n_steps = build_times(cfg)
+    spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
+    seed = args.seed if args.seed is not None else _value(cfg, "harness.seed")
+    u = build_initial(cfg, grid, spec.m)
+    _check_state(u, grid, spec.m, spec)
+    return grid, dt, t, n_steps, spec, seed, u
+
+
 def _displaced_state(u: Field, gamma: float) -> Field:
     direction = Field.from_function(u.grid, lambda *cs: np.cos(
         sum(2.0 * np.pi * c / e for c, e in zip(cs, u.grid.extent))), u.m)
     return u + direction * (gamma / l2_norm(direction))
 
 
-def _base_manifest(cfg: dict, seed: int) -> dict:
-    return {"version": __version__, "config": cfg, "seed": seed}
-
-
-def _finish_manifest(out_dir: Path, manifest: dict, started: float) -> dict:
-    manifest["wall_clock_s"] = time.time() - started
-    return write_manifest(out_dir / "manifest.json", manifest)
+def _finish_manifest(out_dir: Path, cfg: dict, seed: int, started: float, **fields):
+    """Write the run's manifest and print its digest."""
+    manifest = write_manifest(out_dir / "manifest.json", {
+        "version": __version__, "config": cfg, "seed": seed, **fields,
+        "wall_clock_s": time.time() - started})
+    print(f"manifest digest: {manifest['digest']}")
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     started = time.time()
     with _reading_input():
-        grid = build_grid(cfg)
-        dt, t, n_steps = build_times(cfg)
-        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
-        u0 = build_initial(cfg, grid, spec.m)
-        w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
-        stride = _get_int(cfg, "output.snapshot_stride", 0)
-    # without snapshots only the final state is written, so only it is kept
-    _, k_t = _step_range(0.0, t, dt, w.n_steps)
-    _check_state(u0, grid, w.m, spec)
-    increments = w.increments[:k_t]
+        grid, dt, t, n_steps, spec, seed, u0 = _build_run(cfg, args)
+        stride = _value(cfg, "output.snapshot_stride")
+        _, k_t = _step_range(0.0, t, dt, n_steps)
+    # only the slices before t are drawn; without snapshots only the final state is kept
+    increments = _scaled_noise(cfg, lambda: _draw_increments(grid, spec.m, k_t, dt, seed, 0),
+                               (k_t, spec.m) + grid.shape)
     paths = _evolve_batch(u0.values[None], increments[:, None], spec,
                           get_workspace(grid, dt, spec), final_only=not stride)
     out = paths.outcome(0, grid, 0.0, t, dt, increments)
 
-    out_dir = Path(args.out or _get(cfg, "output.dir", "out"))
+    out_dir = Path(args.out or _value(cfg, "output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_field(out_dir / "state_initial.flb", u0)
     if stride:
@@ -284,16 +307,11 @@ def cmd_solve(args) -> int:
     if out.alive:
         write_field(out_dir / "state_final.flb", out.final)
 
-    manifest = _base_manifest(cfg, seed)
-    manifest.update({
-        "command": "solve", "alive": out.alive,
-        "blow_up_time": out.blow_up_time, "reason": out.reason,
-        "monitor_final": float(out.monitor_trace[-1]) if out.monitor_trace.size else None,
-        "equation": spec.digest_dict(),
-    })
-    manifest = _finish_manifest(out_dir, manifest, started)
     print(f"status: {'alive' if out.alive else f'dead at {out.blow_up_time} ({out.reason})'}")
-    print(f"manifest digest: {manifest['digest']}")
+    _finish_manifest(
+        out_dir, cfg, seed, started, command="solve", alive=out.alive,
+        blow_up_time=out.blow_up_time, reason=out.reason, equation=spec.digest_dict(),
+        monitor_final=float(out.monitor_trace[-1]) if out.monitor_trace.size else None)
     return 0 if out.alive else 3
 
 
@@ -301,33 +319,25 @@ def cmd_couple(args) -> int:
     cfg = _load_config(args.config)
     started = time.time()
     with _reading_input():
-        grid = build_grid(cfg)
-        dt, t, n_steps = build_times(cfg)
-        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
+        grid, dt, t, n_steps, spec, seed, u = _build_run(cfg, args)
+        _shift_slices(t, dt, n_steps)
         params, gamma = build_coupling(cfg)
-        u = build_initial(cfg, grid, spec.m)
         u_bar = _displaced_state(u, gamma)
         w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
 
     result = build_shift(u, u_bar, w, t, spec, params)
     residual = verify_coupling(u, u_bar, w, result.h, t, spec)
 
-    out_dir = Path(args.out or _get(cfg, "output.dir", "out"))
+    out_dir = Path(args.out or _value(cfg, "output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_path(out_dir / "shift.flb", result.h)
-    manifest = _base_manifest(cfg, seed)
-    manifest.update({
-        "command": "couple", "status": result.status, "gamma": gamma,
-        "gamma_reached": result.gamma_reached, "cm_norm": result.cm_norm,
-        "residual": residual, "m_bound": result.a_bound_used,
-        "clamp_events": result.diagnostics.get("clamp_events"),
-        "equation": spec.digest_dict(),
-    })
-    manifest = _finish_manifest(out_dir, manifest, started)
     print(f"status: {result.status}  |h|_CM = {result.cm_norm:.6g}  "
           f"relative residual = {residual:.3e}")
-    print(f"manifest digest: {manifest['digest']}")
+    _finish_manifest(
+        out_dir, cfg, seed, started, command="couple", status=result.status,
+        gamma=gamma, gamma_reached=result.gamma_reached, cm_norm=result.cm_norm,
+        residual=residual, m_bound=result.a_bound_used,
+        clamp_events=result.diagnostics.get("clamp_events"), equation=spec.digest_dict())
     return 0
 
 
@@ -335,23 +345,19 @@ def cmd_tv(args) -> int:
     cfg = _load_config(args.config)
     started = time.time()
     with _reading_input():
-        grid = build_grid(cfg)
-        dt, t, n_steps = build_times(cfg)
-        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
-        params, gamma_single = build_coupling(cfg)
-        gammas_raw = _get(cfg, "coupling.gamma_list")
-        gammas = [float(v) for v in gammas_raw.split(",")] if gammas_raw else [gamma_single]
+        grid, dt, t, n_steps, spec, seed, u = _build_run(cfg, args)
+        _shift_slices(t, dt, n_steps)
+        params, gamma = build_coupling(cfg)
+        gammas = _value(cfg, "coupling.gamma_list") or (gamma,)
         for gamma in gammas:
             _check_budget("coupling.gamma_list entry", gamma, params)
-        n_samples = _get_int(cfg, "harness.n_samples", 100)
-        u = build_initial(cfg, grid, spec.m)
+        n_samples = _value(cfg, "harness.n_samples")
 
     functionals = [
         ("clamped_mean", lambda f: float(np.mean(f.values))),
         ("clamped_max", lambda f: float(np.max(f.values))),
     ]
-    out_dir = Path(args.out or _get(cfg, "output.dir", "out"))
+    out_dir = Path(args.out or _value(cfg, "output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows, summaries = [], []
@@ -381,22 +387,15 @@ def cmd_tv(args) -> int:
         fh.write("gamma,bound\n")
         for s in summaries:
             fh.write(f"{s['gamma']},{s['bound']}\n")
-    manifest = _base_manifest(cfg, seed)
-    manifest.update({"command": "tv", "summaries": summaries,
-                     "equation": spec.digest_dict(), "n_samples": n_samples})
-    manifest = _finish_manifest(out_dir, manifest, started)
-    print(f"manifest digest: {manifest['digest']}")
+    _finish_manifest(out_dir, cfg, seed, started, command="tv", summaries=summaries,
+                     equation=spec.digest_dict(), n_samples=n_samples)
     return 0
 
 
 def cmd_jacobian_check(args) -> int:
     cfg = _load_config(args.config)
     with _reading_input():
-        grid = build_grid(cfg)
-        dt, t, n_steps = build_times(cfg)
-        spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
-        seed = args.seed if args.seed is not None else _get_int(cfg, "harness.seed", 0)
-        u0 = build_initial(cfg, grid, spec.m)
+        grid, dt, t, n_steps, spec, seed, u0 = _build_run(cfg, args)
         w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
     base = evolve(u0, w, 0.0, t, spec)
     if not base.alive:

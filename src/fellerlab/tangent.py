@@ -30,11 +30,11 @@ __all__ = ["jacobian_apply", "tangent_sweep", "malliavin_derivative"]
 
 
 def _replay(outcome: FlowOutcome, v: Field, j_s: int, j_t: int, spec: EquationSpec,
-            inject: np.ndarray | None = None) -> _Paths:
+            inject: np.ndarray | None = None, final_only: bool = False) -> _Paths:
     """Steps j_s..j_t of the live ``outcome`` evolved again, a batch of one
     carrying the tangent from ``v`` at step j_s; ``inject`` (j_t - j_s, 1, m,
-    *grid) goes to the evolve.  A replay under a spec stricter than the
-    path's own can die; it then raises (NondegeneracyError for a low G)."""
+    *grid) and ``final_only`` go to the evolve.  A replay under a spec stricter
+    than the path's own can die; it then raises (NondegeneracyError for a low G)."""
     if not outcome.alive:
         raise ValueError("linearization requires a live trajectory")
     if j_s > j_t:
@@ -43,7 +43,7 @@ def _replay(outcome: FlowOutcome, v: Field, j_s: int, j_t: int, spec: EquationSp
         raise ValueError("tangent vector incompatible with trajectory")
     paths = _evolve_batch(outcome.fields[j_s][None], outcome.noise_terms[j_s:j_t, None], spec,
                           get_workspace(outcome.grid, outcome.dt, spec), x0=v.values[None],
-                          inject=inject)
+                          inject=inject, final_only=final_only)
     reason = paths.reasons[0]
     if reason is not None:
         error = NondegeneracyError if reason == "nondegenerate" else ValueError
@@ -60,7 +60,9 @@ def tangent_sweep(outcome: FlowOutcome, v: Field, s: float, t: float,
 def jacobian_apply(outcome: FlowOutcome, v: Field, s: float, t: float,
                    spec: EquationSpec) -> Field:
     """Derivative of the flow in its initial state: J_{s,t} v along ``outcome``."""
-    return Field(outcome.grid, tangent_sweep(outcome, v, s, t, spec)[-1])
+    paths = _replay(outcome, v, outcome.time_index(s), outcome.time_index(t), spec,
+                    final_only=True)
+    return Field(outcome.grid, paths.tangent[-1, 0])
 
 
 def malliavin_derivative(outcome: FlowOutcome, h: ShiftPath, t: float,
@@ -81,4 +83,5 @@ def malliavin_derivative(outcome: FlowOutcome, h: ShiftPath, t: float,
     _, (smooth,) = get_workspace(outcome.grid, outcome.dt, spec).transform(
         [(h.values[:j_t], "moll")])
     zero = Field.zeros(outcome.grid, outcome.m)
-    return Field(outcome.grid, _replay(outcome, zero, 0, j_t, spec, smooth[:, None]).tangent[-1, 0])
+    paths = _replay(outcome, zero, 0, j_t, spec, smooth[:, None], final_only=True)
+    return Field(outcome.grid, paths.tangent[-1, 0])

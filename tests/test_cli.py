@@ -216,11 +216,29 @@ def test_config_error_exit_code(tmp_path):
     ("solve", HEAT_CONFIG.replace("grid.n = 32", "grid.n = 33"), "power of two"),
     ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = 0.1"), "multiple of time.dt"),
     ("tv", COUPLE_CONFIG + "coupling.gamma_list = 0.01,0.2\n", "gamma_list"),
+    ("solve", COUPLE_CONFIG.replace("= cubic_decay", "= cubic_decy"), "equation.drift"),
+    ("solve", COUPLE_CONFIG.replace("= bounded_smooth", "= bounded"), "equation.diffusion"),
+    ("solve", HEAT_CONFIG.replace("grid.n = 32", "grid.n = 32.0"), "grid.n"),
+    ("couple", COUPLE_CONFIG.replace("k_gamma = 8", "k_gamma = 1.5"), "coupling.k_gamma"),
+    ("tv", COUPLE_CONFIG + "coupling.gamma_list = 0.01,,0.02\n", "coupling.gamma_list"),
+    ("tv", COUPLE_CONFIG + "harness.n_samples = 0\n", "harness.n_samples"),
+    ("tv", COUPLE_CONFIG.replace("time.t = 0.25", "time.t = 0.00390625"), "two slices"),
+    ("couple", COUPLE_CONFIG.replace("time.t = 0.25", "time.t = 0.00390625"), "two slices"),
+    *[(command, COUPLE_CONFIG + "grid.dim = 2\n", "she1d expects dim=1")
+      for command in ("solve", "couple", "tv", "jacobian-check")],
+    ("solve", HEAT_CONFIG.replace("stride = 32", "stride = -1"), "output.snapshot_stride"),
+    ("solve", HEAT_CONFIG + "equation.symmetric = maybe\n", "equation.symmetric"),
+    ("solve", HEAT_CONFIG.replace("time.dt = 0.00390625", "time.dt = 0"), "time.dt"),
+    ("solve", HEAT_CONFIG.replace("time.dt = 0.00390625", "time.dt = inf"), "time.dt"),
+    ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = -0.25"), "not on the dt"),
+    ("solve", HEAT_CONFIG + "equation.eps = -0.1\n", "equation.eps"),
+    ("solve", HEAT_CONFIG + "initial.kind = random\ninitial.seed = -1\n", "initial.seed"),
 ])
 def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     """A fault found while the run is built from its config (here a
     ValueError of the grid, a horizon off the time grid, a gamma_list entry
-    over the budget) is a configuration error."""
+    over the budget, a malformed value, a horizon of one slice for a shift, a
+    state that does not fit the equation) is a configuration error."""
     cfg = _write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
