@@ -242,13 +242,21 @@ def build_times(cfg: dict):
     return dt, t, n_steps
 
 
-def build_coupling(cfg: dict) -> tuple[CouplingParams, float]:
-    gamma = _value(cfg, "coupling.gamma")
+def build_coupling(cfg: dict, sweep: bool = False) -> tuple[CouplingParams, tuple[float, ...]]:
+    """The coupling parameters and the gammas to couple at: coupling.gamma, or
+    with ``sweep`` the coupling.gamma_list entries when the config gives them
+    (the list then replaces coupling.gamma, whose budget is not checked).
+    Each gamma must keep the exponential-moment budget."""
     params = CouplingParams(m_bound=_value(cfg, "coupling.m_bound"),
                             k_gamma=_value(cfg, "coupling.k_gamma"),
                             **_given(cfg, "coupling", "cutoff_r", "tol"))
-    _check_budget("coupling.gamma", gamma, params)
-    return params, gamma
+    gammas = _value(cfg, "coupling.gamma_list") if sweep else None
+    key = "coupling.gamma_list entry"
+    if not gammas:
+        gammas, key = (_value(cfg, "coupling.gamma"),), "coupling.gamma"
+    for gamma in gammas:
+        _check_budget(key, gamma, params)
+    return params, tuple(gammas)
 
 
 def _check_budget(key: str, gamma: float, params: CouplingParams):
@@ -321,7 +329,7 @@ def cmd_couple(args) -> int:
     with _reading_input():
         grid, dt, t, n_steps, spec, seed, u = _build_run(cfg, args)
         _shift_slices(t, dt, n_steps)
-        params, gamma = build_coupling(cfg)
+        params, (gamma,) = build_coupling(cfg)
         u_bar = _displaced_state(u, gamma)
         w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
 
@@ -347,10 +355,7 @@ def cmd_tv(args) -> int:
     with _reading_input():
         grid, dt, t, n_steps, spec, seed, u = _build_run(cfg, args)
         _shift_slices(t, dt, n_steps)
-        params, gamma = build_coupling(cfg)
-        gammas = _value(cfg, "coupling.gamma_list") or (gamma,)
-        for gamma in gammas:
-            _check_budget("coupling.gamma_list entry", gamma, params)
+        params, gammas = build_coupling(cfg, sweep=True)
         n_samples = _value(cfg, "harness.n_samples")
 
     functionals = [

@@ -34,11 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """A named pointwise function with its derivative (for linearization)."""
+    """A named pointwise function with its derivative (for linearization),
+    and optionally both from one pass (``fn_and_d``, same bits as the pair)."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     d_fn: Callable[[np.ndarray], np.ndarray]
+    fn_and_d: Callable[[np.ndarray], tuple] | None = None
 
     def __call__(self, u):
         return self.fn(u)
@@ -53,6 +55,12 @@ def _bounded_smooth_d(u):
     return u / (1.0 + u * u) ** 2
 
 
+def _bounded_smooth_both(u):
+    # both of the above with 1 + u^2 formed once; each keeps its operation order
+    den = 1.0 + u * u
+    return 1.0 + 0.5 * u * u / den, u / den ** 2
+
+
 DRIFTS = {
     "zero": ScalarFn("zero", lambda u: np.zeros_like(u), lambda u: np.zeros_like(u)),
     "linear_decay": ScalarFn("linear_decay", lambda u: -u, lambda u: -np.ones_like(u)),
@@ -62,7 +70,8 @@ DRIFTS = {
 
 DIFFUSIONS = {
     "one": ScalarFn("one", lambda u: np.ones_like(u), lambda u: np.zeros_like(u)),
-    "bounded_smooth": ScalarFn("bounded_smooth", _bounded_smooth, _bounded_smooth_d),
+    "bounded_smooth": ScalarFn("bounded_smooth", _bounded_smooth, _bounded_smooth_d,
+                               _bounded_smooth_both),
 }
 
 
@@ -100,6 +109,12 @@ class EquationSpec:
     # phi4_2d: drift -quartic u^3 - mass u (+ Wick counterterm)
     quartic: float = 0.0
     mass: float = 0.0
+
+    def __post_init__(self):
+        # the mollifier squares eps, so a negative one would smooth at |eps|
+        # while the counterterms took it as zero
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
 
     # -- constructors ------------------------------------------------------
 
@@ -224,6 +239,16 @@ class EquationSpec:
         if self.kind == "she1d" and self.diffusion_fn.name != "one":
             return self.diffusion_fn.d_fn(u)
         return None
+
+    def noise_coefficients(self, u: np.ndarray, derivative: bool) -> tuple:
+        """(g_values(u), dg_values(u)), the second None unless ``derivative``;
+        both from one pass where the diffusion has one."""
+        if not (self.kind == "she1d" and self.diffusion_fn.name != "one"):
+            return None, None
+        g = self.diffusion_fn
+        if not derivative:
+            return g.fn(u), None
+        return (g.fn(u), g.d_fn(u)) if g.fn_and_d is None else g.fn_and_d(u)
 
     def digest_dict(self) -> dict:
         """Stable description for manifests and hashing."""

@@ -200,19 +200,20 @@ def _half_spectrum(a: np.ndarray, n: int) -> np.ndarray:
     return a[..., :n // 2 + 1]
 
 
-def _real_transform(values: np.ndarray, grid: Grid) -> np.ndarray:
+def _real_transform(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Forward transform of real fields over the trailing grid axes, unscaled,
-    on the half spectrum."""
+    on the half spectrum; written into ``out`` when given (same bits)."""
     if grid.dim == 1:
-        return np.fft.rfft(values, axis=-1)
-    return np.fft.rfftn(values, axes=_spatial_axes(grid))
+        return np.fft.rfft(values, axis=-1, out=out)
+    return np.fft.rfftn(values, axes=_spatial_axes(grid), out=out)
 
 
-def _real_inverse(modes: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of ``_real_transform`` (scaled by 1/N): real fields on the grid."""
+def _real_inverse(modes: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of ``_real_transform`` (scaled by 1/N): real fields on the grid,
+    written into ``out`` when given (same bits)."""
     if grid.dim == 1:
-        return np.fft.irfft(modes, n=grid.n, axis=-1)
-    return np.fft.irfftn(modes, s=grid.shape, axes=_spatial_axes(grid))
+        return np.fft.irfft(modes, n=grid.n, axis=-1, out=out)
+    return np.fft.irfftn(modes, s=grid.shape, axes=_spatial_axes(grid), out=out)
 
 
 @lru_cache(maxsize=32)
@@ -256,14 +257,17 @@ def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:
     return 2.0 ** (alpha * np.arange(n_shells))
 
 
-def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Proxy norm of each row of real shell blocks (B, n_shells, m, *grid): the
     largest over shells j of weights[j] times the block's sup-norm, shape (B,).
+    ``out``, a contiguous array of the blocks' shape, holds the weighted
+    entries when given.
 
     Rounding is monotone, so a positive weight times a block's largest entry
     is the largest of its weighted entries, bit for bit: each row is reduced
     in one pass."""
-    weighted = np.abs(blocks)
+    weighted = np.abs(blocks, out=out)
     weighted *= weights.reshape((-1,) + (1,) * (blocks.ndim - 2))
     return weighted.reshape(blocks.shape[0], -1).max(axis=1)
 

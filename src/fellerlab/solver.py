@@ -12,20 +12,30 @@ the equation's monitor exponent) and through non-finite values; once a
 trajectory is dead it stays dead, and evolving the dead state returns the
 dead state for any input.
 
-Each step makes one batched forward and one batched inverse transform
-(``_Workspace.transform``): u_k, u_k + dt F(u_k) and dW_k go forward
-together, and the monitor's shell blocks of u_k, the heat step and the
-mollified increment come back together.  kpz1d makes two of each, since
-its drift needs the gradient of u_k first: one pass for the shell blocks,
-the gradient and the increment, one for the heat step.  The stepper can
-carry the tangent flow
+Each step makes one batched forward and one batched inverse transform:
+u_k, u_k + dt F(u_k) and dW_k go forward together, and the monitor's shell
+blocks of u_k, the heat step and the mollified increment come back
+together.  kpz1d makes two of each, since its drift needs the gradient of
+u_k first: one pass for the shell blocks, the gradient and the increment,
+one for the heat step.  The stepper can carry the tangent flow
 
     x_{k+1} = E (x_k + dt DF(u_k) x_k) + DG(u_k) x_k * smooth(dW_k)
 
 in the same transforms (its heat input, and for kpz1d its gradient, ride
-beside the state's).  It is the only tangent loop: the linearizations in
-``tangent`` and ``shift`` replay a stored path by evolving it again from a
-stored state along the same raw increments, with the tangent carried.
+beside the state's), and can add a shift slice, smoothed beside dW_k, to
+it.  It is the only tangent loop: the linearizations in ``tangent`` and
+``shift`` replay a stored path by evolving it again from a stored state
+along the same raw increments, with the tangent carried.
+
+Each evolve lays its step out once (``_StepPlan``): the slot of every
+field in the stacked transforms and its multiplier, and buffers for the
+forward input, the modes, the multiplied modes, the inverse output and
+the monitor's reduction.  Fields are written straight into their slots,
+and the transforms write into the buffers (``out=``); rows that die leave
+the leading rows of every buffer to the survivors.  At batch size one a
+step is mostly numpy call overhead, which this keeps to the calls the
+arithmetic needs.  Every transform and product gets the operands it would
+get on fresh arrays, so no bit changes.
 
 The fields are real, so the transforms are real-to-complex (``rfft``,
 ``rfftn``): modes are kept on the half spectrum, frequencies 0..n/2 on the
@@ -118,44 +128,6 @@ class _Workspace:
             stack = np.stack([getattr(self, name) for name in names]).astype(complex)
             self._stacks[names] = stack[:, None, ...]
         return self._stacks[names]
-
-    def transform(self, parts, monitor: bool = False):
-        """Fourier multipliers applied to several fields in one batched forward
-        and one batched inverse real transform.
-
-        ``parts`` is a list of (array, multiplier name) pairs, the arrays of
-        shape (B, m, *grid) and the names those of this workspace's
-        multipliers ('decay', 'moll', 'gradient').  An array with a multiplier
-        comes back as the real inverse transform of its modes times the
-        multiplier; one without (or whose multiplier is None) comes back as it
-        is, and None as None.  With ``monitor`` parts[0] is transformed too and
-        the first result is its dyadic proxy norm at monitor_eta per row;
-        without it the first result is None.
-        """
-        results = [a for a, _ in parts]
-        scaled = [(i, name) for i, (a, name) in enumerate(parts)
-                  if a is not None and name is not None and getattr(self, name) is not None]
-        unscaled = [0] if monitor and (not scaled or scaled[0][0] != 0) else []
-        order = unscaled + [i for i, _ in scaled]
-        if not order:
-            return None, results
-        lead = parts[order[0]][0]
-        stacked = np.empty((lead.shape[0], len(order)) + lead.shape[1:])
-        for k, i in enumerate(order):
-            stacked[:, k] = parts[i][0]
-        modes = _real_transform(stacked, self.grid)
-        n_shells = self.shell_masks.shape[0] if monitor else 0
-        out = np.empty((modes.shape[0], n_shells + len(scaled)) + modes.shape[2:], dtype=complex)
-        if monitor:
-            np.multiply(self._shell_sel, modes[:, :1], out=out[:, :n_shells])
-        if scaled:
-            np.multiply(modes[:, len(unscaled):], self._stacked(tuple(n for _, n in scaled)),
-                        out=out[:, n_shells:])
-        real = _real_inverse(out, self.grid)
-        for slot, (i, _) in enumerate(scaled, n_shells):
-            results[i] = real[:, slot]
-        norms = _weighted_block_sup(real[:, :n_shells], self.shell_weights) if monitor else None
-        return norms, results
 
 
 @lru_cache(maxsize=32)
@@ -278,28 +250,136 @@ def _check_state(u0: Field, grid: Grid, m: int, spec: EquationSpec):
         raise ValueError(f"{spec.kind} expects dim={spec.dim}, m={spec.m}")
 
 
-def _step_transforms(u, x, dw, spec: EquationSpec, ws: _Workspace):
-    """The transforms of one step from the states u (B, m, *grid): the monitor
-    integrand of u, the heat steps of u + dt f(u) and of the tangent input
-    (None when x is None) and the smoothed increment of dw.  Without dw only
-    the monitor integrand is computed.
+class _Pass:
+    """One batched forward and one batched inverse real transform over a fixed
+    stack of fields, with buffers allocated once for up to ``n_rows`` rows.
 
-    A pointwise drift takes one batched forward and one batched inverse
-    transform; kpz1d's drift needs the gradient first, so it takes two."""
-    if dw is None:
-        return ws.transform([(u, None)], monitor=True)[0], None, None, None
-    du = dx = None
-    if ws.gradient is not None:
-        mon, (du, dx, dwe) = ws.transform([(u, "gradient"), (x, "gradient"), (dw, "moll")],
-                                          monitor=True)
-    pre = u + ws.dt * spec.drift(u, du)
-    x_in = None if x is None else x + ws.dt * spec.drift_jvp(u, x, du, dx)
-    if ws.gradient is not None:
-        _, (heat, heat_x) = ws.transform([(pre, "decay"), (x_in, "decay")])
-    else:
-        mon, (_, heat, heat_x, dwe) = ws.transform(
-            [(u, None), (pre, "decay"), (x_in, "decay"), (dw, "moll")], monitor=True)
-    return mon, heat, heat_x, dwe
+    The caller writes the fields of each row into ``inputs(n)`` (n, n_in, m,
+    *grid): ``n_plain`` fields without a multiplier, then one per multiplier
+    in ``names`` ('decay', 'moll', 'gradient' of the workspace).  With
+    ``monitor`` field 0 also comes back as the monitor's dyadic shell blocks,
+    ahead of the multiplied fields.  A run
+    on fewer rows uses the leading rows of every buffer, so its arrays are
+    laid out as fresh ones would be and every transform and product has the
+    same operands as on a batch of that size.
+    """
+
+    def __init__(self, ws: _Workspace, n_rows: int, field_shape: tuple, names: tuple,
+                 monitor: bool, n_plain: int = 0):
+        half = field_shape[:-1] + (ws.grid.n // 2 + 1,)
+        self.ws, self.n_plain = ws, n_plain
+        self.n_shells = ws.shell_masks.shape[0] if monitor else 0
+        n_in, n_out = n_plain + len(names), self.n_shells + len(names)
+        self.fwd = np.empty((n_rows, n_in) + field_shape)
+        self.modes = np.empty((n_rows, n_in) + half, dtype=complex)
+        self.scaled = np.empty((n_rows, n_out) + half, dtype=complex)
+        self.real = np.empty((n_rows, n_out) + field_shape)
+        self.sup = np.empty((n_rows, self.n_shells) + field_shape)
+        self.mult = ws._stacked(names)
+        self.views = self._views(n_rows, n_in, n_out)
+
+    def _views(self, n: int, n_in: int, n_out: int) -> tuple:
+        fwd, modes = self.fwd[:n, :n_in], self.modes[:n, :n_in]
+        scaled, real, k = self.scaled[:n, :n_out], self.real[:n, :n_out], self.n_shells
+        return (fwd, modes, scaled, real, modes[:, :1], scaled[:, :k], modes[:, self.n_plain:],
+                scaled[:, k:], real[:, :k], self.sup[:n])
+
+    def inputs(self, n: int) -> np.ndarray:
+        """The forward buffer's first n rows, laid out for the next ``run``."""
+        if self.views[0].shape[0] != n:
+            self.views = self._views(n, self.fwd.shape[1], self.real.shape[1])
+        return self.views[0]
+
+    def run(self, monitor_only: bool = False):
+        """Transform the rows of the last ``inputs``: the monitor value per row
+        (None without a monitor) and the inverse buffer's rows (n, n_out, m,
+        *grid), a view the next run overwrites.  ``monitor_only`` transforms
+        field 0 for its shell blocks alone."""
+        ws, views = self.ws, self.views
+        if monitor_only:
+            views = self._views(views[0].shape[0], 1, self.n_shells)
+        fwd, modes, scaled, real, head, shells, tail, scaled_tail, blocks, sup = views
+        _real_transform(fwd, ws.grid, out=modes)
+        if self.n_shells:
+            np.multiply(ws._shell_sel, head, out=shells)
+        if not monitor_only:
+            np.multiply(tail, self.mult, out=scaled_tail)
+        _real_inverse(scaled, ws.grid, out=real)
+        if not self.n_shells:
+            return None, real
+        return _weighted_block_sup(blocks, ws.shell_weights, sup), real
+
+
+class _StepPlan:
+    """The spectral step of one evolve, laid out once for its equation and for
+    whether a tangent and an inject ride along.
+
+    A pointwise drift takes one pass: u_k (for the monitor), u_k + dt F(u_k),
+    the tangent input, dW_k and the inject slice go forward together, and
+    u_k's shell blocks, the two heat steps and the two smoothed slices come
+    back together.  kpz1d's drift needs the gradient of u_k first, so it
+    takes two: u_k (monitor and gradient), the tangent (gradient), dW_k and
+    the inject slice, then the two heat inputs.  Without a mollifier the
+    noise and inject slices are used as they are and skip the transforms.
+    Each field is written straight into its slot of the forward buffer.
+
+    Every output is a view into a pass's inverse buffer and holds only until
+    that pass runs again: a caller that keeps one across steps copies it.
+    """
+
+    def __init__(self, ws: _Workspace, spec: EquationSpec, n_rows: int, field_shape: tuple,
+                 tangent: bool, inject: bool):
+        self.ws, self.spec, self.tangent = ws, spec, tangent
+        self.n_noise = (1 + inject) if ws.moll is not None else 0  # smoothed slices
+        noise = ("moll",) * self.n_noise
+        heat = ("decay",) * (1 + tangent)
+        if ws.gradient is None:  # u_k goes forward for the monitor alone
+            self.passes = (_Pass(ws, n_rows, field_shape, heat + noise, True, n_plain=1),)
+        else:
+            grads = ("gradient",) * (1 + tangent)
+            self.passes = (_Pass(ws, n_rows, field_shape, grads + noise, True),
+                           _Pass(ws, n_rows, field_shape, heat, False))
+
+    def monitor(self, u: np.ndarray) -> np.ndarray:
+        """The monitor value of each row of the states u (B, m, *grid)."""
+        first = self.passes[0]
+        first.inputs(u.shape[0])[:, 0] = u
+        return first.run(monitor_only=True)[0]
+
+    def step(self, u, x, dw, h):
+        """The transforms of one step from the states u (B, m, *grid): the
+        monitor value of u, the heat steps of u + dt f(u) and of the tangent
+        input (None without a tangent), and the smoothed increment dw and
+        inject slice h (None without an inject)."""
+        spec, dt, n, t = self.spec, self.ws.dt, u.shape[0], self.tangent
+        first = self.passes[0]
+        fwd = first.inputs(n)
+        fwd[:, 0] = u
+        pointwise = len(self.passes) == 1
+        if pointwise:
+            np.add(u, dt * spec.drift(u), out=fwd[:, 1])
+            if x is not None:
+                np.add(x, dt * spec.drift_jvp(u, x), out=fwd[:, 2])
+        elif x is not None:
+            fwd[:, 1] = x
+        at = pointwise + 1 + t  # the noise slots follow the state and tangent inputs
+        if self.n_noise:
+            fwd[:, at] = dw
+        if self.n_noise > 1:
+            fwd[:, at + 1] = h
+        mon, real = first.run()
+        k = first.n_shells  # outputs: shells, then one per multiplied input
+        dwe = real[:, k + 1 + t] if self.n_noise else dw
+        he = real[:, k + 2 + t] if self.n_noise > 1 else h
+        if not pointwise:
+            du, dx = real[:, k], real[:, k + 1] if x is not None else None
+            second = self.passes[1]
+            fwd = second.inputs(n)
+            np.add(u, dt * spec.drift(u, du), out=fwd[:, 0])
+            if x is not None:
+                np.add(x, dt * spec.drift_jvp(u, x, du, dx), out=fwd[:, 1])
+            real, k = second.run()[1], 0
+        return mon, real[:, k], real[:, k + 1] if x is not None else None, dwe, he
 
 
 def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace,
@@ -314,11 +394,13 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     only each row's last state and monitor value instead of the trajectory.
     With a tangent ``x0`` (B, m, *grid) the batch also carries the tangent
     flow from x0 along each path, in the same transforms as the states.
-    ``inject`` (J, B, m, *grid), smoothed shift slices h_j, makes that the
-    inhomogeneous flow: after step j the tangent gains G(u_j) h_j dt (h_j dt
-    under additive noise).
+    ``inject`` (J, B, m, *grid), raw shift slices h_j read as
+    ``inject[j, rows]``, makes that the inhomogeneous flow: after step j the
+    tangent gains G(u_j) smooth(h_j) dt (smooth(h_j) dt under additive
+    noise), each slice smoothed in its step's forward transform.
 
-    Step j transforms u_j once: its modes give u_j's monitor value as well as
+    One ``_StepPlan`` per call holds the step's transform buffers.  Step j
+    transforms u_j once: its modes give u_j's monitor value as well as
     the next state, so u_j is checked and stored at step j, and u_J after
     the loop.  A row that dies leaves the active set and the other rows go
     on; every numpy call acts on each row exactly as it would on that row
@@ -341,6 +423,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     x = None if x0 is None else np.array(x0, dtype=np.float64)
     r = None
     step = ()  # the current step's per-row transforms
+    plan = _StepPlan(ws, spec, n_rows, u0.shape[1:], x0 is not None, inject is not None)
 
     def drop(mask, at, reason, stored):
         """Retire the active rows under ``mask``; returns the survivors' mask."""
@@ -369,7 +452,11 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
         last = j == n_steps
         # rows that die below at step j were transformed too; drop() discards
         # their results with them
-        mon, *step = _step_transforms(u, x, None if last else increments[j, sel], spec, ws)
+        if last:
+            mon = plan.monitor(u)
+        else:
+            mon, *step = plan.step(u, x, increments[j, sel],
+                                   None if inject is None else inject[j, sel])
         r = mon if r is None else np.maximum(r, mon)
         if j == 0:
             store(0)  # u_0 is kept even when it trips the monitor; a later u_j is not
@@ -381,19 +468,18 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
             store(j)
         if last:
             break
-        g = spec.g_values(u)
+        g, dg = spec.noise_coefficients(u, derivative=x is not None)
         if g is not None and g.min() < g_min:
-            g = g[drop(g.reshape(rows.size, -1).min(axis=1) < g_min, j, "nondegenerate",
-                       j + 1)]
+            keep = drop(g.reshape(rows.size, -1).min(axis=1) < g_min, j, "nondegenerate", j + 1)
+            g, dg = g[keep], None if dg is None else dg[keep]
             if rows.size == 0:
                 break
-        heat, heat_x, dwe = step
+        heat, heat_x, dwe, he = step
         if x is not None:
-            dg = spec.dg_values(u)
-            x = heat_x if dg is None else heat_x + dg * x * dwe
+            # heat_x is a view the next step's transforms overwrite
+            x = heat_x.copy() if dg is None else heat_x + dg * x * dwe
             if inject is not None:
-                h_j = inject[j, sel]
-                x = x + (h_j if g is None else g * h_j) * ws.dt
+                x = x + (he if g is None else g * he) * ws.dt
         u = heat + (dwe if g is None else g * dwe)
         if not np.isfinite(u).all():
             finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)

@@ -13,8 +13,9 @@ way a noise increment does, and the accumulated sum
 
     sum_k  J_{t_k -> t} ( G(u(t_k)) smooth(h(t_k)) ) dt
 
-is the inhomogeneous linearized equation, evaluated in one replay that adds
-each smoothed slice to the tangent after its step.
+is the inhomogeneous linearized equation, evaluated in one replay that
+smooths each slice in its step's transforms and adds it to the tangent
+after that step, so no more than one smoothed slice is held at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ def _replay(outcome: FlowOutcome, v: Field, j_s: int, j_t: int, spec: EquationSp
             inject: np.ndarray | None = None, final_only: bool = False) -> _Paths:
     """Steps j_s..j_t of the live ``outcome`` evolved again, a batch of one
     carrying the tangent from ``v`` at step j_s; ``inject`` (j_t - j_s, 1, m,
-    *grid) and ``final_only`` go to the evolve.  A replay under a spec stricter
-    than the path's own can die; it then raises (NondegeneracyError for a low G)."""
+    *grid), raw shift slices, and ``final_only`` go to the evolve.  A replay
+    under a spec stricter than the path's own can die; it then raises
+    (NondegeneracyError for a low G)."""
     if not outcome.alive:
         raise ValueError("linearization requires a live trajectory")
     if j_s > j_t:
@@ -80,8 +82,6 @@ def malliavin_derivative(outcome: FlowOutcome, h: ShiftPath, t: float,
     j_t = outcome.time_index(t)
     if h.n_steps < j_t:
         raise ValueError(f"shift has {h.n_steps} slices, t needs {j_t}")
-    _, (smooth,) = get_workspace(outcome.grid, outcome.dt, spec).transform(
-        [(h.values[:j_t], "moll")])
     zero = Field.zeros(outcome.grid, outcome.m)
-    paths = _replay(outcome, zero, 0, j_t, spec, smooth[:, None], final_only=True)
+    paths = _replay(outcome, zero, 0, j_t, spec, h.values[:j_t, None], final_only=True)
     return Field(outcome.grid, paths.tangent[-1, 0])

@@ -272,6 +272,20 @@ def test_gamma_m_budget_config_error(tmp_path):
     assert main(["couple", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, extra, code", [
+    ("couple", "", 2), ("tv", "harness.n_samples = 2\n", 2),
+    ("tv", "harness.n_samples = 2\ncoupling.gamma_list = 0.05,0.025\n", 0),
+    ("couple", "coupling.gamma_list = 0.05,0.025\n", 2)])
+def test_gamma_list_replaces_gamma_budget(tmp_path, capsys, command, extra, code):
+    """A coupling.gamma over the budget is a configuration error unless a
+    gamma_list replaces it, which only ``tv`` reads; each list entry is
+    checked instead."""
+    bad = COUPLE_CONFIG.replace("coupling.gamma = 0.05", "coupling.gamma = 0.5") + extra
+    cfg = _write(tmp_path, bad)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert ("coupling.gamma * coupling.m_bound" in capsys.readouterr().err) == (code == 2)
+
+
 def test_selftest_subset(tmp_path, capsys):
     out = tmp_path / "st"
     rc = main(["selftest", "--only", "1", "11", "--out", str(out)])

@@ -123,3 +123,29 @@ def test_cubic_drifts_are_ieee_products():
     assert np.array_equal(DRIFTS["cubic_growth"](u), u * u * u)
     spec = EquationSpec.phi4(quartic=0.7, mass=0.3, eps=0.1, renorm=RenormConstants((0.2,)))
     assert np.array_equal(spec.drift(u), -0.7 * (u * u * u) - 0.3 * u + 3.0 * 0.7 * 0.2 * u)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EquationSpec.she(eps=-0.1),
+    lambda: EquationSpec.kpz(np.ones((1, 1, 1)), eps=-0.1),
+    lambda: EquationSpec.phi4(quartic=1.0, eps=-0.1)])
+def test_negative_eps_rejected(build):
+    """A negative eps is rejected: the mollifier would smooth at |eps| while
+    the counterterms took it as zero."""
+    with pytest.raises(ValueError, match="eps"):
+        build()
+
+
+def test_bounded_smooth_pair_matches_separate_functions():
+    """G and G' of the bounded-smooth diffusion from one pass equal the two
+    separate functions bit for bit, also at large, tiny and signed-zero u."""
+    rng = np.random.default_rng(3)
+    u = np.concatenate([rng.standard_normal(500), 1e3 * rng.standard_normal(50),
+                        1e-200 * rng.standard_normal(50), [0.0, -0.0, 1e150, -1e100]])
+    spec = EquationSpec.she(diffusion="bounded_smooth")
+    with np.errstate(over="ignore"):  # (1 + u^2)^2 overflows to inf at 1e150
+        g, dg = spec.noise_coefficients(u, derivative=True)
+        assert np.array_equal(g, spec.g_values(u)) and np.array_equal(dg, spec.dg_values(u))
+        assert np.array_equal(np.signbit(dg), np.signbit(spec.dg_values(u)))
+    assert spec.noise_coefficients(u, derivative=False)[1] is None
+    assert EquationSpec.she(diffusion="one").noise_coefficients(u, derivative=True) == (None, None)

@@ -329,10 +329,10 @@ def test_monitor_trace_is_running_max_of_proxy_norm():
             assert np.array_equal(paths.trace[:n, b], np.maximum.accumulate(norms))
 
 
-def _full_spectrum_step(u, x, dw, spec, grid, dt):
+def _full_spectrum_step(u, x, dw, h, spec, grid, dt):
     """One step's transforms on the full complex spectrum, the reference for
     the half-spectrum step: the monitor norm per row, the heat steps of the
-    state and tangent inputs and the smoothed increment."""
+    state and tangent inputs and the smoothed increment and inject slice."""
     axes = tuple(range(-grid.dim, 0))
     fwd = lambda a: np.fft.fftn(a, axes=axes)
     inv = lambda modes: np.fft.ifftn(modes, axes=axes).real
@@ -351,16 +351,18 @@ def _full_spectrum_step(u, x, dw, spec, grid, dt):
     heat = inv(decay * fwd(u + dt * spec.drift(u, du)))
     heat_x = inv(decay * fwd(x + dt * spec.drift_jvp(u, x, du, dx)))
     moll = spec.mollifier.multiplier(grid, spec.eps)
-    return np.max(sups, axis=0), heat, heat_x, inv(moll * fwd(dw))
+    return np.max(sups, axis=0), heat, heat_x, inv(moll * fwd(dw)), inv(moll * fwd(h))
 
 
 def test_half_spectrum_step_matches_full_spectrum_reference():
-    """The half-spectrum transforms of one step agree with full complex FFTs
-    and full multipliers to 1e-12 relative: monitor, heat step, tangent heat
-    step and smoothed increment, for she1d with a mollifier, kpz1d (m = 2,
-    gradient pass and Nyquist column) and phi4_2d."""
+    """The half-spectrum transforms of one planned step agree with full
+    complex FFTs and full multipliers to 1e-12 relative: monitor, heat step,
+    tangent heat step, smoothed increment and smoothed inject slice, for
+    she1d with a mollifier, kpz1d (m = 2, gradient pass and Nyquist column)
+    and phi4_2d.  The plan is sized for more rows than the step uses, and
+    its monitor-only transform agrees too."""
     from fellerlab import compute_renorm_constants
-    from fellerlab.solver import _step_transforms, get_workspace
+    from fellerlab.solver import _StepPlan, get_workspace
     dt = 2.0**-8
     grid1 = Grid(dim=1, n=32, extent=(1.0,))
     grid2 = Grid(dim=2, n=16, extent=(1.0, 2.0))
@@ -373,10 +375,13 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
     ]
     rng = np.random.default_rng(8)
     for grid, spec in cases:
-        u, x, dw = rng.standard_normal((3, 3, spec.m) + grid.shape)
+        u, x, dw, h = rng.standard_normal((4, 3, spec.m) + grid.shape)
         u += 2.0 * (-1.0) ** np.arange(grid.n)  # weight on the last axis's Nyquist mode
-        got = _step_transforms(u, x, dw, spec, get_workspace(grid, dt, spec))
-        want = _full_spectrum_step(u, x, dw, spec, grid, dt)
-        for g, w in zip(got, want):
+        plan = _StepPlan(get_workspace(grid, dt, spec), spec, 5, u.shape[1:], tangent=True,
+                         inject=True)
+        got = plan.step(u, x, dw, h)
+        want = _full_spectrum_step(u, x, dw, h, spec, grid, dt)
+        assert len(got) == len(want)
+        for g, w in zip(got + (plan.monitor(u),), want + want[:1]):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))

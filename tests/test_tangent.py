@@ -155,15 +155,17 @@ def test_malliavin_noise_fd(grid, nonlinear):
 
 def _live_path(kind, seed=41):
     """(grid, spec, noise, outcome): a live 64-step path of she1d with
-    multiplicative noise at eps 0.05, kpz1d with m = 2, or phi4_2d."""
+    multiplicative noise at eps 0.05, she1d with additive noise at eps 0.05
+    ('she1d_one'), kpz1d with m = 2, or phi4_2d."""
     dt = 2.0**-8
     grid = Grid(dim=2, n=16, extent=(1.0, 1.0)) if kind == "phi4_2d" else Grid(dim=1, n=32, extent=(1.0,))
     spec = {"she1d": EquationSpec.she(drift="cubic_decay", diffusion="bounded_smooth",
                                       g_min=1.0, eps=0.05),
             "kpz1d": EquationSpec.kpz(np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2),
                                       eps=0.05),
+            "she1d_one": EquationSpec.she(drift="cubic_decay", diffusion="one", eps=0.05),
             "phi4_2d": EquationSpec.phi4(quartic=1.0, eps=0.05)}[kind]
-    if kind != "she1d":
+    if spec.kind != "she1d":
         spec = spec.with_renorm(compute_renorm_constants(spec, grid, dt))
     x = np.meshgrid(*grid.axes(), indexing="ij")[0]
     u0 = Field(grid, np.broadcast_to(0.3 * np.cos(2 * np.pi * x), (spec.m,) + grid.shape))
@@ -173,11 +175,14 @@ def _live_path(kind, seed=41):
     return grid, spec, w, out
 
 
-@pytest.mark.parametrize("kind", ["she1d", "kpz1d", "phi4_2d"])
+@pytest.mark.parametrize("kind", ["she1d", "she1d_one", "kpz1d", "phi4_2d"])
 def test_linearizations_match_reference_loops(kind):
     """The replays behind tangent_sweep, jacobian_apply, malliavin_derivative
     and compensating_direction equal the step-by-step reference loops bit for
-    bit, on the windows [0, 64], [16, 64] and [16, 40] and at t and t/2."""
+    bit, on the windows [0, 64], [16, 64] and [16, 40] and at t and t/2.
+    Under additive noise (she1d_one, kpz1d, phi4_2d) the carried tangent is
+    the heat step's output itself, which the next step's transforms must not
+    overwrite."""
     grid, spec, w, out = _live_path(kind)
     dt = w.dt
     oracle = Oracle(grid, dt, spec)
@@ -218,3 +223,27 @@ def test_linearization_inputs_checked(call, match):
     }
     with pytest.raises(ValueError, match=match):
         calls[call]()
+
+
+def test_malliavin_derivative_memory_bounded_by_one_slice():
+    """malliavin_derivative smooths the shift one slice per step inside its
+    replay, so its traced peak stays within a small multiple of
+    jacobian_apply's along the same path instead of growing with the number
+    of slices (phi4_2d, 256 steps)."""
+    import tracemalloc
+    dt = 2.0**-8
+    grid = Grid(dim=2, n=32, extent=(1.0, 1.0))
+    spec = EquationSpec.phi4(quartic=1.0, eps=0.05)
+    spec = spec.with_renorm(compute_renorm_constants(spec, grid, dt))
+    w = sample_white_noise(grid, 1, 256, dt, seed=4)
+    out = evolve(Field.zeros(grid), w, 0.0, 1.0, spec)
+    v = Field(grid, np.ones(grid.shape))
+    h = ShiftPath(grid, dt, np.ones((256, 1) + grid.shape))
+    peaks = []
+    for apply in (lambda: jacobian_apply(out, v, 0.0, 1.0, spec),
+                  lambda: malliavin_derivative(out, h, 1.0, spec)):
+        tracemalloc.start()
+        apply()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 3 * peaks[0]
