@@ -152,7 +152,7 @@ def criterion_4() -> dict:
     acc = np.zeros_like(u0.values)
     for k in slices:
         u_k = base.fields[k]
-        g = spec.g_values(u_k)
+        g, _ = spec.noise_coefficients(u_k)
         inj = Field(grid, (h_sparse[k] if g is None else g * h_sparse[k]) * dt)
         acc = acc + jacobian_apply(base, inj, (k + 1) * dt, t, spec).values
     rel = l2_norm(Field(grid, md_sparse.values - acc)) / max(l2_norm(md_sparse), 1e-300)

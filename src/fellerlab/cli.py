@@ -29,7 +29,7 @@ from .grids import Field, Grid, l2_norm
 from .harness import estimate_tv_sweep
 from .noise import NoisePath, _draw_increments, sample_white_noise
 from .shift import CouplingParams, _shift_slices, build_shift, verify_coupling
-from .solver import _check_state, _evolve_batch, _step_range, evolve, get_workspace
+from .solver import _check_state, _evolve_batch, _step_range, evolve
 from .storage import load_config, write_field, write_manifest, write_path
 from .tangent import jacobian_apply
 from . import acceptance, trees
@@ -186,7 +186,10 @@ def attach_renorm(spec: EquationSpec, grid: Grid, dt: float, cfg: dict) -> Equat
         return spec
     vals = _value(cfg, "equation.renorm")
     if vals is not None:
-        return spec.with_renorm(RenormConstants(vals, provenance="user-supplied"))
+        try:
+            return spec.with_renorm(RenormConstants(vals, provenance="user-supplied"))
+        except ValueError as exc:
+            raise ConfigError(f"equation.renorm = {cfg['equation.renorm']!r}: {exc}") from exc
     if spec.eps > 0:
         return spec.with_renorm(compute_renorm_constants(spec, grid, dt))
     return spec.with_renorm(RenormConstants((0.0,) * spec.m, provenance="user-supplied"))
@@ -302,8 +305,8 @@ def cmd_solve(args) -> int:
     # only the slices before t are drawn; without snapshots only the final state is kept
     increments = _scaled_noise(cfg, lambda: _draw_increments(grid, spec.m, k_t, dt, seed, 0),
                                (k_t, spec.m) + grid.shape)
-    paths = _evolve_batch(u0.values[None], increments[:, None], spec,
-                          get_workspace(grid, dt, spec), final_only=not stride)
+    paths = _evolve_batch(u0.values[None], increments[:, None], spec, grid, dt,
+                          final_only=not stride)
     out = paths.outcome(0, grid, 0.0, t, dt, increments)
 
     out_dir = Path(args.out or _value(cfg, "output.dir"))
@@ -362,13 +365,13 @@ def cmd_tv(args) -> int:
         ("clamped_mean", lambda f: float(np.mean(f.values))),
         ("clamped_max", lambda f: float(np.max(f.values))),
     ]
+    reports = estimate_tv_sweep(u, [_displaced_state(u, gamma) for gamma in gammas], t, spec,
+                                params, n_samples, seed, dt, n_steps=n_steps,
+                                functionals=functionals)
     out_dir = Path(args.out or _value(cfg, "output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows, summaries = [], []
-    reports = estimate_tv_sweep(u, [_displaced_state(u, gamma) for gamma in gammas], t, spec,
-                                params, n_samples, seed, dt, n_steps=n_steps,
-                                functionals=functionals)
     for gamma, report in zip(gammas, reports):
         summaries.append({
             "gamma": gamma, "bound": report.bound, "fail_prob": report.fail_prob,

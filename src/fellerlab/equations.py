@@ -15,7 +15,7 @@ time stepper exactly at the given dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -115,6 +115,17 @@ class EquationSpec:
         # while the counterterms took it as zero
         if not self.eps >= 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
+        # the renorm count checked, and coupling and renorm.values made arrays, once
+        count = {"kpz1d": self.m, "phi4_2d": 1}.get(self.kind)  # she1d has no counterterm
+        renorm = None if self.renorm is None or count is None else self.renorm.values
+        if renorm is not None and len(renorm) != count:
+            raise ValueError(f"{self.kind} takes {count} renormalization constant(s), "
+                             f"got {len(renorm)}")
+        for name, value in (("_coupling", self.coupling), ("_renorm", renorm)):
+            if value is not None:
+                value = np.array(value, dtype=np.float64)
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     # -- constructors ------------------------------------------------------
 
@@ -183,27 +194,16 @@ class EquationSpec:
     def dim(self) -> int:
         return 2 if self.kind == "phi4_2d" else 1
 
-    @property
-    def coupling_array(self) -> np.ndarray:
-        return np.asarray(self.coupling, dtype=np.float64)
-
     def with_renorm(self, renorm: RenormConstants) -> "EquationSpec":
-        from dataclasses import replace
-
         return replace(self, renorm=renorm)
 
     def renorm_values(self) -> np.ndarray:
         if self.kind == "she1d":
             return np.zeros(1)
-        if self.renorm is None:
+        if self._renorm is None:
             raise ValueError(f"{self.kind} needs renormalization constants; "
                              "call compute_renorm_constants or supply them")
-        vals = np.asarray(self.renorm.values, dtype=np.float64)
-        if self.kind == "kpz1d" and vals.shape != (self.m,):
-            raise ValueError(f"expected {self.m} constants, got {vals.shape}")
-        if self.kind == "phi4_2d" and vals.shape != (1,):
-            raise ValueError("phi4_2d takes a single Wick constant")
-        return vals
+        return self._renorm
 
     def drift(self, u: np.ndarray, du: np.ndarray | None = None) -> np.ndarray:
         """Drift at u; kpz1d reads it from ``du``, the dealiased gradient of u."""
@@ -212,7 +212,7 @@ class EquationSpec:
         if self.kind == "phi4_2d":
             c = self.renorm_values()[0]
             return -self.quartic * (u * u * u) - self.mass * u + 3.0 * self.quartic * c * u
-        s = self.coupling_array
+        s = self._coupling
         quad = np.einsum("ijk,...jx,...kx->...ix", s, du, du)
         return quad - self.renorm_values()[:, None]
 
@@ -225,24 +225,14 @@ class EquationSpec:
         if self.kind == "phi4_2d":
             c = self.renorm_values()[0]
             return (-3.0 * self.quartic * u * u - self.mass + 3.0 * self.quartic * c) * x
-        s = self.coupling_array
+        s = self._coupling
         return (np.einsum("ijk,...jx,...kx->...ix", s, du, dx)
                 + np.einsum("ijk,...jx,...kx->...ix", s, dx, du))
 
-    def g_values(self, u: np.ndarray) -> np.ndarray | None:
-        """Pointwise noise coefficient, or None when identically one."""
-        if self.kind == "she1d" and self.diffusion_fn.name != "one":
-            return self.diffusion_fn.fn(u)
-        return None
-
-    def dg_values(self, u: np.ndarray) -> np.ndarray | None:
-        if self.kind == "she1d" and self.diffusion_fn.name != "one":
-            return self.diffusion_fn.d_fn(u)
-        return None
-
-    def noise_coefficients(self, u: np.ndarray, derivative: bool) -> tuple:
-        """(g_values(u), dg_values(u)), the second None unless ``derivative``;
-        both from one pass where the diffusion has one."""
+    def noise_coefficients(self, u: np.ndarray, derivative: bool = False) -> tuple:
+        """The pointwise noise coefficient G(u) and, with ``derivative``, its
+        derivative G'(u) (else None), both from one pass where the diffusion
+        has one; (None, None) when G is identically one."""
         if not (self.kind == "she1d" and self.diffusion_fn.name != "one"):
             return None, None
         g = self.diffusion_fn
@@ -298,7 +288,7 @@ def compute_renorm_constants(spec: EquationSpec, grid: Grid, dt: float) -> Renor
         return RenormConstants((c,), provenance="computed", eps_below_grid=below)
     if spec.kind == "kpz1d":
         grad_var = float(np.sum(grid.wavenumbers_sq() * factors) / grid.volume)
-        traces = np.einsum("ikk->i", spec.coupling_array)
+        traces = np.einsum("ikk->i", spec._coupling)
         return RenormConstants(tuple(grad_var * traces), provenance="computed",
                                eps_below_grid=below)
     raise ValueError(f"no renormalization constants defined for kind {spec.kind!r}")

@@ -242,15 +242,19 @@ def holder_proxy_norm(f: Field, alpha: float) -> float:
     homogeneous of degree one, and within a constant of the sup-norm of any
     single harmonic at alpha = 0.
     """
+    return float(_proxy_norms(f.values[None], f.grid, alpha)[0])
+
+
+def _proxy_norms(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """``holder_proxy_norm`` of each state of ``values`` (B, m, *grid), shape
+    (B,), in one batched inverse transform over (state, shell, component)
+    triples; each state's norm has the bits it has alone."""
     if abs(alpha) >= 2:
         raise ValueError(f"|alpha| must be < 2, got {alpha}")
-    grid = f.grid
     masks = _dyadic_masks(grid.dim, grid.n)
-    modes = _real_transform(f.values, grid)
-    # one batched inverse transform over (shell, component) pairs
-    stacked = masks[:, None, ...] * modes[None, ...]
-    blocks = _real_inverse(stacked, grid)
-    return float(_weighted_block_sup(blocks[None], _shell_weights(alpha, masks.shape[0]))[0])
+    modes = _real_transform(values, grid)
+    blocks = _real_inverse(masks[:, None, ...] * modes[:, None, ...], grid)
+    return _weighted_block_sup(blocks, _shell_weights(alpha, masks.shape[0]))
 
 
 def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:

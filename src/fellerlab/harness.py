@@ -36,12 +36,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .equations import EquationSpec
-from .grids import Field, l2_norm
+from .grids import Field, _dyadic_masks, l2_norm
 from .noise import (ShiftPath, _check_path, _draw_increments, _SliceSource, apply_shift,
                     cm_norm_sq, girsanov_weight, sample_white_noise)
 from .shift import (CouplingParams, _build_shift_batch, _coupling_residuals,
                     _shift_slices)
-from .solver import _check_state, _evolve_batch, _step_range, get_workspace
+from .solver import _check_state, _evolve_batch, _step_range
 
 __all__ = [
     "SampleRecord",
@@ -136,7 +136,6 @@ def _tv_records(u: Field, u_bars: Sequence[Field], t: float, dt: float, k_t: int
     shared by all targets.  Returns the records of each target in stream
     order."""
     grid, n_streams = u.grid, len(streams)
-    ws = get_workspace(grid, dt, spec)
     drawn = np.stack([_draw_increments(grid, u.m, k_t, dt, seed, j) for j in streams], axis=1)
     increments = np.concatenate([drawn] * len(u_bars), axis=1)
     row_ubars = [u_bar for u_bar in u_bars for _ in streams]
@@ -147,7 +146,7 @@ def _tv_records(u: Field, u_bars: Sequence[Field], t: float, dt: float, k_t: int
     # functionals, under the plain noise, as one batch
     noises = [increments + h * dt] + ([increments] if fns else [])
     starts = np.stack([u_bar.values for u_bar in row_ubars] * len(noises))
-    from_ubar = _evolve_batch(starts, np.concatenate(noises, axis=1), spec, ws)
+    from_ubar = _evolve_batch(starts, np.concatenate(noises, axis=1), spec, grid, dt)
     residuals = _coupling_residuals(grid, [r.gamma_target for r in results], from_u,
                                     from_ubar.rows(slice(0, n_rows)))
     from_ubar = from_ubar.rows(slice(-n_rows, None))
@@ -303,7 +302,6 @@ def weighted_expectation(
     _check_path(u.m, n_steps, dt)
     _check_state(u, grid, u.m, spec)
     _, k_t = _step_range(0.0, t, dt, n_steps)
-    ws = get_workspace(grid, dt, spec)
 
     # per row: the full-length noise, shift and shifted noise, the two k_t-slice
     # increment stacks and, for a callable h, the stored base trajectory
@@ -312,13 +310,13 @@ def weighted_expectation(
     for streams in _sample_chunks(n_samples, row_bytes):
         noises = [sample_white_noise(grid, u.m, n_steps, dt, seed, stream=j) for j in streams]
         base = _evolve_batch(_start_rows(u, len(streams)),
-                             np.stack([w.increments[:k_t] for w in noises], axis=1), spec, ws,
-                             final_only=fixed)
+                             np.stack([w.increments[:k_t] for w in noises], axis=1), spec, grid,
+                             dt, final_only=fixed)
         shifts = [h_of(base, b, w) for b, w in enumerate(noises)]
         moved = _evolve_batch(_start_rows(u, len(streams)),
                               np.stack([apply_shift(w, h_b).increments[:k_t]
                                         for w, h_b in zip(noises, shifts)], axis=1),
-                              spec, ws, final_only=True)
+                              spec, grid, dt, final_only=True)
         for b, (w, h_b) in enumerate(zip(noises, shifts)):
             weighted.append(_final_value(moved, b, grid, fn) * girsanov_weight(w, h_b))
             plain.append(_final_value(base, b, grid, fn))
@@ -351,14 +349,13 @@ def blowup_probability(u: Field, t: float, spec: EquationSpec, n_samples: int,
     _check_path(u.m, n_steps, dt)
     _check_state(u, u.grid, u.m, spec)
     _, k_t = _step_range(0.0, t, dt, n_steps)
-    ws = get_workspace(u.grid, dt, spec)
 
     # per row: a few state-sized work arrays and the monitor's complex shell blocks
-    row_bytes = 16 * u.values.size * (4 + ws.shell_masks.shape[0])
+    row_bytes = 16 * u.values.size * (4 + _dyadic_masks(u.grid.dim, u.grid.n).shape[0])
     reasons = []
     for streams in _sample_chunks(n_samples, row_bytes):
         noise = _SliceSource(u.grid, u.m, k_t, dt, seed, streams)
-        reasons += _evolve_batch(_start_rows(u, len(streams)), noise, spec, ws,
+        reasons += _evolve_batch(_start_rows(u, len(streams)), noise, spec, u.grid, dt,
                                  final_only=True).reasons
     deaths = sum(r is not None for r in reasons)
     return BlowupReport(estimate=deaths / n_samples,

@@ -61,9 +61,8 @@ from functools import lru_cache
 import numpy as np
 
 from .equations import EquationSpec
-from .grids import (Field, Grid, MollifierSpec, holder_proxy_norm, _dyadic_masks,
-                    _half_spectrum, _real_inverse, _real_transform, _shell_weights,
-                    _weighted_block_sup)
+from .grids import (Field, Grid, MollifierSpec, _dyadic_masks, _half_spectrum, _proxy_norms,
+                    _real_inverse, _real_transform, _shell_weights, _weighted_block_sup)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -99,7 +98,8 @@ class NondegeneracyError(ValueError):
 
 
 class _Workspace:
-    """Precomputed mode-space data for one (grid, dt, equation) combination.
+    """Precomputed mode-space data for one (grid, dt, equation), looked up by
+    each evolve's plan in a cache of the 32 most recent (``_workspace``).
 
     Fields are real, so their modes are kept on the half spectrum
     (``grids._real_transform``), and so is every multiplier."""
@@ -107,7 +107,6 @@ class _Workspace:
     def __init__(self, grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float,
                  mollifier: MollifierSpec):
         self.grid = grid
-        self.dt = dt
         half = lambda a: _half_spectrum(a, grid.n)
         self.decay = half(np.exp(-grid.wavenumbers_sq() * dt))
         self.moll = None if eps == 0.0 else half(mollifier.multiplier(grid, eps))
@@ -120,24 +119,12 @@ class _Workspace:
         if kind == "kpz1d":
             k = half(grid.frequencies()[0])
             self.gradient = ((1j * 2.0 * np.pi / grid.extent[0]) * k) * (np.abs(k) <= grid.n // 3)
-        self._stacks = {}
-
-    def _stacked(self, names: tuple) -> np.ndarray:
-        """The multipliers called ``names``, stacked to multiply (B, k, m, *grid) modes."""
-        if names not in self._stacks:
-            stack = np.stack([getattr(self, name) for name in names]).astype(complex)
-            self._stacks[names] = stack[:, None, ...]
-        return self._stacks[names]
 
 
 @lru_cache(maxsize=32)
 def _workspace(grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float,
                mollifier: MollifierSpec) -> _Workspace:
     return _Workspace(grid, dt, kind, eps, monitor_eta, mollifier)
-
-
-def get_workspace(grid: Grid, dt: float, spec: EquationSpec) -> _Workspace:
-    return _workspace(grid, dt, spec.kind, spec.eps, spec.monitor_eta, spec.mollifier)
 
 
 @dataclass(frozen=True)
@@ -256,12 +243,12 @@ class _Pass:
 
     The caller writes the fields of each row into ``inputs(n)`` (n, n_in, m,
     *grid): ``n_plain`` fields without a multiplier, then one per multiplier
-    in ``names`` ('decay', 'moll', 'gradient' of the workspace).  With
-    ``monitor`` field 0 also comes back as the monitor's dyadic shell blocks,
-    ahead of the multiplied fields.  A run
-    on fewer rows uses the leading rows of every buffer, so its arrays are
-    laid out as fresh ones would be and every transform and product has the
-    same operands as on a batch of that size.
+    in ``names`` ('decay', 'moll', 'gradient' of the workspace, stacked once
+    per pass).  With ``monitor`` field 0 also comes back as the monitor's
+    dyadic shell blocks, ahead of the multiplied fields.  A run on fewer rows
+    uses the leading rows of every buffer, so its arrays are laid out as
+    fresh ones would be and every transform and product has the same
+    operands as on a batch of that size.
     """
 
     def __init__(self, ws: _Workspace, n_rows: int, field_shape: tuple, names: tuple,
@@ -275,7 +262,7 @@ class _Pass:
         self.scaled = np.empty((n_rows, n_out) + half, dtype=complex)
         self.real = np.empty((n_rows, n_out) + field_shape)
         self.sup = np.empty((n_rows, self.n_shells) + field_shape)
-        self.mult = ws._stacked(names)
+        self.mult = np.stack([getattr(ws, name) for name in names]).astype(complex)[:, None]
         self.views = self._views(n_rows, n_in, n_out)
 
     def _views(self, n: int, n_in: int, n_out: int) -> tuple:
@@ -327,9 +314,10 @@ class _StepPlan:
     that pass runs again: a caller that keeps one across steps copies it.
     """
 
-    def __init__(self, ws: _Workspace, spec: EquationSpec, n_rows: int, field_shape: tuple,
-                 tangent: bool, inject: bool):
-        self.ws, self.spec, self.tangent = ws, spec, tangent
+    def __init__(self, grid: Grid, dt: float, spec: EquationSpec, n_rows: int,
+                 field_shape: tuple, tangent: bool, inject: bool):
+        ws = _workspace(grid, dt, spec.kind, spec.eps, spec.monitor_eta, spec.mollifier)
+        self.dt, self.spec, self.tangent = dt, spec, tangent
         self.n_noise = (1 + inject) if ws.moll is not None else 0  # smoothed slices
         noise = ("moll",) * self.n_noise
         heat = ("decay",) * (1 + tangent)
@@ -351,7 +339,7 @@ class _StepPlan:
         monitor value of u, the heat steps of u + dt f(u) and of the tangent
         input (None without a tangent), and the smoothed increment dw and
         inject slice h (None without an inject)."""
-        spec, dt, n, t = self.spec, self.ws.dt, u.shape[0], self.tangent
+        spec, dt, n, t = self.spec, self.dt, u.shape[0], self.tangent
         first = self.passes[0]
         fwd = first.inputs(n)
         fwd[:, 0] = u
@@ -382,11 +370,11 @@ class _StepPlan:
         return mon, real[:, k], real[:, k + 1] if x is not None else None, dwe, he
 
 
-def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace,
+def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt: float,
                   final_only: bool = False, x0: np.ndarray | None = None,
                   inject: np.ndarray | None = None) -> _Paths:
     """Evolve B initial states u0 (B, m, *grid) along their own increments
-    (J, B, m, *grid), one step per increment slice.
+    (J, B, m, *grid), one step of dt per increment slice.
 
     ``increments`` is read only as ``increments[j, rows]`` and through its
     ``shape``: an array, or a source that draws slice j of the given rows on
@@ -423,7 +411,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
     x = None if x0 is None else np.array(x0, dtype=np.float64)
     r = None
     step = ()  # the current step's per-row transforms
-    plan = _StepPlan(ws, spec, n_rows, u0.shape[1:], x0 is not None, inject is not None)
+    plan = _StepPlan(grid, dt, spec, n_rows, u0.shape[1:], x0 is not None, inject is not None)
 
     def drop(mask, at, reason, stored):
         """Retire the active rows under ``mask``; returns the survivors' mask."""
@@ -479,7 +467,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, ws: _Workspace
             # heat_x is a view the next step's transforms overwrite
             x = heat_x.copy() if dg is None else heat_x + dg * x * dwe
             if inject is not None:
-                x = x + (he if g is None else g * he) * ws.dt
+                x = x + (he if g is None else g * he) * dt
         u = heat + (dwe if g is None else g * dwe)
         if not np.isfinite(u).all():
             finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)
@@ -519,27 +507,22 @@ def evolve(u0, w: NoisePath, s: float, t: float, spec: EquationSpec) -> FlowOutc
         raise TypeError(f"u0 must be a Field or DEAD, got {type(u0)!r}")
     _check_state(u0, grid, w.m, spec)
 
-    ws = get_workspace(grid, dt, spec)
     increments = w.increments[k_s:k_t]
-    paths = _evolve_batch(u0.values[None], increments[:, None], spec, ws)
+    paths = _evolve_batch(u0.values[None], increments[:, None], spec, grid, dt)
     return paths.outcome(0, grid, s, t, dt, increments)
 
 
 def r_monitor(outcome: FlowOutcome, time: float, eta: float) -> float:
     """Running maximum of the Hoelder proxy at exponent ``eta`` up to ``time``.
 
-    Nondecreasing in ``time``; +inf once the trajectory is dead.
+    Nondecreasing in ``time``; +inf once the trajectory is dead.  The stored
+    states are normed 64 at a time.
     """
     if not outcome.alive and outcome.blow_up_time is not None and time >= outcome.blow_up_time - 1e-12:
         return math.inf
-    k = round((time - outcome.s) / outcome.dt)
-    if abs((time - outcome.s) / outcome.dt - k) > 1e-9 or k < 0:
-        raise ValueError(f"time {time} off the trajectory grid")
-    if k >= outcome.n_stored:
-        raise ValueError(f"time {time} beyond the stored trajectory")
-    k = int(k)
-    vals = [holder_proxy_norm(Field(outcome.grid, outcome.fields[j]), eta) for j in range(k + 1)]
-    return float(max(vals))
+    states = outcome.fields[:outcome.time_index(time) + 1]
+    return float(max(_proxy_norms(states[j:j + 64], outcome.grid, eta).max()
+                     for j in range(0, len(states), 64)))
 
 
 def check_semigroup(u0, w: NoisePath, s: float, t: float, r: float, spec: EquationSpec) -> float:

@@ -105,8 +105,10 @@ def read_shift_path(path) -> ShiftPath:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat ``section.key = value`` lines; '#' starts a comment."""
+    """Flat ``section.key = value`` lines; '#' starts a comment.  A key given
+    twice is an error that names both lines."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,6 +119,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key or "." not in key:
             raise ValueError(f"line {lineno}: keys use dotted sections, got {key!r}")
+        if key in seen:
+            raise ValueError(f"line {lineno}: key {key!r} already given on line {seen[key]}")
+        seen[key] = lineno
         out[key] = value.strip()
     return out
 

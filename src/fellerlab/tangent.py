@@ -25,7 +25,7 @@ import numpy as np
 from .equations import EquationSpec
 from .grids import Field
 from .noise import ShiftPath
-from .solver import FlowOutcome, NondegeneracyError, _evolve_batch, _Paths, get_workspace
+from .solver import FlowOutcome, NondegeneracyError, _evolve_batch, _Paths
 
 __all__ = ["jacobian_apply", "tangent_sweep", "malliavin_derivative"]
 
@@ -44,8 +44,8 @@ def _replay(outcome: FlowOutcome, v: Field, j_s: int, j_t: int, spec: EquationSp
     if v.grid != outcome.grid or v.m != outcome.m:
         raise ValueError("tangent vector incompatible with trajectory")
     paths = _evolve_batch(outcome.fields[j_s][None], outcome.noise_terms[j_s:j_t, None], spec,
-                          get_workspace(outcome.grid, outcome.dt, spec), x0=v.values[None],
-                          inject=inject, final_only=final_only)
+                          outcome.grid, outcome.dt, x0=v.values[None], inject=inject,
+                          final_only=final_only)
     reason = paths.reasons[0]
     if reason is not None:
         error = NondegeneracyError if reason == "nondegenerate" else ValueError

@@ -48,7 +48,7 @@ class Oracle:
         if self.gradient is not None:
             du, dx = self.apply(u, self.gradient), self.apply(x, self.gradient)
         heated = self.apply(x + self.dt * spec.drift_jvp(u, x, du, dx), self.decay)
-        dg = spec.dg_values(u)
+        dg = spec.noise_coefficients(u, derivative=True)[1]
         return heated if dg is None else heated + dg * x * self.smooth(dw)
 
     def sweep(self, fields, increments, x0):
@@ -67,7 +67,7 @@ class Oracle:
             u = fields[j:j + 1]
             acc = self.tangent_step(acc, u, increments[j:j + 1])
             hj = self.smooth(h[j:j + 1])
-            g = self.spec.g_values(u)
+            g = self.spec.noise_coefficients(u)[0]
             acc = acc + (hj if g is None else g * hj) * self.dt
         return acc[0]
 
@@ -80,6 +80,6 @@ class Oracle:
         for k in range(k_t):
             chi_over_t = bump_chi(k / k_t) / t
             if chi_over_t > 0:
-                g = self.spec.g_values(fields[k])
+                g = self.spec.noise_coefficients(fields[k])[0]
                 out[k] = chi_over_t * (tangent[k + 1] if g is None else tangent[k + 1] / g)
         return out

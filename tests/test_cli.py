@@ -232,7 +232,13 @@ def test_config_error_exit_code(tmp_path):
     ("solve", HEAT_CONFIG.replace("time.dt = 0.00390625", "time.dt = inf"), "time.dt"),
     ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = -0.25"), "not on the dt"),
     ("solve", HEAT_CONFIG + "equation.eps = -0.1\n", "equation.eps"),
-    ("solve", HEAT_CONFIG + "initial.kind = random\ninitial.seed = -1\n", "initial.seed"),
+    ("solve", HEAT_CONFIG.replace("initial.kind = cosine", "initial.kind = random")
+     + "initial.seed = -1\n", "initial.seed"),
+    *[(command, text, "equation.renorm") for command in ("solve", "tv") for text in (
+        COUPLE_CONFIG.replace("she1d", "kpz1d\nequation.m = 2\nequation.eps = 0.05\n"
+                              "equation.coupling = 1,0,0,1,0,1,1,0\nequation.renorm = 0.5"),
+        COUPLE_CONFIG.replace("she1d", "phi4_2d\nequation.quartic = 1.0\ngrid.dim = 2\n"
+                              "equation.renorm = 0.5,0.5"))],
 ])
 def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     """A fault found while the run is built from its config (here a
@@ -242,6 +248,28 @@ def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     cfg = _write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_config_key_exits_two(tmp_path, capsys):
+    """A key given twice is a configuration error that names the key and both
+    lines, not a run at the last value."""
+    cfg = _write(tmp_path, HEAT_CONFIG.replace("grid.n = 32", "grid.n = 32\ngrid.n = 64"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'grid.n'" in err and "line 6" in err and "line 5" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_tv_numerical_fault_leaves_no_output(tmp_path, capsys, monkeypatch):
+    """``tv`` creates its output directory only once the sweep has returned,
+    so a fault raised by the numerics leaves none behind."""
+    def failing(*args, **kwargs):
+        raise RuntimeError("sweep failed")
+    monkeypatch.setattr("fellerlab.cli.estimate_tv_sweep", failing)
+    cfg = _write(tmp_path, COUPLE_CONFIG)
+    assert main(["tv", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "sweep failed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -109,6 +109,45 @@ def test_r_monitor_examples(grid):
                for i in range(3))
 
 
+def test_r_monitor_matches_per_state_proxy_norms():
+    """r_monitor is the running maximum of holder_proxy_norm taken state by
+    state, bit for bit: kpz1d (m = 2) and phi4_2d at eta -0.25, 0 and 0.25,
+    on trajectories of more than 64 stored states, and +inf from death on."""
+    from fellerlab import compute_renorm_constants
+    from fellerlab.equations import RenormConstants
+    dt = 2.0**-8
+    grid1 = Grid(dim=1, n=32, extent=(1.0,))
+    grid2 = Grid(dim=2, n=16, extent=(1.0, 1.0))
+    kpz = EquationSpec.kpz(np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2), eps=0.05)
+    phi = EquationSpec.phi4(quartic=1.0, mass=0.5, eps=0.05)
+    x1 = grid1.axes()[0]
+    x2, y2 = np.meshgrid(*grid2.axes(), indexing="ij")
+    cases = [
+        (grid1, kpz, np.stack([0.3 * np.cos(2 * np.pi * x1), 0.2 * np.sin(4 * np.pi * x1)])),
+        (grid2, phi, 0.5 * np.cos(2 * np.pi * x2) + 0.3 * np.sin(6 * np.pi * y2)),
+    ]
+    for grid, spec, u0 in cases:
+        spec = spec.with_renorm(compute_renorm_constants(spec, grid, dt))
+        out = evolve(Field(grid, u0), sample_white_noise(grid, spec.m, 256, dt, seed=4),
+                     0.0, 0.5, spec)
+        assert out.alive and out.n_stored == 129
+        for eta in (-0.25, 0.0, 0.25):
+            norms = [holder_proxy_norm(Field(grid, f), eta) for f in out.fields]
+            for k in (0, 1, 63, 64, 65, 100, 128):
+                assert r_monitor(out, k * dt, eta) == max(norms[:k + 1])
+
+    # u' = u^3 from 3 blows up near t = 1/18, with no noise
+    spec = EquationSpec.phi4(quartic=-1.0, allow_unstable=True, renorm=RenormConstants((0.0,)))
+    dead = evolve(Field.constant(grid2, 3.0), zero_noise_path(grid2, 1, 256, dt), 0.0, 0.5, spec)
+    assert not dead.alive and dead.reason == "monitor_threshold" and dead.n_stored > 1
+    for eta in (-0.25, 0.0, 0.25):
+        norms = [holder_proxy_norm(Field(grid2, f), eta) for f in dead.fields]
+        for k in range(dead.n_stored):
+            assert r_monitor(dead, k * dt, eta) == max(norms[:k + 1])
+        for time in (dead.blow_up_time, dead.blow_up_time + dt, 0.5):
+            assert r_monitor(dead, time, eta) == math.inf
+
+
 def test_r_monitor_monotone_random(grid, nonlinear):
     w = sample_white_noise(grid, 1, 256, 2.0**-8, seed=6)
     u0 = Field(grid, 0.4 * np.cos(2 * np.pi * grid.axes()[0]))
@@ -191,7 +230,7 @@ def test_batched_evolve_rows_match_single_path():
     """Rows of one batched evolve equal separate evolves bit for bit, for the
     batched einsum (kpz1d, m = 2) and the batched 2D transforms (phi4_2d)."""
     from fellerlab import compute_renorm_constants
-    from fellerlab.solver import _evolve_batch, get_workspace
+    from fellerlab.solver import _evolve_batch
     grid1 = Grid(dim=1, n=32, extent=(1.0,))
     grid2 = Grid(dim=2, n=16, extent=(1.0, 1.0))
     kpz = EquationSpec.kpz(np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2), eps=0.05)
@@ -203,7 +242,7 @@ def test_batched_evolve_rows_match_single_path():
         paths = [sample_white_noise(grid, spec.m, 256, dt, seed=12, stream=j) for j in range(4)]
         increments = np.stack([w.increments[:64] for w in paths], axis=1)
         batch = _evolve_batch(np.broadcast_to(u0.values, (4,) + u0.values.shape), increments,
-                              spec, get_workspace(grid, dt, spec))
+                              spec, grid, dt)
         for b, w in enumerate(paths):
             want = evolve(u0, w, 0.0, 0.25, spec)
             got = batch.outcome(b, grid, 0.0, 0.25, dt, increments[:, b])
@@ -215,10 +254,11 @@ def test_batched_evolve_rows_match_single_path():
 
 
 def test_workspace_cache_bounded(grid, nonlinear):
-    from fellerlab.solver import _workspace, get_workspace
+    from fellerlab.solver import _workspace
     bound = _workspace.cache_info().maxsize
     for i in range(3 * bound):
-        get_workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear)
+        _workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear.kind, nonlinear.eps,
+                   nonlinear.monitor_eta, nonlinear.mollifier)
     assert _workspace.cache_info().currsize == bound
 
 
@@ -227,20 +267,19 @@ def test_final_only_evolve_matches_stored_paths():
     changes no row's final state, reason or death step."""
     from fellerlab.equations import RenormConstants
     from fellerlab.noise import _SliceSource
-    from fellerlab.solver import _evolve_batch, get_workspace
+    from fellerlab.solver import _evolve_batch
     grid2 = Grid(dim=2, n=16, extent=(1.0, 1.0))
     dt, k_t, n = 2.0**-8, 64, 12
     spec = EquationSpec.phi4(quartic=-1.0, eps=0.05, allow_unstable=True, monitor_eta=0.0)
     spec = spec.with_renorm(RenormConstants((0.0,), provenance="user-supplied"))
     u0 = np.broadcast_to(Field.constant(grid2, 1.5).values, (n, 1) + grid2.shape)
-    ws = get_workspace(grid2, dt, spec)
     source = _SliceSource(grid2, 1, k_t, dt, 5, range(n))
     increments = np.stack([sample_white_noise(grid2, 1, 256, dt, 5, stream=j).increments[:k_t]
                            for j in range(n)], axis=1)
-    stored = _evolve_batch(u0, increments, spec, ws)
+    stored = _evolve_batch(u0, increments, spec, grid2, dt)
     assert len(set(stored.death_step[~stored.alive])) >= 3 and stored.alive.any()
     for noise in (increments, source):
-        final = _evolve_batch(u0, noise, spec, ws, final_only=True)
+        final = _evolve_batch(u0, noise, spec, grid2, dt, final_only=True)
         assert final.fields.shape[0] == 1
         assert final.reasons == stored.reasons
         assert np.array_equal(final.death_step, stored.death_step)
@@ -286,16 +325,15 @@ def test_carried_tangent_matches_sweep_replay():
     sweep along the stored paths and raw increments, bit for bit, for rows
     of every fate, and carrying it changes nothing else."""
     from linear_oracles import Oracle
-    from fellerlab.solver import _evolve_batch, get_workspace
+    from fellerlab.solver import _evolve_batch
     fates = set()
     for grid, spec, dt, u0, increments in _fate_batches():
-        ws = get_workspace(grid, dt, spec)
         oracle = Oracle(grid, dt, spec)
         x0 = np.broadcast_to(np.sin(2 * np.pi * np.arange(grid.total_points) / grid.n)
                              .reshape(grid.shape), u0.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # the non-finite deaths
-            plain = _evolve_batch(u0, increments, spec, ws)
-            carried = _evolve_batch(u0, increments, spec, ws, x0=x0)
+            plain = _evolve_batch(u0, increments, spec, grid, dt)
+            carried = _evolve_batch(u0, increments, spec, grid, dt, x0=x0)
             replay = np.zeros((carried.n_stored.max(),) + u0.shape)
             for b, n in enumerate(carried.n_stored):
                 replay[:n, b] = oracle.sweep(carried.fields[:n, b], increments[:n - 1, b],
@@ -318,10 +356,10 @@ def test_carried_tangent_matches_sweep_replay():
 def test_monitor_trace_is_running_max_of_proxy_norm():
     """Entry j of a row's monitor trace is the running maximum of the proxy
     norm of its stored states 0..j at the monitor exponent, bit for bit."""
-    from fellerlab.solver import _evolve_batch, get_workspace
+    from fellerlab.solver import _evolve_batch
     for grid, spec, dt, u0, increments in _fate_batches():
         with np.errstate(over="ignore", invalid="ignore"):
-            paths = _evolve_batch(u0, increments, spec, get_workspace(grid, dt, spec))
+            paths = _evolve_batch(u0, increments, spec, grid, dt)
         for b in range(u0.shape[0]):
             n = paths.n_stored[b]
             norms = [holder_proxy_norm(Field(grid, paths.fields[i, b]), spec.monitor_eta)
@@ -362,7 +400,7 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
     and phi4_2d.  The plan is sized for more rows than the step uses, and
     its monitor-only transform agrees too."""
     from fellerlab import compute_renorm_constants
-    from fellerlab.solver import _StepPlan, get_workspace
+    from fellerlab.solver import _StepPlan
     dt = 2.0**-8
     grid1 = Grid(dim=1, n=32, extent=(1.0,))
     grid2 = Grid(dim=2, n=16, extent=(1.0, 2.0))
@@ -377,8 +415,7 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
     for grid, spec in cases:
         u, x, dw, h = rng.standard_normal((4, 3, spec.m) + grid.shape)
         u += 2.0 * (-1.0) ** np.arange(grid.n)  # weight on the last axis's Nyquist mode
-        plan = _StepPlan(get_workspace(grid, dt, spec), spec, 5, u.shape[1:], tangent=True,
-                         inject=True)
+        plan = _StepPlan(grid, dt, spec, 5, u.shape[1:], tangent=True, inject=True)
         got = plan.step(u, x, dw, h)
         want = _full_spectrum_step(u, x, dw, h, spec, grid, dt)
         assert len(got) == len(want)
