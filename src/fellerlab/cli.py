@@ -440,13 +440,14 @@ def cmd_symbols(args) -> int:
 
 
 def cmd_renorm(args) -> int:
+    # the shift's hat-free check is the only ValueError either action raises
     with _reading_input():
         expr = trees.parse_expr(args.expr)
-    if args.op == "mg":
-        g = None if args.c1 is None and args.c2 is None else (args.c1 or 0, args.c2 or 0)
-        out = trees.renorm_action(expr, g)
-    else:
-        out = trees.shift_operator(expr)
+        if args.op == "mg":
+            g = None if args.c1 is None and args.c2 is None else (args.c1 or 0, args.c2 or 0)
+            out = trees.renorm_action(expr, g)
+        else:
+            out = trees.shift_operator(expr)
     print(trees.format_sum(out))
     return 0
 

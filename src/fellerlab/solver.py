@@ -433,45 +433,47 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
         if x is not None:
             tangent[at, sel] = x
 
-    # each check tests the whole batch first and splits by row only on a hit
-    for j in range(n_steps + 1):
-        if rows.size == 0:
-            break
-        last = j == n_steps
-        # rows that die below at step j were transformed too; drop() discards
-        # their results with them
-        if last:
-            mon = plan.monitor(u)
-        else:
-            mon, *step = plan.step(u, x, increments[j, sel],
-                                   None if inject is None else inject[j, sel])
-        r = mon if r is None else np.maximum(r, mon)
-        if j == 0:
-            store(0)  # u_0 is kept even when it trips the monitor; a later u_j is not
-        if r.max() > spec.r_blowup:
-            drop(r > spec.r_blowup, j, "monitor_threshold", max(j, 1))
+    # a non-finite death is recorded as data, so its overflow is not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each check tests the whole batch first and splits by row only on a hit
+        for j in range(n_steps + 1):
             if rows.size == 0:
                 break
-        if j > 0:
-            store(j)
-        if last:
-            break
-        g, dg = spec.noise_coefficients(u, derivative=x is not None)
-        if g is not None and g.min() < g_min:
-            keep = drop(g.reshape(rows.size, -1).min(axis=1) < g_min, j, "nondegenerate", j + 1)
-            g, dg = g[keep], None if dg is None else dg[keep]
-            if rows.size == 0:
+            last = j == n_steps
+            # rows that die below at step j were transformed too; drop() discards
+            # their results with them
+            if last:
+                mon = plan.monitor(u)
+            else:
+                mon, *step = plan.step(u, x, increments[j, sel],
+                                       None if inject is None else inject[j, sel])
+            r = mon if r is None else np.maximum(r, mon)
+            if j == 0:
+                store(0)  # u_0 is kept even when it trips the monitor; a later u_j is not
+            if r.max() > spec.r_blowup:
+                drop(r > spec.r_blowup, j, "monitor_threshold", max(j, 1))
+                if rows.size == 0:
+                    break
+            if j > 0:
+                store(j)
+            if last:
                 break
-        heat, heat_x, dwe, he = step
-        if x is not None:
-            # heat_x is a view the next step's transforms overwrite
-            x = heat_x.copy() if dg is None else heat_x + dg * x * dwe
-            if inject is not None:
-                x = x + (he if g is None else g * he) * dt
-        u = heat + (dwe if g is None else g * dwe)
-        if not np.isfinite(u).all():
-            finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)
-            drop(~finite, j + 1, "non_finite", j + 1)
+            g, dg = spec.noise_coefficients(u, derivative=x is not None)
+            if g is not None and g.min() < g_min:
+                keep = drop(g.reshape(rows.size, -1).min(axis=1) < g_min, j, "nondegenerate", j + 1)
+                g, dg = g[keep], None if dg is None else dg[keep]
+                if rows.size == 0:
+                    break
+            heat, heat_x, dwe, he = step
+            if x is not None:
+                # heat_x is a view the next step's transforms overwrite
+                x = heat_x.copy() if dg is None else heat_x + dg * x * dwe
+                if inject is not None:
+                    x = x + (he if g is None else g * he) * dt
+            u = heat + (dwe if g is None else g * dwe)
+            if not np.isfinite(u).all():
+                finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)
+                drop(~finite, j + 1, "non_finite", j + 1)
     return _Paths(fields, trace, n_stored, death_step, reasons, tangent)
 
 

@@ -33,8 +33,10 @@ Both are exact; nothing in this module touches floating point.
 A tree's plain degree is computed once and stored on the tree, like its sort
 key and hash.  The contractions of the action and the expansions of the
 shift are shared between structurally equal subtrees, but only within one
-public call (``renorm_action``, ``shift_operator``): the memo is local to the
-call and dies when it returns, so there is no cache across calls.
+public call (``renorm_action``, ``shift_operator``, and ``check_commutation``,
+whose two sides share one contraction memo and one expansion memo): a memo
+is local to the call and dies when it returns, so there is no cache across
+calls.
 
 Glyph aliases: the two-digit names count noise leaves in the integrated
 crown and at the root ("22" = I(Xi)^2 * I(I(Xi)^2)); a trailing "h" marks
@@ -118,6 +120,8 @@ class Tree:
         return self._key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Tree) and self.sort_key() == other.sort_key()
 
     def __hash__(self):
@@ -321,6 +325,11 @@ class Poly:
 
     def __add__(self, other):
         other = _as_poly(other)
+        # both operands are immutable, so a zero operand can hand back the other
+        if not other.coef:
+            return self
+        if not self.coef:
+            return other
         out = dict(self.coef)
         for key, val in other.coef.items():
             out[key] = out.get(key, 0) + val
@@ -378,6 +387,12 @@ C1 = Poly.monomial(1, 0)
 C2 = Poly.monomial(0, 1)
 
 
+def _accumulate(out: dict, key, coef: Poly) -> None:
+    """Add ``coef`` to ``out[key]``; a new key stores ``coef`` itself."""
+    old = out.get(key)
+    out[key] = coef if old is None else old + coef
+
+
 # ---------------------------------------------------------------------------
 # formal sums
 
@@ -410,7 +425,7 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         out = dict(self.terms)
         for tree, coef in other.terms.items():
-            out[tree] = out.get(tree, Poly()) + coef
+            _accumulate(out, tree, coef)
         return FormalSum(out)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
@@ -426,8 +441,7 @@ class FormalSum:
         out: dict[Tree, Poly] = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                tree = product([t1, t2])
-                out[tree] = out.get(tree, Poly()) + c1 * c2
+                _accumulate(out, product([t1, t2]), c1 * c2)
         return FormalSum(out)
 
     def __eq__(self, other):
@@ -520,9 +534,8 @@ def _contract_product(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
                     // (math.factorial(n_bullets - 2 * q - 2 * consumed)
                         * math.factorial(q) * 2 ** (q + consumed)))
             pieces = [PSI] * (free - 2 * q) + [c[2] for c in combo]
-            tree = product(pieces, k_extra=k)
-            coef = combo_poly * Poly.monomial(q, 0, ways)
-            merged[tree] = merged.get(tree, Poly()) + coef
+            _accumulate(merged, product(pieces, k_extra=k),
+                        combo_poly * Poly.monomial(q, 0, ways))
     memo[key] = [(p, t2) for t2, p in merged.items() if not p.is_zero]
     return memo[key]
 
@@ -535,15 +548,17 @@ def renorm_action(s, g=None) -> FormalSum:
     ``g=(0, 0)`` is the identity.  On hatted input the action contracts only
     plain-noise patterns, which is its extension to the enlarged structure.
     """
-    s = _as_sum(s)
-    memo: dict = {}
+    return _renorm(s, {}, g)
+
+
+def _renorm(s, memo: dict, g) -> FormalSum:
+    """``renorm_action`` with the contractions in ``memo`` shared."""
     out: dict[Tree, Poly] = {}
-    for tree, coef in s.terms.items():
+    for tree, coef in _as_sum(s).terms.items():
         for poly, t2 in _contract(tree, memo):
             if g is not None:
                 poly = Poly.const(poly.eval_at(int(g[0]), int(g[1])))
-            total = coef * poly
-            out[t2] = out.get(t2, Poly()) + total
+            _accumulate(out, t2, coef * poly)
     return FormalSum(out)
 
 
@@ -568,7 +583,7 @@ def _z_tree(t: Tree, memo: dict) -> FormalSum:
         for sub, coef in _z_tree(n[1], memo).terms.items():
             tree = integ(sub)
             if tree is not None:
-                out[tree] = out.get(tree, Poly()) + coef
+                _accumulate(out, tree, coef)
         acc = FormalSum(out)
     else:
         acc = FormalSum.of(x_monomial(n[1]))
@@ -580,20 +595,30 @@ def _z_tree(t: Tree, memo: dict) -> FormalSum:
 
 def shift_operator(s) -> FormalSum:
     """Substitute Xi -> Xi + XiHat leaf by leaf (sum over hatted subsets)."""
-    s = _as_sum(s)
-    memo: dict[Tree, FormalSum] = {}
+    return _shift(s, {})
+
+
+def _shift(s, memo: dict) -> FormalSum:
+    """``shift_operator`` with the expansions in ``memo`` shared."""
     out: dict[Tree, Poly] = {}
-    for tree, coef in s.terms.items():
+    for tree, coef in _as_sum(s).terms.items():
         for t2, c in _z_tree(tree, memo).terms.items():
-            out[t2] = out.get(t2, Poly()) + c * coef
+            _accumulate(out, t2, c * coef)
     return FormalSum(out)
+
+
+def _commutation_sides(t: Tree) -> tuple[FormalSum, FormalSum]:
+    """Shift after renormalization, and renormalization after shift, of t;
+    the two renormalizations share one memo and so do the two shifts."""
+    contract_memo, z_memo = {}, {}
+    return (_shift(_renorm(t, contract_memo, None), z_memo),
+            _renorm(_shift(t, z_memo), contract_memo, None))
 
 
 def check_commutation(t: Tree) -> bool:
     """Whether shifting then renormalizing equals renormalizing then shifting
     on the given hat-free tree, as an exact identity in C1, C2."""
-    lhs = shift_operator(renorm_action(t))
-    rhs = renorm_action(shift_operator(t))
+    lhs, rhs = _commutation_sides(t)
     return lhs == rhs
 
 
@@ -609,6 +634,33 @@ def _coerce_degree(bound) -> DegreeValue:
     return DegreeValue(bound, 0)
 
 
+def _small_products(elements, slack: Fraction, cap: int) -> set[Tree]:
+    """The products of one to three of ``elements`` whose degree bases sum to
+    at most ``slack``."""
+    elems = sorted(((degree(t).base, t) for t in elements),
+                   key=lambda bt: (bt[0], bt[1].sort_key()))
+    out = set()
+
+    def extend(start, d, factors, left):
+        # with the factors sorted by degree, the cheapest completion from
+        # index i on costs left * d_i, which grows with i: stop at the first
+        # that passes the slack (for every r, even when the slack is negative)
+        for i in range(start, len(elems)):
+            b, t = elems[i]
+            if d + left * b > slack:
+                break
+            if left > 1:
+                extend(i, d + b, factors + [t], left - 1)
+                continue
+            out.add(product(factors + [t]))
+            if len(out) > cap:
+                raise ValueError(f"basis enumeration passed the cap of {cap} trees")
+
+    for r in (1, 2, 3):
+        extend(0, 0, [], r)
+    return out
+
+
 def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree]:
     """All basis trees of degree lexicographically below ``max_degree``.
 
@@ -618,32 +670,18 @@ def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree
     Sorted by degree, then canonically; raises when the count passes ``cap``.
     """
     bound = _coerce_degree(max_degree)
-    slack = DegreeValue(bound.base + 1, 0)
+    slack = bound.base + 1
 
     gens = [PSI] + ([PSI_HAT] if hat else [])
     universe: set[Tree] = {ONE, *gens}
 
-    def small_products(elements):
-        elems = sorted(((degree(t).base, t) for t in elements),
-                       key=lambda bt: (bt[0], bt[1].sort_key()))
-        out = set()
-        for r in (1, 2, 3):
-            for combo in itertools.combinations_with_replacement(elems, r):
-                d = sum((b for b, _ in combo), Fraction(0))
-                if d > slack.base:
-                    continue
-                out.add(product([t for _, t in combo]))
-                if len(out) > cap:
-                    raise ValueError(f"basis enumeration passed the cap of {cap} trees")
-        return out
-
     while True:
         grown = set(universe)
-        for p in small_products(universe):
+        for p in _small_products(universe, slack, cap):
             if p.kind == "x":
                 continue
             candidate = integ(p)
-            if candidate is not None and degree(candidate).base <= slack.base:
+            if candidate is not None and degree(candidate).base <= slack:
                 grown.add(candidate)
         if grown == universe:
             break
@@ -651,7 +689,7 @@ def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree
         if len(universe) > cap:
             raise ValueError(f"basis enumeration passed the cap of {cap} trees")
 
-    basis = {XI} | ({XI_HAT} if hat else set()) | small_products(universe)
+    basis = {XI} | ({XI_HAT} if hat else set()) | _small_products(universe, slack, cap)
     selected = [t for t in basis if degree(t) < bound]
     selected.sort(key=lambda t: ((degree(t).base, degree(t).kappa), t.sort_key()))
     if len(selected) > cap:
@@ -858,7 +896,7 @@ class _Parser:
             for tree, coef in inner.terms.items():
                 reduced = integ(tree)
                 if reduced is not None:
-                    out[reduced] = out.get(reduced, Poly()) + coef
+                    _accumulate(out, reduced, coef)
             return FormalSum(out)
         if tok == "(":
             inner = self.expr()

@@ -207,6 +207,14 @@ def test_renorm_shift_op(capsys):
     assert "XiHat" in captured.out
 
 
+@pytest.mark.parametrize("expr", ["XiHat", "I(XiHat)*Xi"])
+def test_renorm_shift_op_rejects_hatted_input_as_bad_input(capsys, expr):
+    assert main(["renorm", "--expr", expr, "--op", "z"]) == 2
+    assert "error: shift substitution expects hat-free input" in capsys.readouterr().err
+    # the renormalization action accepts hatted input
+    assert main(["renorm", "--expr", expr, "--op", "mg"]) == 0
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "equation.kind = teleportation\ngrid.n = 32\ntime.dt = 0.01\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

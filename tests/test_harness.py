@@ -243,6 +243,17 @@ def test_blowup_rows_match_single_path(monkeypatch):
         assert rep.estimate == sum(r is not None for r in want) / n
 
 
+def test_non_finite_deaths_warn_nothing():
+    """Deaths by overflow are recorded as reasons, with no RuntimeWarning."""
+    spec = EquationSpec.phi4(-1.0, monitor_eta=0.0, r_blowup=1e300, allow_unstable=True)
+    spec = spec.with_renorm(RenormConstants((0.0,)))
+    u = Field.constant(Grid(2, 16, (1.0, 1.0)), 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = blowup_probability(u, 0.25, spec, 4, 0, 2**-10, n_steps=1024)
+    assert rep.reasons == ("non_finite", "non_finite", "monitor_threshold", "non_finite")
+
+
 def _weighted_reference(functional, u, h, t, spec, n_samples, seed, dt, n_steps):
     """The per-sample loop: two single-path evolves and one weight per sample."""
     weighted, plain = [], []

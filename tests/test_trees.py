@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from fellerlab.trees import (C1, C2, ONE, PSI, XI, XI_HAT, DegreeValue,
                              degree, format_sum, format_tree, generate_basis,
                              glyph, integ, parse_expr, product, renorm_action,
                              shift_operator, x_monomial)
+from fellerlab.trees import _commutation_sides, _small_products
 
 
 def fsum(*pairs):
@@ -123,6 +125,53 @@ def test_hat_basis_matches_substitution_enumeration():
             if degree(term) < bound:
                 by_substitution.add(term)
     assert set(generate_basis(bound, hat=True)) == by_substitution
+
+
+def _products_by_full_scan(elements, slack):
+    """The products of one to three elements within the slack, found by
+    summing the degrees of every combination."""
+    elems = sorted(((degree(t).base, t) for t in elements),
+                   key=lambda bt: (bt[0], bt[1].sort_key()))
+    return {product([t for _, t in combo])
+            for r in (1, 2, 3)
+            for combo in itertools.combinations_with_replacement(elems, r)
+            if sum((b for b, _ in combo), Fraction(0)) <= slack}
+
+
+def _basis_by_full_scan(max_degree, hat):
+    """generate_basis with its products found by the full scan."""
+    bound = max_degree if isinstance(max_degree, DegreeValue) else DegreeValue(max_degree)
+    slack = bound.base + 1
+    universe = {ONE, PSI} | ({integ(XI_HAT)} if hat else set())
+    while True:
+        grown = set(universe)
+        for p in _products_by_full_scan(universe, slack):
+            candidate = integ(p)
+            if candidate is not None and degree(candidate).base <= slack:
+                grown.add(candidate)
+        if grown == universe:
+            break
+        universe = grown
+    basis = {XI} | ({XI_HAT} if hat else set()) | _products_by_full_scan(universe, slack)
+    return sorted((t for t in basis if degree(t) < bound),
+                  key=lambda t: ((degree(t).base, degree(t).kappa), t.sort_key()))
+
+
+@pytest.mark.parametrize("hat", [False, True])
+@pytest.mark.parametrize("bound", [-3, -2, Fraction(-3, 2), -1, 0, Fraction(1, 2), 1, 2,
+                                   DegreeValue(2, 1)])
+def test_pruned_basis_matches_full_scan(bound, hat):
+    assert generate_basis(bound, hat) == _basis_by_full_scan(bound, hat)
+
+
+@pytest.mark.parametrize("slack", [Fraction(-9, 2), -4, Fraction(-7, 2), -2, Fraction(-3, 2),
+                                   -1, Fraction(-1, 2), 0, 1, 3])
+def test_pruned_products_match_full_scan(slack):
+    """Negative slacks are where d_i > slack does not imply 2 d_i > slack
+    (here Xi^2 at -5 and I(Xi)^2 at -1): stopping every product size at the
+    first single factor past the slack would drop pairs and triples."""
+    elements = [XI, PSI, ONE, glyph("2"), glyph("10"), x_monomial((0, 1, 0, 0))]
+    assert _small_products(elements, slack, 20000) == _products_by_full_scan(elements, slack)
 
 
 def test_basis_cap_guard():
@@ -256,6 +305,19 @@ def test_symbols_output_pinned_bit_for_bit():
                       + format_sum(renorm_action(shift_operator(t))) for t in plain)
     assert (hashlib.sha256(sides.encode()).hexdigest()
             == "a6f0cc5c6b1ec34a741e42da378bcb2d6e9daa97b37899531d64b864f3c6f8a2")
+
+
+def test_commutation_sides_equal_separate_public_calls():
+    """check_commutation's two sides, computed with one contraction memo and
+    one expansion memo shared between them, equal the separate public calls."""
+    for t in generate_basis(2):
+        assert _commutation_sides(t) == (shift_operator(renorm_action(t)),
+                                         renorm_action(shift_operator(t))), format_tree(t)
+
+
+def test_action_drops_a_cancelled_term():
+    out = renorm_action(parse_expr("I(Xi)^2 - C1"))
+    assert len(out) == 1 and out == FormalSum.of(glyph("2"))
 
 
 def test_commutation_samples_and_exhaustive_small():
