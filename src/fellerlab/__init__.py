@@ -12,8 +12,8 @@ arithmetic on decorated trees.
 
 from .equations import (DIFFUSIONS, DRIFTS, EquationSpec, RenormConstants,
                         ScalarFn, compute_renorm_constants)
-from .grids import (Field, Grid, MollifierSpec, holder_proxy_norm, l2_norm,
-                    mollify, spectral_inverse, spectral_transform)
+from .grids import (Field, Grid, holder_proxy_norm, l2_norm, mollify,
+                    spectral_inverse, spectral_transform)
 from .harness import (BlowupReport, TVReport, WeightedComparison,
                       blowup_probability, estimate_tv_bound, estimate_tv_sweep,
                       weighted_expectation, wilson_interval)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # grids
-    "Grid", "Field", "MollifierSpec", "spectral_transform", "spectral_inverse",
+    "Grid", "Field", "spectral_transform", "spectral_inverse",
     "holder_proxy_norm", "mollify", "l2_norm",
     # noise
     "NoisePath", "ShiftPath", "sample_white_noise", "zero_noise_path",

@@ -3,9 +3,10 @@
 Subcommands: solve | couple | tv | jacobian-check | symbols | renorm |
 selftest.  Runs are driven by a flat key-value config file (see README) plus
 a few flags.  ``_KEYS`` gives each config key its parser and default; a file
-with an unknown key or a malformed value, whatever the command reads, is a
-configuration error.  Every run writes a JSON manifest whose digest covers
-the reproducible inputs, so identical config + seed gives an identical digest.
+with an unknown key, a malformed or NaN value, whatever the command reads,
+or an equation key its kind does not read, is a configuration error.  Every
+run writes a JSON manifest whose digest covers the reproducible inputs, so
+identical config + seed gives an identical digest.
 
 Exit codes: 0 success / trajectory alive, 2 configuration error (any fault
 found while the run is built from its config and arguments), 3 trajectory
@@ -27,11 +28,10 @@ from . import __version__
 from .equations import DIFFUSIONS, DRIFTS, EquationSpec, RenormConstants, compute_renorm_constants
 from .grids import Field, Grid, l2_norm
 from .harness import estimate_tv_sweep
-from .noise import NoisePath, _draw_increments, sample_white_noise
+from .noise import NoisePath, _SliceSource, sample_white_noise
 from .shift import CouplingParams, _shift_slices, build_shift, verify_coupling
-from .solver import _check_state, _evolve_batch, _step_range, evolve
+from .solver import _check_state, _evolve_batch, _step_range
 from .storage import load_config, write_field, write_manifest, write_path
-from .tangent import jacobian_apply
 from . import acceptance, trees
 
 __all__ = ["main"]
@@ -61,8 +61,12 @@ def _bool(raw: str) -> bool:
     return raw.lower() in ("true", "yes", "1")
 
 
+# NaN would switch a guard or a bound off silently; +-inf stays (no bound)
+_float = _checked(float, lambda v: v == v, "must be a number")
+
+
 def _floats(raw: str) -> tuple:
-    return tuple(float(v) for v in raw.split(","))
+    return tuple(_float(v) for v in raw.split(","))
 
 
 _REQUIRED = object()  # the default of a key the file must give
@@ -73,35 +77,35 @@ _KEYS = {
     "equation.kind": (_choice("she1d", "kpz1d", "phi4_2d"), _REQUIRED),
     "equation.drift": (_choice(*DRIFTS), None),
     "equation.diffusion": (_choice(*DIFFUSIONS), None),
-    "equation.g_min": (float, None),
-    "equation.eps": (_checked(float, lambda v: v >= 0, "must be >= 0"), 0.0),
+    "equation.g_min": (_float, None),
+    "equation.eps": (_checked(_float, lambda v: v >= 0, "must be >= 0"), 0.0),
     "equation.m": (int, 1),
     "equation.coupling": (_floats, (1.0,)),
     "equation.symmetric": (_bool, None),
-    "equation.quartic": (float, 1.0),
-    "equation.mass": (float, None),
+    "equation.quartic": (_float, 1.0),
+    "equation.mass": (_float, None),
     "equation.allow_unstable": (_bool, None),
-    "equation.monitor_eta": (float, None),
-    "equation.r_blowup": (float, None),
+    "equation.monitor_eta": (_float, None),
+    "equation.r_blowup": (_float, None),
     "equation.renorm": (_floats, None),
     "grid.dim": (int, 1),
     "grid.n": (int, _REQUIRED),
-    "grid.extent": (float, 1.0),
-    "time.dt": (_checked(float, lambda v: 0 < v < np.inf, "must be > 0 and finite"), _REQUIRED),
-    "time.t": (float, 0.25),
-    "time.t_max": (float, 1.0),
+    "grid.extent": (_float, 1.0),
+    "time.dt": (_checked(_float, lambda v: 0 < v < np.inf, "must be > 0 and finite"), _REQUIRED),
+    "time.t": (_float, 0.25),
+    "time.t_max": (_float, 1.0),
     "initial.kind": (_choice("zero", "constant", "cosine", "random"), "zero"),
-    "initial.amplitude": (float, 1.0),
-    "initial.value": (float, None),  # unset: initial.amplitude
+    "initial.amplitude": (_float, 1.0),
+    "initial.value": (_float, None),  # unset: initial.amplitude
     "initial.mode": (int, 1),
     "initial.seed": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0),
-    "noise.amplitude": (float, 1.0),
-    "coupling.gamma": (float, 0.05),
+    "noise.amplitude": (_float, 1.0),
+    "coupling.gamma": (_float, 0.05),
     "coupling.gamma_list": (_floats, None),  # unset: coupling.gamma alone
-    "coupling.m_bound": (float, _REQUIRED),
+    "coupling.m_bound": (_float, _REQUIRED),
     "coupling.k_gamma": (int, 16),
-    "coupling.cutoff_r": (float, None),
-    "coupling.tol": (float, None),
+    "coupling.cutoff_r": (_float, None),
+    "coupling.tol": (_float, None),
     "harness.n_samples": (_checked(int, lambda v: v >= 1, "must be >= 1"), 100),
     "harness.seed": (int, 0),
     "output.dir": (str, "out"),
@@ -163,8 +167,19 @@ def build_grid(cfg: dict) -> Grid:
     return Grid(dim=dim, n=_value(cfg, "grid.n"), extent=(_value(cfg, "grid.extent"),) * dim)
 
 
+_KIND_KEYS = {
+    "she1d": ("drift", "diffusion", "g_min"),
+    "kpz1d": ("m", "coupling", "symmetric", "renorm"),
+    "phi4_2d": ("quartic", "mass", "allow_unstable", "renorm"),
+}
+
+
 def build_spec(cfg: dict) -> EquationSpec:
     kind = _value(cfg, "equation.kind")
+    reads = ("kind", "eps", "monitor_eta", "r_blowup") + _KIND_KEYS[kind]
+    for key in cfg:
+        if key.startswith("equation.") and key[len("equation."):] not in reads:
+            raise ConfigError(f"{key} does not apply to equation.kind = {kind}")
     eps = _value(cfg, "equation.eps")
     monitor = ("monitor_eta", "r_blowup")
     if kind == "she1d":
@@ -303,11 +318,10 @@ def cmd_solve(args) -> int:
         stride = _value(cfg, "output.snapshot_stride")
         _, k_t = _step_range(0.0, t, dt, n_steps)
     # only the slices before t are drawn; without snapshots only the final state is kept
-    increments = _scaled_noise(cfg, lambda: _draw_increments(grid, spec.m, k_t, dt, seed, 0),
-                               (k_t, spec.m) + grid.shape)
-    paths = _evolve_batch(u0.values[None], increments[:, None], spec, grid, dt,
-                          final_only=not stride)
-    out = paths.outcome(0, grid, 0.0, t, dt, increments)
+    source = _SliceSource(grid, spec.m, k_t, dt, seed, range(1))
+    increments = _scaled_noise(cfg, source.drawn, source.shape)
+    paths = _evolve_batch(u0.values[None], increments, spec, grid, dt, final_only=not stride)
+    out = paths.outcome(0, grid, 0.0, t, dt, increments[:, 0])
 
     out_dir = Path(args.out or _value(cfg, "output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,23 +419,16 @@ def cmd_jacobian_check(args) -> int:
     with _reading_input():
         grid, dt, t, n_steps, spec, seed, u0 = _build_run(cfg, args)
         w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
-    base = evolve(u0, w, 0.0, t, spec)
-    if not base.alive:
+    checked = acceptance._jacobian_fd(u0, _displaced_state(Field.zeros(grid, spec.m), 1.0),
+                                      w, t, spec)
+    if checked is None:
         print("trajectory dead; cannot differentiate", file=sys.stderr)
         return 3
-    v = _displaced_state(Field.zeros(grid, spec.m), 1.0)
-    jv = jacobian_apply(base, v, 0.0, t, spec)
-    deltas = [1e-3, 5e-4, 2.5e-4]
-    errs = []
-    for d in deltas:
-        moved = evolve(u0 + v * d, w, 0.0, t, spec)
-        fd = Field(grid, (moved.final.values - base.final.values) / d)
-        errs.append(l2_norm(fd - jv))
-    slope = float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
-    for d, e in zip(deltas, errs):
+    errors, order, passed = checked
+    for d, e in zip(acceptance._FD_DELTAS, errors):
         print(f"delta={d:g}  fd_error={e:.6e}")
-    print(f"fitted order: {slope:.3f}")
-    return 0 if abs(slope - 1.0) <= 0.3 else 1
+    print(f"fitted order: {order:.3f}")
+    return 0 if passed else 1
 
 
 def cmd_symbols(args) -> int:

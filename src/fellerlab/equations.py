@@ -15,12 +15,12 @@ time stepper exactly at the given dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .grids import Grid, MollifierSpec
+from .grids import Grid, _gaussian_multiplier
 
 __all__ = [
     "ScalarFn",
@@ -99,7 +99,6 @@ class EquationSpec:
     renorm: RenormConstants | None = None
     monitor_eta: float = 0.25
     r_blowup: float = 1e6
-    mollifier: MollifierSpec = field(default_factory=MollifierSpec)
     # she1d
     drift_fn: ScalarFn | None = None
     diffusion_fn: ScalarFn | None = None
@@ -115,6 +114,8 @@ class EquationSpec:
         # while the counterterms took it as zero
         if not self.eps >= 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not abs(self.monitor_eta) < 2:
+            raise ValueError(f"monitor_eta must lie in (-2, 2), got {self.monitor_eta}")
         # the renorm count checked, and coupling and renorm.values made arrays, once
         count = {"kpz1d": self.m, "phi4_2d": 1}.get(self.kind)  # she1d has no counterterm
         renorm = None if self.renorm is None or count is None else self.renorm.values
@@ -262,7 +263,7 @@ def _stationary_mode_factors(spec: EquationSpec, grid: Grid, dt: float) -> np.nd
     """Per-mode stationary variance factor rho^2 dt / (1 - exp(-2 lam dt)),
     zero mode excluded (it is undamped and carries no stationary variance)."""
     lam = grid.wavenumbers_sq()
-    rho = spec.mollifier.multiplier(grid, spec.eps)
+    rho = _gaussian_multiplier(grid, spec.eps)
     factors = np.zeros_like(lam)
     nz = lam > 0
     factors[nz] = rho[nz] ** 2 * dt / (-np.expm1(-2.0 * lam[nz] * dt))

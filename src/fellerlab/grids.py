@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "MollifierSpec",
     "spectral_transform",
     "spectral_inverse",
     "holder_proxy_norm",
@@ -156,24 +155,14 @@ class Field:
             raise ValueError("fields live on different grids or component counts")
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Smoothing kernel acting as a Fourier multiplier; only 'gaussian' is shipped."""
-
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unknown mollifier kind {self.kind!r}")
-
-    def multiplier(self, grid: Grid, eps: float) -> np.ndarray:
-        """Mode-space damping factors for scale ``eps``."""
-        arg = np.zeros(grid.shape)
-        for axis, (k, ext) in enumerate(zip(grid.frequencies(), grid.extent)):
-            shape = [1] * grid.dim
-            shape[axis] = grid.n
-            arg = arg + (2.0 * np.pi * k.reshape(shape) * eps / ext) ** 2
-        return np.exp(-0.5 * arg)
+def _gaussian_multiplier(grid: Grid, eps: float) -> np.ndarray:
+    """Mode-space damping factors of the Gaussian mollifier at scale ``eps``."""
+    arg = np.zeros(grid.shape)
+    for axis, (k, ext) in enumerate(zip(grid.frequencies(), grid.extent)):
+        shape = [1] * grid.dim
+        shape[axis] = grid.n
+        arg = arg + (2.0 * np.pi * k.reshape(shape) * eps / ext) ** 2
+    return np.exp(-0.5 * arg)
 
 
 def _spatial_axes(grid: Grid) -> tuple[int, ...]:
@@ -276,13 +265,13 @@ def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray,
     return weighted.reshape(blocks.shape[0], -1).max(axis=1)
 
 
-def mollify(f: Field, eps: float, kernel: MollifierSpec = MollifierSpec()) -> Field:
-    """Apply the smoothing multiplier at scale ``eps``; eps = 0 is the identity."""
+def mollify(f: Field, eps: float) -> Field:
+    """Apply the Gaussian smoothing multiplier at scale ``eps``; eps = 0 is the identity."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0.0:
         return f
-    mult = kernel.multiplier(f.grid, eps)
+    mult = _gaussian_multiplier(f.grid, eps)
     return spectral_inverse(spectral_transform(f) * mult, f.grid)
 
 

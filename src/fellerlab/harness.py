@@ -37,8 +37,8 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import Field, _dyadic_masks, l2_norm
-from .noise import (ShiftPath, _check_path, _draw_increments, _SliceSource, apply_shift,
-                    cm_norm_sq, girsanov_weight, sample_white_noise)
+from .noise import (ShiftPath, _check_path, _SliceSource, apply_shift, cm_norm_sq,
+                    girsanov_weight, sample_white_noise)
 from .shift import (CouplingParams, _build_shift_batch, _coupling_residuals,
                     _shift_slices)
 from .solver import _check_state, _evolve_batch, _step_range
@@ -136,7 +136,7 @@ def _tv_records(u: Field, u_bars: Sequence[Field], t: float, dt: float, k_t: int
     shared by all targets.  Returns the records of each target in stream
     order."""
     grid, n_streams = u.grid, len(streams)
-    drawn = np.stack([_draw_increments(grid, u.m, k_t, dt, seed, j) for j in streams], axis=1)
+    drawn = _SliceSource(grid, u.m, k_t, dt, seed, streams).drawn()
     increments = np.concatenate([drawn] * len(u_bars), axis=1)
     row_ubars = [u_bar for u_bar in u_bars for _ in streams]
     n_rows = len(row_ubars)

@@ -9,7 +9,8 @@ drawn from its own Philox block (key = (seed, stream), counter offset k), so a
 path is reproducible slice by slice whatever other paths are drawn beside it
 or in what batch, a prefix of slices is the same whatever the path length,
 and increments over disjoint time windows come from independent counter
-blocks.
+blocks.  ``_SliceSource`` is the one drawer: whole paths, stacked streams
+and slice-at-a-time reads all come from it.
 
 A :class:`ShiftPath` is a deterministic direction for shifting the noise: a
 time grid of spatial fields with the units of noise density (field per unit
@@ -42,11 +43,11 @@ _TIME_SNAP = 1e-9
 _LOG_WEIGHT_CLAMP = 709.0  # exp() overflow threshold for float64
 
 
-def _snap_index(time: float, dt: float, n_max: int, what: str = "time") -> int:
+def _snap_index(time: float, dt: float, n_max: int) -> int:
     k = time / dt
     kr = round(k)
     if abs(k - kr) > _TIME_SNAP or kr < 0 or kr > n_max:
-        raise ValueError(f"{what} {time} is not on the dt={dt} grid of {n_max} steps")
+        raise ValueError(f"time {time} is not on the dt={dt} grid of {n_max} steps")
     return int(kr)
 
 
@@ -72,10 +73,6 @@ class NoisePath:
     @property
     def m(self) -> int:
         return self.increments.shape[1]
-
-    @property
-    def t_max(self) -> float:
-        return self.n_steps * self.dt
 
     def time_index(self, time: float) -> int:
         return _snap_index(time, self.dt, self.n_steps)
@@ -147,28 +144,13 @@ def _check_path(m: int, n_steps: int, dt: float):
         raise ValueError("need m >= 1, n_steps >= 1, dt > 0")
 
 
-def _draw_increments(grid: Grid, m: int, n_slices: int, dt: float, seed: int,
-                     stream: int) -> np.ndarray:
-    """The first ``n_slices`` increments, shape (n_slices, m) + grid.shape, of
-    the path ``sample_white_noise`` draws for (seed, stream).  Each slice has
-    its own counter block, so a prefix does not depend on the path length."""
-    sigma = math.sqrt(dt / grid.cell_volume)
-    shape = (m,) + grid.shape
-    streams = _SliceStreams(seed, stream)
-    inc = np.empty((n_slices,) + shape)
-    for k in range(n_slices):
-        streams.at_slice(k).standard_normal(out=inc[k])
-    inc *= sigma
-    return inc
-
-
 class _SliceSource:
-    """The increments of several streams, drawn one slice at a time:
-    ``src[j, rows]`` is slice j of the streams at positions ``rows`` (an index
-    array or a slice), shape (n_rows, m) + grid.shape, bit-identical to the
-    same entries of ``_draw_increments`` (own counter block per slice, and
-    scaling is elementwise).  ``shape`` is that of the stacked array
-    (n_slices, n_streams, m) + grid.shape, which is never built."""
+    """The first ``n_slices`` increments of several streams; the one noise
+    drawer.  ``drawn()`` is the stacked array, shape ``shape`` = (n_slices,
+    n_streams, m) + grid.shape; ``src[j, rows]`` is slice j of the streams at
+    positions ``rows`` (an index array or a slice), drawn on demand and
+    bit-identical to those entries of ``drawn()``: each slice has its own
+    counter block, and scaling is elementwise."""
 
     def __init__(self, grid: Grid, m: int, n_slices: int, dt: float, seed: int,
                  streams: range):
@@ -185,6 +167,14 @@ class _SliceSource:
         inc *= self._sigma
         return inc
 
+    def drawn(self) -> np.ndarray:
+        inc = np.empty(self.shape)
+        for i, streams in enumerate(self._streams):
+            for k in range(self.shape[0]):
+                streams.at_slice(k).standard_normal(out=inc[k, i])
+        inc *= self._sigma
+        return inc
+
 
 def sample_white_noise(
     grid: Grid, m: int, n_steps: int, dt: float, seed: int, stream: int = 0
@@ -197,8 +187,8 @@ def sample_white_noise(
     bit-identical paths.
     """
     _check_path(m, n_steps, dt)
-    return NoisePath(grid, dt, _draw_increments(grid, m, n_steps, dt, seed, stream),
-                     seed_info=(seed, stream))
+    source = _SliceSource(grid, m, n_steps, dt, seed, range(stream, stream + 1))
+    return NoisePath(grid, dt, source.drawn()[:, 0], seed_info=(seed, stream))
 
 
 def zero_noise_path(grid: Grid, m: int, n_steps: int, dt: float) -> NoisePath:

@@ -17,7 +17,9 @@ u_k, u_k + dt F(u_k) and dW_k go forward together, and the monitor's shell
 blocks of u_k, the heat step and the mollified increment come back
 together.  kpz1d makes two of each, since its drift needs the gradient of
 u_k first: one pass for the shell blocks, the gradient and the increment,
-one for the heat step.  The stepper can carry the tangent flow
+one for the heat step.  The final state takes no step, so its monitor
+value comes from the batched proxy norm (``grids._proxy_norms``), which
+gives the same bits.  The stepper can carry the tangent flow
 
     x_{k+1} = E (x_k + dt DF(u_k) x_k) + DG(u_k) x_k * smooth(dW_k)
 
@@ -61,8 +63,9 @@ from functools import lru_cache
 import numpy as np
 
 from .equations import EquationSpec
-from .grids import (Field, Grid, MollifierSpec, _dyadic_masks, _half_spectrum, _proxy_norms,
-                    _real_inverse, _real_transform, _shell_weights, _weighted_block_sup)
+from .grids import (Field, Grid, _dyadic_masks, _gaussian_multiplier, _half_spectrum,
+                    _proxy_norms, _real_inverse, _real_transform, _shell_weights,
+                    _weighted_block_sup)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -104,12 +107,11 @@ class _Workspace:
     Fields are real, so their modes are kept on the half spectrum
     (``grids._real_transform``), and so is every multiplier."""
 
-    def __init__(self, grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float,
-                 mollifier: MollifierSpec):
+    def __init__(self, grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float):
         self.grid = grid
         half = lambda a: _half_spectrum(a, grid.n)
         self.decay = half(np.exp(-grid.wavenumbers_sq() * dt))
-        self.moll = None if eps == 0.0 else half(mollifier.multiplier(grid, eps))
+        self.moll = None if eps == 0.0 else half(_gaussian_multiplier(grid, eps))
         self.shell_masks = _dyadic_masks(grid.dim, grid.n)
         self.shell_weights = _shell_weights(monitor_eta, self.shell_masks.shape[0])
         # complex copies of the masks and multipliers multiply the same bits
@@ -122,9 +124,8 @@ class _Workspace:
 
 
 @lru_cache(maxsize=32)
-def _workspace(grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float,
-               mollifier: MollifierSpec) -> _Workspace:
-    return _Workspace(grid, dt, kind, eps, monitor_eta, mollifier)
+def _workspace(grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float) -> _Workspace:
+    return _Workspace(grid, dt, kind, eps, monitor_eta)
 
 
 @dataclass(frozen=True)
@@ -263,34 +264,29 @@ class _Pass:
         self.real = np.empty((n_rows, n_out) + field_shape)
         self.sup = np.empty((n_rows, self.n_shells) + field_shape)
         self.mult = np.stack([getattr(ws, name) for name in names]).astype(complex)[:, None]
-        self.views = self._views(n_rows, n_in, n_out)
+        self.views = self._views(n_rows)
 
-    def _views(self, n: int, n_in: int, n_out: int) -> tuple:
-        fwd, modes = self.fwd[:n, :n_in], self.modes[:n, :n_in]
-        scaled, real, k = self.scaled[:n, :n_out], self.real[:n, :n_out], self.n_shells
-        return (fwd, modes, scaled, real, modes[:, :1], scaled[:, :k], modes[:, self.n_plain:],
-                scaled[:, k:], real[:, :k], self.sup[:n])
+    def _views(self, n: int) -> tuple:
+        modes, scaled, real, k = self.modes[:n], self.scaled[:n], self.real[:n], self.n_shells
+        return (self.fwd[:n], modes, scaled, real, modes[:, :1], scaled[:, :k],
+                modes[:, self.n_plain:], scaled[:, k:], real[:, :k], self.sup[:n])
 
     def inputs(self, n: int) -> np.ndarray:
         """The forward buffer's first n rows, laid out for the next ``run``."""
         if self.views[0].shape[0] != n:
-            self.views = self._views(n, self.fwd.shape[1], self.real.shape[1])
+            self.views = self._views(n)
         return self.views[0]
 
-    def run(self, monitor_only: bool = False):
+    def run(self):
         """Transform the rows of the last ``inputs``: the monitor value per row
         (None without a monitor) and the inverse buffer's rows (n, n_out, m,
-        *grid), a view the next run overwrites.  ``monitor_only`` transforms
-        field 0 for its shell blocks alone."""
-        ws, views = self.ws, self.views
-        if monitor_only:
-            views = self._views(views[0].shape[0], 1, self.n_shells)
-        fwd, modes, scaled, real, head, shells, tail, scaled_tail, blocks, sup = views
+        *grid), a view the next run overwrites."""
+        ws = self.ws
+        fwd, modes, scaled, real, head, shells, tail, scaled_tail, blocks, sup = self.views
         _real_transform(fwd, ws.grid, out=modes)
         if self.n_shells:
             np.multiply(ws._shell_sel, head, out=shells)
-        if not monitor_only:
-            np.multiply(tail, self.mult, out=scaled_tail)
+        np.multiply(tail, self.mult, out=scaled_tail)
         _real_inverse(scaled, ws.grid, out=real)
         if not self.n_shells:
             return None, real
@@ -316,7 +312,7 @@ class _StepPlan:
 
     def __init__(self, grid: Grid, dt: float, spec: EquationSpec, n_rows: int,
                  field_shape: tuple, tangent: bool, inject: bool):
-        ws = _workspace(grid, dt, spec.kind, spec.eps, spec.monitor_eta, spec.mollifier)
+        ws = _workspace(grid, dt, spec.kind, spec.eps, spec.monitor_eta)
         self.dt, self.spec, self.tangent = dt, spec, tangent
         self.n_noise = (1 + inject) if ws.moll is not None else 0  # smoothed slices
         noise = ("moll",) * self.n_noise
@@ -327,12 +323,6 @@ class _StepPlan:
             grads = ("gradient",) * (1 + tangent)
             self.passes = (_Pass(ws, n_rows, field_shape, grads + noise, True),
                            _Pass(ws, n_rows, field_shape, heat, False))
-
-    def monitor(self, u: np.ndarray) -> np.ndarray:
-        """The monitor value of each row of the states u (B, m, *grid)."""
-        first = self.passes[0]
-        first.inputs(u.shape[0])[:, 0] = u
-        return first.run(monitor_only=True)[0]
 
     def step(self, u, x, dw, h):
         """The transforms of one step from the states u (B, m, *grid): the
@@ -389,10 +379,10 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
 
     One ``_StepPlan`` per call holds the step's transform buffers.  Step j
     transforms u_j once: its modes give u_j's monitor value as well as
-    the next state, so u_j is checked and stored at step j, and u_J after
-    the loop.  A row that dies leaves the active set and the other rows go
-    on; every numpy call acts on each row exactly as it would on that row
-    alone, so row b is bit-identical to a batch of one.
+    the next state, so u_j is checked and stored at step j; u_J takes no
+    step and is normed by ``_proxy_norms``.  A row that dies leaves the
+    active set and the others go on; every numpy call acts on each row as
+    it would on that row alone, so row b is bit-identical to a batch of one.
     """
     n_rows = u0.shape[0]
     n_steps = increments.shape[0]
@@ -443,7 +433,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
             # rows that die below at step j were transformed too; drop() discards
             # their results with them
             if last:
-                mon = plan.monitor(u)
+                mon = _proxy_norms(u, grid, spec.monitor_eta)
             else:
                 mon, *step = plan.step(u, x, increments[j, sel],
                                        None if inject is None else inject[j, sel])

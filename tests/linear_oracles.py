@@ -13,6 +13,7 @@ Arrays keep a leading batch axis of one, as the solver's rows do.
 import numpy as np
 
 from fellerlab import bump_chi
+from fellerlab.grids import _gaussian_multiplier
 
 
 class Oracle:
@@ -23,7 +24,7 @@ class Oracle:
         half = grid.n // 2 + 1
         self.decay = np.exp(-grid.wavenumbers_sq() * dt)[..., :half].astype(complex)
         self.moll = (None if spec.eps == 0.0
-                     else spec.mollifier.multiplier(grid, spec.eps)[..., :half].astype(complex))
+                     else _gaussian_multiplier(grid, spec.eps)[..., :half].astype(complex))
         self.gradient = None
         if spec.kind == "kpz1d":
             k = grid.frequencies()[0][:half]

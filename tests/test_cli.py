@@ -52,6 +52,14 @@ harness.seed = 5
 """
 
 
+# COUPLE_CONFIG without the equation keys only she1d reads, a base for the other kinds
+OTHER_KIND_BASE = "".join(line + "\n" for line in COUPLE_CONFIG.splitlines()
+                          if not line.startswith(("equation.drift", "equation.diffusion",
+                                                  "equation.g_min")))
+KPZ_CONFIG = OTHER_KIND_BASE.replace("she1d", "kpz1d\nequation.m = 2\nequation.eps = 0.05\n"
+                                     "equation.coupling = 1,0,0,1,0,1,1,0")
+
+
 def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -173,6 +181,14 @@ def test_jacobian_check(tmp_path, capsys):
     assert "fitted order" in captured.out
 
 
+def test_jacobian_check_dead_trajectory_exits_three(tmp_path, capsys):
+    """A base trajectory that dies has no final state to difference: exit 3."""
+    cfg = _write(tmp_path, BLOWUP_CONFIG)
+    assert main(["jacobian-check", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "trajectory dead" in captured.err and "fitted order" not in captured.out
+
+
 def test_symbols_listing(capsys):
     rc = main(["symbols", "--max-degree", "0"])
     captured = capsys.readouterr()
@@ -243,10 +259,27 @@ def test_config_error_exit_code(tmp_path):
     ("solve", HEAT_CONFIG.replace("initial.kind = cosine", "initial.kind = random")
      + "initial.seed = -1\n", "initial.seed"),
     *[(command, text, "equation.renorm") for command in ("solve", "tv") for text in (
-        COUPLE_CONFIG.replace("she1d", "kpz1d\nequation.m = 2\nequation.eps = 0.05\n"
-                              "equation.coupling = 1,0,0,1,0,1,1,0\nequation.renorm = 0.5"),
-        COUPLE_CONFIG.replace("she1d", "phi4_2d\nequation.quartic = 1.0\ngrid.dim = 2\n"
-                              "equation.renorm = 0.5,0.5"))],
+        KPZ_CONFIG + "equation.renorm = 0.5\n",
+        OTHER_KIND_BASE.replace("she1d", "phi4_2d\nequation.quartic = 1.0\ngrid.dim = 2\n"
+                                "equation.renorm = 0.5,0.5"))],
+    # NaN parses as a float; it must not switch a guard or a bound off silently
+    *[(command, COUPLE_CONFIG.replace(old, new), message) for command in ("couple", "solve")
+      for old, new, message in (
+          ("m_bound = 20.0", "m_bound = nan", "coupling.m_bound = 'nan': must be a number"),
+          ("k_gamma = 8", "k_gamma = 8\ncoupling.cutoff_r = nan", "coupling.cutoff_r"),
+          ("g_min = 1.0", "g_min = nan", "equation.g_min"),
+          ("g_min = 1.0", "g_min = 1.0\nequation.r_blowup = nan", "equation.r_blowup"),
+          ("g_min = 1.0", "g_min = 1.0\nequation.monitor_eta = NaN", "equation.monitor_eta"),
+          ("harness.seed = 5", "harness.seed = 5\nnoise.amplitude = nan", "noise.amplitude"))],
+    ("tv", COUPLE_CONFIG + "coupling.gamma_list = 0.01,nan\n", "coupling.gamma_list"),
+    ("solve", KPZ_CONFIG.replace("1,0,0,1", "1,nan,0,1"), "equation.coupling"),
+    # a key the configured equation kind does not read
+    *[(command, text, message) for command in ("solve", "couple") for text, message in (
+        (KPZ_CONFIG + "equation.drift = cubic_growth\n", "equation.drift does not apply"),
+        (KPZ_CONFIG + "equation.quartic = 5.0\n", "equation.quartic does not apply"),
+        (COUPLE_CONFIG + "equation.renorm = 1,2,3\n", "equation.renorm does not apply"),
+        (COUPLE_CONFIG + "equation.coupling = 1,0\n", "equation.coupling does not apply"))],
+    ("solve", HEAT_CONFIG + "equation.monitor_eta = 2.5\n", "monitor_eta must lie in (-2, 2)"),
 ])
 def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     """A fault found while the run is built from its config (here a

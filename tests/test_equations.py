@@ -135,6 +135,19 @@ def test_negative_eps_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("eta", [2.0, -2.0, 2.5, float("nan")])
+@pytest.mark.parametrize("build", [
+    lambda eta: EquationSpec.she(monitor_eta=eta),
+    lambda eta: EquationSpec.kpz(np.ones((1, 1, 1)), eps=0.05, monitor_eta=eta),
+    lambda eta: EquationSpec.phi4(quartic=1.0, monitor_eta=eta)])
+def test_monitor_eta_outside_open_interval_rejected(build, eta):
+    """The monitor exponent must lie in (-2, 2), where the proxy norm is
+    defined; the spec rejects any other value, NaN included, when built."""
+    with pytest.raises(ValueError, match="monitor_eta"):
+        build(eta)
+    build(1.99)
+
+
 def test_bounded_smooth_pair_matches_separate_functions():
     """G and G' of the bounded-smooth diffusion from one pass equal the two
     separate functions bit for bit, also at large, tiny and signed-zero u."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fellerlab import (Field, Grid, MollifierSpec, holder_proxy_norm, l2_norm,
+from fellerlab import (Field, Grid, holder_proxy_norm, l2_norm,
                        mollify, spectral_inverse, spectral_transform)
 
 
@@ -152,11 +152,6 @@ def test_mollify_translation_near_commutes(grid):
     a = mollify(Field(grid, np.roll(f.values, shift, axis=-1)), 0.08)
     b = np.roll(mollify(f, 0.08).values, shift, axis=-1)
     assert np.max(np.abs(a.values - b)) < 1e-13
-
-
-def test_unknown_mollifier_kind():
-    with pytest.raises(ValueError):
-        MollifierSpec(kind="box")
 
 
 def test_l2_norm_constant(grid):

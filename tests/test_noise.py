@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -174,6 +175,29 @@ def test_slice_source_matches_drawn_paths(grid):
                       for j in range(3, 8)], axis=1)
     source = _SliceSource(grid, 2, 16, dt, 9, range(3, 8))
     assert source.shape == (16,) + paths.shape[1:]
+    drawn = source.drawn()
+    assert drawn.shape == source.shape
+    assert np.array_equal(drawn, paths[:16])
     for k in (0, 7, 15):
         assert np.array_equal(source[k, slice(None)], paths[k])
         assert np.array_equal(source[k, np.array([1, 4])], paths[k, [1, 4]])
+        assert np.array_equal(source[k, slice(None)], drawn[k])
+        assert np.array_equal(source[k, np.array([1, 4])], drawn[k, [1, 4]])
+
+
+@pytest.mark.parametrize("grid, m, digest", [
+    (Grid(dim=1, n=32, extent=(1.0,)), 1,
+     "90eb077ad0e1ffeec35a9130e83e40d690f574775eacee42c1cb157c6a638cae"),
+    (Grid(dim=1, n=64, extent=(1.0,)), 2,
+     "f97e32d0b4a6bfc6b012ec08dcdf94c0f5e3d2f0f069e0c2ac1c953d7bfbacd8"),
+    (Grid(dim=2, n=16, extent=(1.0, 2.0)), 1,
+     "0331987b22b5165e7a1e4dc3bda079d22b026d34ec2192a5ff79cc8bd2d3cc61"),
+])
+def test_noise_bits_pinned(grid, m, digest):
+    """The sha256 of the little-endian float64 increments of streams 0 and 3
+    under seed 11 (128 slices of 2^-7): any change to the drawer's bits shows."""
+    h = hashlib.sha256()
+    for stream in (0, 3):
+        inc = sample_white_noise(grid, m, 128, 2.0**-7, seed=11, stream=stream).increments
+        h.update(np.ascontiguousarray(inc, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest

@@ -7,6 +7,7 @@ from fellerlab import (DEAD, EquationSpec, Field, Grid, check_semigroup,
                        evolve, holder_proxy_norm, r_monitor,
                        sample_white_noise, splice, zero_noise_path)
 from fellerlab.equations import ScalarFn
+from fellerlab.grids import _gaussian_multiplier
 
 
 @pytest.fixture
@@ -258,7 +259,7 @@ def test_workspace_cache_bounded(grid, nonlinear):
     bound = _workspace.cache_info().maxsize
     for i in range(3 * bound):
         _workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear.kind, nonlinear.eps,
-                   nonlinear.monitor_eta, nonlinear.mollifier)
+                   nonlinear.monitor_eta)
     assert _workspace.cache_info().currsize == bound
 
 
@@ -388,7 +389,7 @@ def _full_spectrum_step(u, x, dw, h, spec, grid, dt):
     decay = np.exp(-grid.wavenumbers_sq() * dt)
     heat = inv(decay * fwd(u + dt * spec.drift(u, du)))
     heat_x = inv(decay * fwd(x + dt * spec.drift_jvp(u, x, du, dx)))
-    moll = spec.mollifier.multiplier(grid, spec.eps)
+    moll = _gaussian_multiplier(grid, spec.eps)
     return np.max(sups, axis=0), heat, heat_x, inv(moll * fwd(dw)), inv(moll * fwd(h))
 
 
@@ -398,8 +399,9 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
     tangent heat step, smoothed increment and smoothed inject slice, for
     she1d with a mollifier, kpz1d (m = 2, gradient pass and Nyquist column)
     and phi4_2d.  The plan is sized for more rows than the step uses, and
-    its monitor-only transform agrees too."""
+    the batched proxy norm that monitors the final state agrees too."""
     from fellerlab import compute_renorm_constants
+    from fellerlab.grids import _proxy_norms
     from fellerlab.solver import _StepPlan
     dt = 2.0**-8
     grid1 = Grid(dim=1, n=32, extent=(1.0,))
@@ -419,6 +421,6 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
         got = plan.step(u, x, dw, h)
         want = _full_spectrum_step(u, x, dw, h, spec, grid, dt)
         assert len(got) == len(want)
-        for g, w in zip(got + (plan.monitor(u),), want + want[:1]):
+        for g, w in zip(got + (_proxy_norms(u, grid, spec.monitor_eta),), want + want[:1]):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
