@@ -17,7 +17,7 @@ import numpy as np
 from . import trees
 from .equations import EquationSpec, RenormConstants, compute_renorm_constants
 from .grids import Field, Grid, l2_norm
-from .harness import estimate_tv_bound, weighted_expectation
+from .harness import _MEAN_AND_MAX, estimate_tv_bound, weighted_expectation
 from .noise import (ShiftPath, apply_shift, girsanov_weight, sample_white_noise,
                     zero_noise_path)
 from .shift import (CouplingParams, adaptedness_check, build_shift,
@@ -293,10 +293,8 @@ def criterion_8() -> dict:
             vals[k] = 0.5 * np.clip(base_out.fields[k], -1.0, 1.0)
         return ShiftPath(grid, dt, vals)
 
-    functionals = {"clamped_mean": lambda f: float(np.mean(f.values)),
-                   "clamped_max": lambda f: float(np.max(f.values))}
     z_scores = {}
-    for (fname, fn), (hname, hh) in itertools.product(functionals.items(),
+    for (fname, fn), (hname, hh) in itertools.product(_MEAN_AND_MAX,
                                                       [("det", h_det), ("adapted", h_adapted)]):
         cmp = weighted_expectation(fn, u0, hh, t, spec, n_samples=4000,
                                    seed=810, dt=dt, n_steps=n_steps)
@@ -314,14 +312,12 @@ def criterion_9() -> dict:
     dt, t = 2.0**-7, 0.25
     u = _state(grid, amp=0.3)
     params = CouplingParams(m_bound=10.0, k_gamma=16)
-    functionals = [("clamped_mean", lambda f: float(np.mean(f.values))),
-                   ("clamped_max", lambda f: float(np.max(f.values)))]
     gammas = [0.1, 0.05, 0.025]
     reports = []
     for i, gamma in enumerate(gammas):
         u_bar = u + _unit_direction(grid) * gamma
         reports.append(estimate_tv_bound(u, u_bar, t, spec, params, 1000, 900 + i,
-                                         dt, n_steps=128, functionals=functionals))
+                                         dt, n_steps=128, functionals=_MEAN_AND_MAX))
     bounds = [r.bound for r in reports]
     monotone = bounds[0] > bounds[1] > bounds[2]
     slope = _fit_order(gammas, bounds)

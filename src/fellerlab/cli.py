@@ -2,9 +2,10 @@
 
 Subcommands: solve | couple | tv | jacobian-check | symbols | renorm |
 selftest.  Runs are driven by a flat key-value config file (see README) plus
-a few flags.  ``_KEYS`` gives each config key its parser and default; a file
-with an unknown key, a malformed or NaN value, whatever the command reads,
-or an equation key its kind does not read, is a configuration error.  Every
+a few flags.  ``_KEYS`` gives each config key its parser, its default and,
+for a key only some kinds of its section read, those kinds; a file with an
+unknown key, a malformed or NaN value, whatever the command reads, or a key
+the kind of its section does not read, is a configuration error.  Every
 run writes a JSON manifest whose digest covers the reproducible inputs, so
 identical config + seed gives an identical digest.
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from .equations import DIFFUSIONS, DRIFTS, EquationSpec, RenormConstants, compute_renorm_constants
 from .grids import Field, Grid, l2_norm
-from .harness import estimate_tv_sweep
+from .harness import _MEAN_AND_MAX, estimate_tv_sweep
 from .noise import NoisePath, _SliceSource, sample_white_noise
 from .shift import CouplingParams, _shift_slices, build_shift, verify_coupling
 from .solver import _check_state, _evolve_batch, _step_range
@@ -63,6 +64,7 @@ def _bool(raw: str) -> bool:
 
 # NaN would switch a guard or a bound off silently; +-inf stays (no bound)
 _float = _checked(float, lambda v: v == v, "must be a number")
+_length = _checked(_float, lambda v: 0 < v < np.inf, "must be > 0 and finite")
 
 
 def _floats(raw: str) -> tuple:
@@ -70,35 +72,35 @@ def _floats(raw: str) -> tuple:
 
 
 _REQUIRED = object()  # the default of a key the file must give
-# Every config key: its parser and its default.  A key named after a parameter
-# of the EquationSpec constructors or of CouplingParams defaults to None and is
-# passed on only when the file gives it, so the library's default is the only one.
+# Every config key: its parser, its default and, when only some kinds of its
+# section read it, those kinds.  A key named after a parameter of the
+# EquationSpec constructors or of CouplingParams defaults to None and is passed
+# on only when the file gives it, so the library's default is the only one.
 _KEYS = {
     "equation.kind": (_choice("she1d", "kpz1d", "phi4_2d"), _REQUIRED),
-    "equation.drift": (_choice(*DRIFTS), None),
-    "equation.diffusion": (_choice(*DIFFUSIONS), None),
-    "equation.g_min": (_float, None),
+    "equation.drift": (_choice(*DRIFTS), None, "she1d"),
+    "equation.diffusion": (_choice(*DIFFUSIONS), None, "she1d"),
+    "equation.g_min": (_float, None, "she1d"),
     "equation.eps": (_checked(_float, lambda v: v >= 0, "must be >= 0"), 0.0),
-    "equation.m": (int, 1),
-    "equation.coupling": (_floats, (1.0,)),
-    "equation.symmetric": (_bool, None),
-    "equation.quartic": (_float, 1.0),
-    "equation.mass": (_float, None),
-    "equation.allow_unstable": (_bool, None),
+    "equation.m": (int, 1, "kpz1d"),
+    "equation.coupling": (_floats, (1.0,), "kpz1d"),
+    "equation.symmetric": (_bool, None, "kpz1d"),
+    "equation.quartic": (_float, 1.0, "phi4_2d"),
+    "equation.mass": (_float, None, "phi4_2d"),
+    "equation.allow_unstable": (_bool, None, "phi4_2d"),
     "equation.monitor_eta": (_float, None),
     "equation.r_blowup": (_float, None),
-    "equation.renorm": (_floats, None),
+    "equation.renorm": (_floats, None, "kpz1d", "phi4_2d"),
     "grid.dim": (int, 1),
     "grid.n": (int, _REQUIRED),
-    "grid.extent": (_float, 1.0),
-    "time.dt": (_checked(_float, lambda v: 0 < v < np.inf, "must be > 0 and finite"), _REQUIRED),
+    "grid.extent": (_length, 1.0),
+    "time.dt": (_length, _REQUIRED),
     "time.t": (_float, 0.25),
-    "time.t_max": (_float, 1.0),
     "initial.kind": (_choice("zero", "constant", "cosine", "random"), "zero"),
-    "initial.amplitude": (_float, 1.0),
-    "initial.value": (_float, None),  # unset: initial.amplitude
-    "initial.mode": (int, 1),
-    "initial.seed": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0),
+    "initial.amplitude": (_float, 1.0, "constant", "cosine", "random"),
+    "initial.value": (_float, None, "constant"),  # unset: initial.amplitude
+    "initial.mode": (int, 1, "cosine"),
+    "initial.seed": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0, "random"),
     "noise.amplitude": (_float, 1.0),
     "coupling.gamma": (_float, 0.05),
     "coupling.gamma_list": (_floats, None),  # unset: coupling.gamma alone
@@ -127,7 +129,7 @@ def _reading_input():
 
 def _value(cfg: dict, key: str):
     """The parsed value of ``key`` in ``cfg``, or its default."""
-    parse, default = _KEYS[key]
+    parse, default = _KEYS[key][:2]
     if key not in cfg:
         if default is _REQUIRED:
             raise ConfigError(f"missing config key {key!r}")
@@ -145,7 +147,8 @@ def _given(cfg: dict, section: str, *names: str) -> dict:
 
 def _load_config(path) -> dict:
     """The config file at ``path``, every value parsed; a file that cannot be read, an
-    unknown key (the error names the nearest valid key) or a malformed value is a ConfigError."""
+    unknown key (the error names the nearest valid key), a malformed value or a key
+    the kind of its section does not read is a ConfigError."""
     with _reading_input():
         try:
             cfg = load_config(path)
@@ -159,6 +162,10 @@ def _load_config(path) -> dict:
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ConfigError(f"unknown config key {key!r}{hint}")
         _value(cfg, key)
+    for key in cfg:
+        section, kinds = key.split(".")[0], _KEYS[key][2:]
+        if kinds and (kind := _value(cfg, f"{section}.kind")) not in kinds:
+            raise ConfigError(f"{key} does not apply to {section}.kind = {kind}")
     return cfg
 
 
@@ -167,19 +174,8 @@ def build_grid(cfg: dict) -> Grid:
     return Grid(dim=dim, n=_value(cfg, "grid.n"), extent=(_value(cfg, "grid.extent"),) * dim)
 
 
-_KIND_KEYS = {
-    "she1d": ("drift", "diffusion", "g_min"),
-    "kpz1d": ("m", "coupling", "symmetric", "renorm"),
-    "phi4_2d": ("quartic", "mass", "allow_unstable", "renorm"),
-}
-
-
 def build_spec(cfg: dict) -> EquationSpec:
     kind = _value(cfg, "equation.kind")
-    reads = ("kind", "eps", "monitor_eta", "r_blowup") + _KIND_KEYS[kind]
-    for key in cfg:
-        if key.startswith("equation.") and key[len("equation."):] not in reads:
-            raise ConfigError(f"{key} does not apply to equation.kind = {kind}")
     eps = _value(cfg, "equation.eps")
     monitor = ("monitor_eta", "r_blowup")
     if kind == "she1d":
@@ -247,16 +243,16 @@ def build_noise(cfg: dict, grid: Grid, m: int, n_steps: int, dt: float, seed: in
 
 
 def build_times(cfg: dict):
+    """(dt, t, n_steps): every noise path covers [0, 1] in n_steps slices of dt."""
     dt = _value(cfg, "time.dt")
     t = _value(cfg, "time.t")
-    t_max = _value(cfg, "time.t_max")
-    if not (t <= 1.0 + 1e-12 <= t_max + 1e-12):
-        raise ConfigError(f"need t <= 1 <= t_max, got t={t}, t_max={t_max}")
+    n_steps = round(1.0 / dt)
+    if abs(n_steps * dt - 1.0) > 1e-9:
+        raise ConfigError(f"time.dt = {dt} does not divide 1, the length of every noise path")
+    if t > 1.0 + 1e-12:
+        raise ConfigError(f"time.t = {t} is past 1, the end of every noise path")
     if abs(t / dt - round(t / dt)) > 1e-9:
         raise ConfigError(f"time.t = {t} is not a multiple of time.dt = {dt}")
-    n_steps = round(t_max / dt)
-    if abs(n_steps * dt - t_max) > 1e-9:
-        raise ConfigError("t_max must be a multiple of dt")
     return dt, t, n_steps
 
 
@@ -375,13 +371,9 @@ def cmd_tv(args) -> int:
         params, gammas = build_coupling(cfg, sweep=True)
         n_samples = _value(cfg, "harness.n_samples")
 
-    functionals = [
-        ("clamped_mean", lambda f: float(np.mean(f.values))),
-        ("clamped_max", lambda f: float(np.max(f.values))),
-    ]
     reports = estimate_tv_sweep(u, [_displaced_state(u, gamma) for gamma in gammas], t, spec,
                                 params, n_samples, seed, dt, n_steps=n_steps,
-                                functionals=functionals)
+                                functionals=_MEAN_AND_MAX)
     out_dir = Path(args.out or _value(cfg, "output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -401,8 +393,8 @@ def cmd_tv(args) -> int:
 
     with open(out_dir / "tv_samples.csv", "w") as fh:
         fh.write("gamma,sample,status,residual,h_norm_sq,"
-                 + ",".join(f"{n}_from_u" for n, _ in functionals) + ","
-                 + ",".join(f"{n}_from_ubar" for n, _ in functionals) + "\n")
+                 + ",".join(f"{n}_from_u" for n, _ in _MEAN_AND_MAX) + ","
+                 + ",".join(f"{n}_from_ubar" for n, _ in _MEAN_AND_MAX) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
     with open(out_dir / "tv_bound_vs_gamma.csv", "w") as fh:
@@ -449,12 +441,15 @@ def cmd_symbols(args) -> int:
 def cmd_renorm(args) -> int:
     # the shift's hat-free check is the only ValueError either action raises
     with _reading_input():
-        expr = trees.parse_expr(args.expr)
-        if args.op == "mg":
-            g = None if args.c1 is None and args.c2 is None else (args.c1 or 0, args.c2 or 0)
-            out = trees.renorm_action(expr, g)
-        else:
-            out = trees.shift_operator(expr)
+        try:
+            expr = trees.parse_expr(args.expr)
+            if args.op == "mg":
+                g = None if args.c1 is None and args.c2 is None else (args.c1 or 0, args.c2 or 0)
+                out = trees.renorm_action(expr, g)
+            else:
+                out = trees.shift_operator(expr)
+        except RecursionError as exc:
+            raise ConfigError("expression nests too deeply") from exc
     print(trees.format_sum(out))
     return 0
 

@@ -52,8 +52,8 @@ class Grid:
         if isinstance(ext, (int, float)):
             ext = (float(ext),) * self.dim
         ext = tuple(float(e) for e in ext)
-        if len(ext) != self.dim or any(e <= 0 for e in ext):
-            raise ValueError(f"extent must be {self.dim} positive lengths, got {self.extent}")
+        if len(ext) != self.dim or not all(0 < e < math.inf for e in ext):
+            raise ValueError(f"extent must be {self.dim} finite lengths > 0, got {self.extent}")
         object.__setattr__(self, "extent", ext)
 
     @property

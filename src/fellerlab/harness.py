@@ -86,6 +86,11 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+# the mean and the max of a state: the dominance functionals of ``tv`` and the acceptance suite
+_MEAN_AND_MAX = (("clamped_mean", lambda f: float(np.mean(f.values))),
+                 ("clamped_max", lambda f: float(np.max(f.values))))
+
+
 def _clamped(functional: Callable[[Field], float]) -> Callable[[Field], float]:
     def wrapped(f: Field) -> float:
         return float(np.clip(functional(f), -1.0, 1.0))

@@ -120,37 +120,23 @@ class ShiftResult:
             )
 
 
-def _transfer_slices(paths: _Paths, tangent: np.ndarray, k_t: int, t: float,
-                     spec: EquationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer directions of B stored (possibly truncated) paths at once.
+def _transfer_slices(paths: _Paths, k_t: int, t: float, spec: EquationSpec) -> np.ndarray:
+    """Transfer directions of B paths evolved k_t steps with the tangent carried.
 
-    ``tangent`` holds the tangent values along the paths, at most k_t + 1
-    entries laid out like ``paths.fields``, zero past each row's stored path
-    (the tangent carried by the evolve).  Returns slices (k_t, B, m, *grid),
-    slice k of row b being (1/t) chi(k/k_t) G^{-1}(u_k) times the tangent
-    value at k+1 for every k the row's stored path reaches (k < n_stored - 1)
-    and zero elsewhere, and per row the first such support slice where G
-    drops below g_min (-1 when none does).
+    Returns slices (k_t, B, m, *grid), slice k of row b being (1/t) chi(k/k_t)
+    G^{-1}(u_k) times the tangent value at k+1 for every k the row's stored
+    path reaches (k < n_stored - 1) and zero elsewhere.  G is not checked
+    against g_min here: the evolve retires a row at the first state whose G
+    drops below it, so every state read here has passed that check.
     """
-    n_rows = paths.fields.shape[1]
-    steps = np.minimum(paths.n_stored - 1, k_t)
-    n_swept = tangent.shape[0] - 1
-    chi_over_t = np.array([bump_chi(k / k_t) / t for k in range(k_t)])
-    reached = np.zeros((k_t, n_rows), dtype=bool)
-    reached[:n_swept] = np.arange(n_swept)[:, None] < steps
-    use = reached & (chi_over_t > 0)[:, None]
     field_axes = (None,) * (paths.fields.ndim - 2)
-    contrib = np.zeros((k_t,) + paths.fields.shape[1:])
-    contrib[:n_swept] = tangent[1:]
+    chi_over_t = np.array([bump_chi(k / k_t) / t for k in range(k_t)])
+    use = ((np.arange(k_t)[:, None] < paths.n_stored - 1)
+           & (chi_over_t > 0)[:, None])[(...,) + field_axes]
     g, _ = spec.noise_coefficients(paths.fields[:k_t])
-    first_low = np.full(n_rows, -1)
-    if g is not None:
-        low = use & (g.reshape(k_t, n_rows, -1).min(axis=2) < spec.g_min)
-        first_low = np.where(low.any(axis=0), np.argmax(low, axis=0), -1)
-        # slices a row does not use divide zeros by one
-        contrib = contrib / np.where(use[(...,) + field_axes], g, 1.0)
-    return np.where(use[(...,) + field_axes],
-                    chi_over_t[(slice(None), None) + field_axes] * contrib, 0.0), first_low
+    # a slice a row does not use is divided by one, then dropped
+    contrib = paths.tangent[1:] if g is None else paths.tangent[1:] / np.where(use, g, 1.0)
+    return np.where(use, chi_over_t[(slice(None), None) + field_axes] * contrib, 0.0)
 
 
 def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
@@ -169,7 +155,7 @@ def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
     if k_t < 1:
         raise ValueError("need t > 0 on the trajectory grid")
     paths = _replay(outcome, v, 0, k_t, spec)
-    values, _ = _transfer_slices(paths, paths.tangent, k_t, t, spec)
+    values = _transfer_slices(paths, k_t, t, spec)
     # full path length: pad to the trajectory's noise grid when embedded later
     return ShiftPath(outcome.grid, outcome.dt, values[:, 0])
 
@@ -190,9 +176,11 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     ``increments`` (k_t, B, m, *grid) holds the noise slices before t of
     each row and ``u_bars`` the B target states.  Rows share u and every
     gamma step; each keeps its own gamma, shift, cutoffs, clamps, gamma_star
-    and status, and leaves the active set when it dies at step 0, has no
-    live slice left or trips nondegeneracy.  A row whose target is u itself
-    rides only in step 0 and ends 'completed' with a zero shift.  Returns
+    and status, and leaves the active set when it dies at step 0 or has no
+    live slice left.  A row that dies in a later step (the evolve retires it
+    at its first state past the monitor threshold or with G below g_min)
+    goes on with the slices its stored path reaches.  A row whose target is
+    u itself rides only in step 0 and ends 'completed' with a zero shift.  Returns
     one result per row (shifts padded to ``n_steps`` slices) and the step-0
     paths, which are the unshifted evolutions from u.
     """
@@ -266,13 +254,8 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
             min_cutoff_per_step[b].append(float(np.min(new_cutoffs[support, i])))
         going &= live.any(axis=0)
 
-        a_slices, first_low = _transfer_slices(out, out.tangent, k_t, t, spec)
+        a_slices = _transfer_slices(out, k_t, t, spec)
         del out  # free this step's paths and tangents before the next evolve
-        for i in np.flatnonzero(going & (first_low >= 0)):
-            # evolve marks these dead; only reachable through the final stored state
-            b = rows[i]
-            gamma_star[b] = float(gamma[b]) if gamma_star[b] is None else gamma_star[b]
-        going &= first_low < 0
         gamma_reached[rows[~going]] = gamma[rows[~going]]
         rows = rows[going]
         if rows.size == 0:
@@ -288,8 +271,6 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
         h[:, rows] += increment * scale[(...,) + field_axes]
         gamma += d_gamma
     gamma_reached[rows] = gamma_target[rows]
-    ran_all_steps = np.zeros(n_rows, dtype=bool)
-    ran_all_steps[rows] = True
 
     results = []
     for b in range(n_rows):
@@ -301,10 +282,10 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
                                   {"monitor_per_step": [math.inf], "reason": from_u.reasons[b]}))
             continue
         frozen = int(np.sum((cutoffs[:, b] == 0.0) & support))
-        completed = gamma_star[b] is None and ran_all_steps[b]
+        # a row left early only once no support slice (k_t >= 2) was live: gamma_star is set
+        status = "completed" if gamma_star[b] is None else "frozen"
         results.append(result(
-            b, h[:, b], "completed" if completed else "frozen", float(gamma_reached[b]),
-            gamma_star[b],
+            b, h[:, b], status, float(gamma_reached[b]), gamma_star[b],
             {"monitor_per_step": monitor_per_step[b], "clamp_events": int(clamp_events[b]),
              "frozen_slice_count": frozen, "min_cutoff": float(np.min(cutoffs[:, b])),
              "min_cutoff_per_step": min_cutoff_per_step[b]}))

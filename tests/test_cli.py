@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,16 @@ def test_renorm_shift_op(capsys):
     assert "XiHat" in captured.out
 
 
+@pytest.mark.parametrize("op", ["mg", "z"])
+@pytest.mark.parametrize("expr", ["I(" * 250 + "Xi" + ")" * 250, "(" * 400 + "Xi" + ")" * 400],
+                         ids=["250 nested I", "400 nested parentheses"])
+def test_renorm_too_deeply_nested_expression_exits_two(capsys, op, expr):
+    """An expression nested past the recursion limit is bad input, not a fault
+    of the numerics."""
+    assert main(["renorm", "--expr", expr, "--op", op]) == 2
+    assert "error: expression nests too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("expr", ["XiHat", "I(XiHat)*Xi"])
 def test_renorm_shift_op_rejects_hatted_input_as_bad_input(capsys, expr):
     assert main(["renorm", "--expr", expr, "--op", "z"]) == 2
@@ -280,6 +291,20 @@ def test_config_error_exit_code(tmp_path):
         (COUPLE_CONFIG + "equation.renorm = 1,2,3\n", "equation.renorm does not apply"),
         (COUPLE_CONFIG + "equation.coupling = 1,0\n", "equation.coupling does not apply"))],
     ("solve", HEAT_CONFIG + "equation.monitor_eta = 2.5\n", "monitor_eta must lie in (-2, 2)"),
+    # a key the configured initial-state kind does not read
+    ("solve", HEAT_CONFIG + "initial.value = 5.0\n",
+     "initial.value does not apply to initial.kind = cosine"),
+    ("solve", BLOWUP_CONFIG + "initial.mode = 2\n",
+     "initial.mode does not apply to initial.kind = constant"),
+    ("solve", HEAT_CONFIG + "initial.seed = 3\n",
+     "initial.seed does not apply to initial.kind = cosine"),
+    ("solve", HEAT_CONFIG.replace("initial.kind = cosine", "initial.kind = zero"),
+     "initial.amplitude does not apply to initial.kind = zero"),
+    # every noise path covers [0, 1]: no horizon key, t <= 1 and dt dividing 1
+    ("solve", HEAT_CONFIG + "time.t_max = 1.0\n", "unknown config key 'time.t_max'"),
+    ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = 1.5"), "time.t = 1.5"),
+    ("solve", HEAT_CONFIG.replace("time.dt = 0.00390625", "time.dt = 0.3"), "time.dt = 0.3"),
+    ("solve", HEAT_CONFIG.replace("grid.n = 32\n", ""), "missing config key 'grid.n'"),
 ])
 def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     """A fault found while the run is built from its config (here a
@@ -290,6 +315,29 @@ def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extent", ["inf", "-inf"])
+def test_infinite_grid_extent_exits_two_without_warnings(tmp_path, capsys, extent):
+    """An infinite extent is rejected where the config is read, with the key
+    named, before any numerics could warn about it."""
+    cfg = _write(tmp_path, HEAT_CONFIG + f"grid.extent = {extent}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"grid.extent = '{extent}': must be > 0 and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_key_kinds_are_kinds_of_their_section():
+    """Each kind a key of the table is restricted to parses with the kind
+    parser of the key's section."""
+    from fellerlab.cli import _KEYS
+    restricted = {key: entry[2:] for key, entry in _KEYS.items() if entry[2:]}
+    assert {key.split(".")[0] for key in restricted} == {"equation", "initial"}
+    for key, kinds in restricted.items():
+        parse_kind = _KEYS[key.split(".")[0] + ".kind"][0]
+        assert all(parse_kind(kind) == kind for kind in kinds)
 
 
 def test_repeated_config_key_exits_two(tmp_path, capsys):
@@ -381,3 +429,41 @@ def test_shipped_configs_load():
     assert len(shipped) == 4
     for path in shipped:
         assert _load_config(path)
+
+
+def test_build_initial_zero_and_random_kinds():
+    """``zero`` gives zeros; ``random`` is reproducible from initial.seed and
+    differs across seeds."""
+    from fellerlab.cli import build_grid, build_initial
+    grid = build_grid({"grid.n": "16"})
+    zero = build_initial({"initial.kind": "zero"}, grid, 2)
+    assert zero.values.shape == (2, 16) and not zero.values.any()
+
+    def random_state(seed):
+        return build_initial({"initial.kind": "random", "initial.seed": str(seed)}, grid, 1).values
+
+    assert np.array_equal(random_state(3), random_state(3))
+    assert not np.array_equal(random_state(3), random_state(4))
+    assert np.abs(random_state(3)).max() > 0.0
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.0])
+def test_kpz_solve_manifest_renorm_and_equation_fields(tmp_path, eps):
+    """Without equation.renorm a kpz1d run computes its constants at eps > 0
+    and uses zeros, as user-supplied values, at eps 0; the manifest records
+    them beside the kpz1d fields of the equation."""
+    from fellerlab.equations import EquationSpec, compute_renorm_constants
+    from fellerlab.grids import Grid
+    text = KPZ_CONFIG.replace("equation.eps = 0.05", f"equation.eps = {eps}")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    equation = json.loads((out / "manifest.json").read_text())["equation"]
+    coupling = np.array([1, 0, 0, 1, 0, 1, 1, 0], dtype=float).reshape(2, 2, 2)
+    if eps > 0:
+        want = compute_renorm_constants(EquationSpec.kpz(coupling, eps=eps),
+                                        Grid(1, 32, (1.0,)), 0.00390625)
+        assert equation["renorm"] == {"values": list(want.values), "provenance": "computed"}
+    else:
+        assert equation["renorm"] == {"values": [0.0, 0.0], "provenance": "user-supplied"}
+    assert equation["coupling"] == coupling.tolist()
+    assert equation["symmetric"] is False

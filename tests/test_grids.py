@@ -23,6 +23,12 @@ def test_grid_validation():
     assert g.cell_volume == pytest.approx((2.0 / 16) * (0.5 / 16))
 
 
+@pytest.mark.parametrize("extent", [np.inf, np.nan])
+def test_grid_rejects_non_finite_extent(extent):
+    with pytest.raises(ValueError, match="finite lengths > 0"):
+        Grid(1, 8, (extent,))
+
+
 def test_field_rejects_non_finite(grid):
     vals = np.zeros((1, 64))
     vals[0, 3] = np.inf
