@@ -17,6 +17,7 @@ dead, 1 failed checks or a fault raised by the numerics.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -29,7 +30,7 @@ from . import __version__
 from .equations import DIFFUSIONS, DRIFTS, EquationSpec, RenormConstants, compute_renorm_constants
 from .grids import Field, Grid, l2_norm
 from .harness import _MEAN_AND_MAX, estimate_tv_sweep
-from .noise import NoisePath, _SliceSource, sample_white_noise
+from .noise import NoisePath, _SliceSource, _snap_index, sample_white_noise
 from .shift import CouplingParams, _shift_slices, build_shift, verify_coupling
 from .solver import _check_state, _evolve_batch, _step_range
 from .storage import load_config, write_field, write_manifest, write_path
@@ -116,15 +117,16 @@ _KEYS = {
 
 
 @contextmanager
-def _reading_input():
+def _reading_input(prefix: str = ""):
     """Report a ValueError raised while a run is built from its config and
-    arguments as a ConfigError, so that it is not taken for a numerical fault."""
+    arguments as a ConfigError, its message after ``prefix``, so that it is not
+    taken for a numerical fault."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _value(cfg: dict, key: str):
@@ -134,10 +136,8 @@ def _value(cfg: dict, key: str):
         if default is _REQUIRED:
             raise ConfigError(f"missing config key {key!r}")
         return default
-    try:
+    with _reading_input(f"{key} = {cfg[key]!r}: "):
         return parse(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {cfg[key]!r}: {exc}") from exc
 
 
 def _given(cfg: dict, section: str, *names: str) -> dict:
@@ -197,10 +197,8 @@ def attach_renorm(spec: EquationSpec, grid: Grid, dt: float, cfg: dict) -> Equat
         return spec
     vals = _value(cfg, "equation.renorm")
     if vals is not None:
-        try:
+        with _reading_input(f"equation.renorm = {cfg['equation.renorm']!r}: "):
             return spec.with_renorm(RenormConstants(vals, provenance="user-supplied"))
-        except ValueError as exc:
-            raise ConfigError(f"equation.renorm = {cfg['equation.renorm']!r}: {exc}") from exc
     if spec.eps > 0:
         return spec.with_renorm(compute_renorm_constants(spec, grid, dt))
     return spec.with_renorm(RenormConstants((0.0,) * spec.m, provenance="user-supplied"))
@@ -243,16 +241,16 @@ def build_noise(cfg: dict, grid: Grid, m: int, n_steps: int, dt: float, seed: in
 
 
 def build_times(cfg: dict):
-    """(dt, t, n_steps): every noise path covers [0, 1] in n_steps slices of dt."""
-    dt = _value(cfg, "time.dt")
-    t = _value(cfg, "time.t")
-    n_steps = round(1.0 / dt)
-    if abs(n_steps * dt - 1.0) > 1e-9:
-        raise ConfigError(f"time.dt = {dt} does not divide 1, the length of every noise path")
-    if t > 1.0 + 1e-12:
-        raise ConfigError(f"time.t = {t} is past 1, the end of every noise path")
-    if abs(t / dt - round(t / dt)) > 1e-9:
-        raise ConfigError(f"time.t = {t} is not a multiple of time.dt = {dt}")
+    """(dt, t, n_steps): every noise path covers [0, 1] in n_steps slices of dt,
+    and t is one of its grid times."""
+    dt, t = _value(cfg, "time.dt"), _value(cfg, "time.t")
+    try:
+        n_steps = _snap_index(1.0, dt, math.inf)
+    except ValueError as exc:
+        raise ConfigError(f"time.dt = {dt} does not divide 1, "
+                          "the length of every noise path") from exc
+    with _reading_input(f"time.t = {t} is not a multiple of time.dt = {dt} in [0, 1]: "):
+        _snap_index(t, dt, n_steps)
     return dt, t, n_steps
 
 

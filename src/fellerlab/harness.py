@@ -227,9 +227,8 @@ def estimate_tv_sweep(
                 f"gamma * M = {gamma * params.m_bound} > 1; the exponential-moment "
                 "bound needs gamma * M <= 1 (shrink gamma or M)"
             )
-    n_steps = n_steps or round(1.0 / dt)
     fns = [(name, _clamped(fn)) for name, fn in functionals]
-    _check_path(u.m, n_steps, dt)
+    n_steps = _check_path(u.m, n_steps, dt)
     _check_state(u, u.grid, u.m, spec)
     for u_bar in u_bars:
         _check_state(u_bar, u.grid, u.m, spec)
@@ -350,8 +349,7 @@ def blowup_probability(u: Field, t: float, spec: EquationSpec, n_samples: int,
 
     All rows of a chunk evolve at once, keeping only their final states, and
     draw their noise one step at a time, only the slices before t."""
-    n_steps = n_steps or round(1.0 / dt)
-    _check_path(u.m, n_steps, dt)
+    n_steps = _check_path(u.m, n_steps, dt)
     _check_state(u, u.grid, u.m, spec)
     _, k_t = _step_range(0.0, t, dt, n_steps)
 

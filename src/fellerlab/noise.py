@@ -15,6 +15,11 @@ and slice-at-a-time reads all come from it.
 A :class:`ShiftPath` is a deterministic direction for shifting the noise: a
 time grid of spatial fields with the units of noise density (field per unit
 time), paired against increments through the cell-volume weighted L2 product.
+
+Each path rule has one home: ``_Path``, the body both path types share, checks
+the dt (``_check_dt``: > 0, finite, with a finite 1/dt) and the array, and
+``_check_pair`` a pair of paths; ``_snap_index`` is the one place a time is
+divided by dt and rounded; ``_check_path`` settles a path to draw.
 """
 
 from __future__ import annotations
@@ -44,66 +49,70 @@ _LOG_WEIGHT_CLAMP = 709.0  # exp() overflow threshold for float64
 
 
 def _snap_index(time: float, dt: float, n_max: int) -> int:
+    """The k in [0, n_max] with time = k * dt, up to _TIME_SNAP; a non-finite k is on no grid."""
     k = time / dt
-    kr = round(k)
+    kr = round(k) if math.isfinite(k) else -1
     if abs(k - kr) > _TIME_SNAP or kr < 0 or kr > n_max:
         raise ValueError(f"time {time} is not on the dt={dt} grid of {n_max} steps")
-    return int(kr)
+    return kr
+
+
+def _check_dt(dt: float):
+    if not (0.0 < dt < math.inf and 1.0 / float(dt) < math.inf):
+        raise ValueError(f"need dt > 0 and finite with a finite 1/dt, got dt={dt}")
 
 
 @dataclass(frozen=True)
-class NoisePath:
+class _Path:
+    """A read-only float array of shape (K, m) + grid.shape in the field named
+    ``_ARRAY``, one slice per step of ``dt``."""
+
     grid: Grid
     dt: float
+    _ARRAY = ""
+    _FINITE = ""  # when set, the message for non-finite entries
+
+    def __post_init__(self):
+        _check_dt(self.dt)
+        arr = np.asarray(getattr(self, self._ARRAY), dtype=np.float64)
+        if arr.ndim != self.grid.dim + 2 or arr.shape[2:] != self.grid.shape:
+            raise ValueError(f"{self._ARRAY} shape {arr.shape} incompatible with grid")
+        if self._FINITE and not np.isfinite(arr).all():
+            raise ValueError(self._FINITE)
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, self._ARRAY, arr)
+
+    @property
+    def n_steps(self) -> int:
+        return getattr(self, self._ARRAY).shape[0]
+
+    @property
+    def m(self) -> int:
+        return getattr(self, self._ARRAY).shape[1]
+
+    def time_index(self, time: float) -> int:
+        return _snap_index(time, self.dt, self.n_steps)
+
+    def _check_pair(self, other: "_Path", message: str):
+        """Reject ``other`` unless it has this path's grid, dt and shape."""
+        if (self.grid, self.dt, self.n_steps, self.m) != (other.grid, other.dt,
+                                                          other.n_steps, other.m):
+            raise ValueError(message)
+
+
+@dataclass(frozen=True)
+class NoisePath(_Path):
     increments: np.ndarray  # (K, m) + grid.shape
     seed_info: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=np.float64)
-        if inc.ndim != self.grid.dim + 2 or inc.shape[2:] != self.grid.shape:
-            raise ValueError(f"increments shape {inc.shape} incompatible with grid")
-        inc = inc.copy()
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.increments.shape[1]
-
-    def time_index(self, time: float) -> int:
-        return _snap_index(time, self.dt, self.n_steps)
+    _ARRAY = "increments"
 
 
 @dataclass(frozen=True)
-class ShiftPath:
-    grid: Grid
-    dt: float
+class ShiftPath(_Path):
     values: np.ndarray  # (K, m) + grid.shape, noise-density units
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != self.grid.dim + 2 or vals.shape[2:] != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} incompatible with grid")
-        if not np.isfinite(vals).all():
-            raise ValueError("shift values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def time_index(self, time: float) -> int:
-        return _snap_index(time, self.dt, self.n_steps)
+    _ARRAY = "values"
+    _FINITE = "shift values must be finite"
 
     @classmethod
     def zeros(cls, grid: Grid, m: int, n_steps: int, dt: float) -> "ShiftPath":
@@ -137,11 +146,16 @@ class _SliceStreams:
         return self.gen
 
 
-def _check_path(m: int, n_steps: int, dt: float):
+def _check_path(m: int, n_steps: int | None, dt: float) -> int:
+    """The slice count of a path to draw: ``n_steps``, or round(1/dt) if None."""
+    _check_dt(dt)
+    if n_steps is None:
+        n_steps = round(1.0 / dt)
     if n_steps * dt < 1.0 - 1e-12:
         raise ValueError(f"path must cover [0, 1]: n_steps*dt = {n_steps * dt} < 1")
-    if m < 1 or n_steps < 1 or dt <= 0:
-        raise ValueError("need m >= 1, n_steps >= 1, dt > 0")
+    if m < 1 or n_steps < 1:
+        raise ValueError("need m >= 1 and n_steps >= 1")
+    return n_steps
 
 
 class _SliceSource:
@@ -198,15 +212,13 @@ def zero_noise_path(grid: Grid, m: int, n_steps: int, dt: float) -> NoisePath:
 
 def apply_shift(w: NoisePath, h: ShiftPath) -> NoisePath:
     """Translate the noise by h: increment k gains h(t_k) * dt."""
-    if w.grid != h.grid or w.dt != h.dt or w.increments.shape != h.values.shape:
-        raise ValueError("noise and shift have mismatched shapes")
+    w._check_pair(h, "noise and shift have mismatched shapes")
     return NoisePath(w.grid, w.dt, w.increments + h.values * w.dt, seed_info=w.seed_info)
 
 
 def splice(w_a: NoisePath, w_b: NoisePath, s: float) -> NoisePath:
     """Increments of ``w_a`` before time s, of ``w_b`` from s on."""
-    if w_a.grid != w_b.grid or w_a.dt != w_b.dt or w_a.increments.shape != w_b.increments.shape:
-        raise ValueError("paths have mismatched shapes")
+    w_a._check_pair(w_b, "paths have mismatched shapes")
     k = w_a.time_index(s)
     inc = np.concatenate([w_a.increments[:k], w_b.increments[k:]], axis=0)
     return NoisePath(w_a.grid, w_a.dt, inc)
@@ -220,8 +232,7 @@ def cm_norm_sq(h: ShiftPath) -> float:
 
 def noise_pairing(h: ShiftPath, w: NoisePath) -> float:
     """The stochastic pairing sum_k <h(t_k), dW_k>_{L2}."""
-    if w.increments.shape != h.values.shape:
-        raise ValueError("noise and shift have mismatched shapes")
+    w._check_pair(h, "noise and shift have mismatched shapes")
     return float(h.grid.cell_volume * np.sum(h.values * w.increments))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import Field, l2_norm
-from .noise import NoisePath, ShiftPath, _snap_index, apply_shift, cm_norm_sq, splice
+from .noise import NoisePath, ShiftPath, apply_shift, cm_norm_sq, splice
 from .solver import (FlowOutcome, NondegeneracyError, _check_state, _evolve_batch, _Paths,
                      _step_range)
 from .tangent import _replay
@@ -161,9 +161,9 @@ def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
 
 
 def _shift_slices(t: float, dt: float, n_steps: int) -> int:
-    """Number of noise slices before t, checked for the shift construction."""
-    k_t = _snap_index(t, dt, n_steps)
-    if k_t < 2 or t > 1.0 + 1e-12:
+    """Number of noise slices before t, checked as ``evolve`` checks t; at least two."""
+    _, k_t = _step_range(0.0, t, dt, n_steps)
+    if k_t < 2:
         raise ValueError("need t in (0, 1] with at least two slices")
     return k_t
 

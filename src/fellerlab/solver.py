@@ -162,11 +162,7 @@ class FlowOutcome:
         return self.fields.shape[0]
 
     def time_index(self, time: float) -> int:
-        k = (time - self.s) / self.dt
-        kr = round(k)
-        if abs(k - kr) > 1e-9 or kr < 0 or kr >= self.n_stored:
-            raise ValueError(f"time {time} not stored on [{self.s}, {self.t}]")
-        return int(kr)
+        return _snap_index(time - self.s, self.dt, self.n_stored - 1)
 
     def field_at(self, time: float) -> Field:
         return Field(self.grid, self.fields[self.time_index(time)])
@@ -521,11 +517,9 @@ def check_semigroup(u0, w: NoisePath, s: float, t: float, r: float, spec: Equati
     """Max deviation between the one-shot flow s -> r and the composition
     through t.  Deterministic stepping makes this exactly zero, including the
     dead-absorption cases."""
-    if not (s <= t <= r):
-        raise ValueError("need s <= t <= r")
-    whole = evolve(u0, w, s, r, spec)
-    first = evolve(u0, w, s, t, spec)
+    first = evolve(u0, w, s, t, spec)  # evolve checks s <= t, and then t <= r
     second = evolve(first.final_or_dead, w, t, r, spec)
+    whole = evolve(u0, w, s, r, spec)
     if not whole.alive and not second.alive:
         return 0.0
     if whole.alive != second.alive:

@@ -282,12 +282,10 @@ def _degree(t: Tree, overline: bool) -> DegreeValue:
         return DEG_XI
     if n[0] == "xihat":
         return DEG_XI if overline else DEG_XI_HAT
-    if n[0] == "x":
-        return DegreeValue(sum(w * e for w, e in zip(_X_WEIGHTS, n[1])), 0)
     if n[0] == "i":
         return degree(n[1], overline) + _DEG_I
-    out = DegreeValue(sum(w * e for w, e in zip(_X_WEIGHTS, n[1])), 0)
-    for f in n[2]:
+    out = DegreeValue(sum(w * e for w, e in zip(_X_WEIGHTS, n[1])), 0)  # monomial part
+    for f in n[2] if n[0] == "prod" else ():
         out = out + degree(f, overline)
     return out
 
@@ -469,6 +467,16 @@ def _as_sum(x) -> FormalSum:
     raise TypeError(f"expected Tree or FormalSum, got {type(x)!r}")
 
 
+def _integ_sum(s: FormalSum) -> FormalSum:
+    """I applied term by term; a bare monomial's term drops (I(X^k) = 0)."""
+    out: dict[Tree, Poly] = {}
+    for tree, coef in s.terms.items():
+        reduced = integ(tree)
+        if reduced is not None:
+            _accumulate(out, reduced, coef)
+    return FormalSum(out)
+
+
 # ---------------------------------------------------------------------------
 # renormalization action
 
@@ -579,12 +587,7 @@ def _z_tree(t: Tree, memo: dict) -> FormalSum:
     if t in memo:
         return memo[t]
     if n[0] == "i":
-        out: dict[Tree, Poly] = {}
-        for sub, coef in _z_tree(n[1], memo).terms.items():
-            tree = integ(sub)
-            if tree is not None:
-                _accumulate(out, tree, coef)
-        acc = FormalSum(out)
+        acc = _integ_sum(_z_tree(n[1], memo))
     else:
         acc = FormalSum.of(x_monomial(n[1]))
         for f in n[2]:
@@ -714,8 +717,8 @@ def format_tree(t: Tree) -> str:
     pieces = []
     if n[1] != _ZERO_K:
         pieces.append(_format_monomial(n[1]))
-    for factor, count in _grouped(n[2]):
-        text = format_tree(factor)
+    for factor, group in itertools.groupby(n[2]):
+        text, count = format_tree(factor), len(list(group))
         pieces.append(text if count == 1 else f"{text}^{count}")
     return "*".join(pieces)
 
@@ -730,16 +733,6 @@ def _format_monomial(k) -> str:
         elif e > 1:
             parts.append(f"X{i}^{e}")
     return "*".join(parts)
-
-
-def _grouped(factors):
-    out = []
-    for f in factors:
-        if out and out[-1][0] == f:
-            out[-1][1] += 1
-        else:
-            out.append([f, 1])
-    return [(f, c) for f, c in out]
 
 
 def format_poly(p: Poly) -> str:
@@ -892,12 +885,7 @@ class _Parser:
             self.take("(")
             inner = self.expr()
             self.take(")")
-            out: dict[Tree, Poly] = {}
-            for tree, coef in inner.terms.items():
-                reduced = integ(tree)
-                if reduced is not None:
-                    _accumulate(out, reduced, coef)
-            return FormalSum(out)
+            return _integ_sum(inner)
         if tok == "(":
             inner = self.expr()
             self.take(")")

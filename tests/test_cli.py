@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -230,8 +231,35 @@ def test_renorm_shift_op(capsys):
 def test_renorm_too_deeply_nested_expression_exits_two(capsys, op, expr):
     """An expression nested past the recursion limit is bad input, not a fault
     of the numerics."""
-    assert main(["renorm", "--expr", expr, "--op", op]) == 2
+    assert _main_keeping_tracer(["renorm", "--expr", expr, "--op", op]) == 2
     assert "error: expression nests too deeply" in capsys.readouterr().err
+
+
+def _main_keeping_tracer(argv):
+    """``main(argv)`` with the trace function it found put back afterwards.
+    CPython unsets a trace function that raises, and at the recursion limit
+    the trace function's own call raises, so a coverage tracer or debugger
+    would otherwise be gone for the rest of the process."""
+    found = sys.gettrace()
+    try:
+        return main(argv)
+    finally:
+        sys.settrace(found)
+
+
+def test_deep_nesting_case_leaves_an_installed_tracer_in_place(capsys):
+    found = sys.gettrace()
+
+    def tracer(frame, event, arg):
+        return None
+
+    sys.settrace(tracer)
+    try:
+        test_renorm_too_deeply_nested_expression_exits_two(
+            capsys, "mg", "I(" * 250 + "Xi" + ")" * 250)
+        assert sys.gettrace() is tracer
+    finally:
+        sys.settrace(found)
 
 
 @pytest.mark.parametrize("expr", ["XiHat", "I(XiHat)*Xi"])
@@ -304,6 +332,13 @@ def test_config_error_exit_code(tmp_path):
     ("solve", HEAT_CONFIG + "time.t_max = 1.0\n", "unknown config key 'time.t_max'"),
     ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = 1.5"), "time.t = 1.5"),
     ("solve", HEAT_CONFIG.replace("time.dt = 0.00390625", "time.dt = 0.3"), "time.dt = 0.3"),
+    # a time that overflows when divided by dt or rounded is off the grid
+    ("solve", HEAT_CONFIG.replace("time.dt = 0.00390625", "time.dt = 5e-324"),
+     "time.dt = 5e-324"),
+    ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = -inf"), "time.t = -inf"),
+    ("solve", HEAT_CONFIG.replace("time.t = 0.25", "time.t = inf"), "time.t = inf"),
+    # kpz1d reads m^3 coupling values
+    ("solve", KPZ_CONFIG.replace("1,0,0,1,0,1,1,0", "1"), "equation.coupling needs m^3 = 8 values"),
     ("solve", HEAT_CONFIG.replace("grid.n = 32\n", ""), "missing config key 'grid.n'"),
 ])
 def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):

@@ -197,6 +197,24 @@ def test_empty_sample_counts_rejected(grid, nonlinear):
             weighted_expectation(lambda f: 0.0, u, h, T, nonlinear, n_samples=n, seed=44)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 5e-324])
+def test_estimators_reject_dt_without_a_finite_slice_count(grid, nonlinear, dt):
+    """The default slice count round(1/dt) is settled only for a dt > 0 whose
+    1/dt is finite; anything else is bad input, not an overflow."""
+    u = _state(grid)
+    params = CouplingParams(m_bound=10.0, k_gamma=4)
+    with pytest.raises(ValueError, match="need dt > 0 and finite"):
+        blowup_probability(u, T, nonlinear, 2, 0, dt)
+    with pytest.raises(ValueError, match="need dt > 0 and finite"):
+        estimate_tv_bound(u, u + _direction(grid) * 0.05, T, nonlinear, params, 2, 0, dt)
+
+
+def test_default_slice_count_rounds_one_over_dt():
+    assert harness._check_path(1, None, 0.35) == 3
+    assert harness._check_path(1, None, DT) == N_STEPS
+    assert harness._check_path(2, 200, DT) == 200
+
+
 def test_tv_single_sample_has_infinite_se(grid, nonlinear):
     """One sample gives no spread estimate, so the dominance check
     |mean_diff| <= bound + 4 se cannot be at its strictest there."""

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fellerlab import (Grid, ShiftPath, apply_shift, cm_norm_sq,
+from fellerlab import (Grid, NoisePath, ShiftPath, apply_shift, cm_norm_sq,
                        girsanov_weight, log_girsanov_weight, noise_pairing,
                        sample_white_noise, splice, zero_noise_path)
 
@@ -164,6 +164,61 @@ def test_shape_mismatch_rejected(grid):
     h = ShiftPath.zeros(other, 1, 64, 2.0**-6)
     with pytest.raises(ValueError):
         apply_shift(w, h)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.25, math.nan, math.inf])
+def test_path_types_reject_bad_dt(grid, dt):
+    """A path's dt is > 0 and finite; at 0 snapping a time would divide by
+    zero, and at inf every time would snap to slice 0."""
+    for cls in (NoisePath, ShiftPath):
+        with pytest.raises(ValueError, match="need dt > 0 and finite"):
+            cls(grid, dt, np.zeros((4, 1, 32)))
+
+
+def test_path_types_reject_wrong_shape_and_non_finite_shift(grid):
+    dt = 2.0**-6
+    with pytest.raises(ValueError, match="increments shape"):
+        NoisePath(grid, dt, np.zeros((4, 1, 16)))
+    with pytest.raises(ValueError, match="values shape"):
+        ShiftPath(grid, dt, np.zeros((4, 32)))
+    with pytest.raises(ValueError, match="shift values must be finite"):
+        ShiftPath(grid, dt, np.full((4, 1, 32), np.inf))
+
+
+@pytest.mark.parametrize("differ", ["grid", "dt", "shape"])
+def test_pair_functions_reject_a_mismatched_pair(grid, differ):
+    """Noise and shift (or two noises) must share grid, dt and shape in every
+    function that pairs them, not only in some."""
+    dt = 2.0**-6
+    w = sample_white_noise(grid, 1, 64, dt, seed=1)
+    other_grid = Grid(dim=1, n=32, extent=(2.0,)) if differ == "grid" else grid
+    other_dt = 2 * dt if differ == "dt" else dt
+    n_steps = 80 if differ == "shape" else 64
+    h = ShiftPath.zeros(other_grid, 1, n_steps, other_dt)
+    w_other = NoisePath(other_grid, other_dt, np.zeros((n_steps, 1, 32)))
+    for call, message in ((lambda: noise_pairing(h, w), "noise and shift"),
+                          (lambda: log_girsanov_weight(w, h), "noise and shift"),
+                          (lambda: girsanov_weight(w, h), "noise and shift"),
+                          (lambda: apply_shift(w, h), "noise and shift"),
+                          (lambda: splice(w, w_other, 0.25), "paths")):
+        with pytest.raises(ValueError, match=f"{message} have mismatched shapes"):
+            call()
+
+
+@pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_is_on_no_grid(grid, time):
+    w = sample_white_noise(grid, 1, 64, 2.0**-6, seed=1)
+    with pytest.raises(ValueError, match="not on the dt"):
+        w.time_index(time)
+    with pytest.raises(ValueError, match="not on the dt"):
+        ShiftPath.zeros(grid, 1, 64, 2.0**-6).restrict(time)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 5e-324])
+def test_sample_white_noise_rejects_dt_without_a_finite_slice_count(grid, dt):
+    """A NaN or infinite dt, or one whose 1/dt overflows, is bad input."""
+    with pytest.raises(ValueError, match="need dt > 0 and finite"):
+        sample_white_noise(grid, 1, 64, dt, seed=0)
 
 
 def test_slice_source_matches_drawn_paths(grid):

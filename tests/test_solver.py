@@ -67,6 +67,13 @@ def test_semigroup_trivial_and_random(grid, nonlinear):
     assert check_semigroup(u0, w, 0.0, 0.5, 1.0, nonlinear) == 0.0
 
 
+def test_semigroup_rejects_misordered_times(grid, nonlinear):
+    w = sample_white_noise(grid, 1, 256, 2.0**-8, seed=7)
+    for s, t, r in ((0.25, 0.125, 0.5), (0.0, 0.5, 0.25)):
+        with pytest.raises(ValueError, match="need s <= t"):
+            check_semigroup(Field.zeros(grid), w, s, t, r, nonlinear)
+
+
 def test_semigroup_dead_absorbing(grid):
     spec = EquationSpec.she(drift="cubic_growth", diffusion="one")
     u0 = Field.constant(grid, 10.0)
@@ -191,6 +198,33 @@ def test_off_grid_times_rejected(grid, nonlinear):
         evolve(u0, w, 0.5, 0.25, nonlinear)
     with pytest.raises(ValueError):
         evolve(u0, w, 0.0, 1.5, nonlinear)  # beyond time one
+
+
+@pytest.mark.parametrize("time", [math.inf, -math.inf])
+def test_infinite_times_are_off_the_grid(grid, nonlinear, time):
+    """An infinite time is bad input everywhere a time is snapped to a slice,
+    not an overflow in the rounding."""
+    w = sample_white_noise(grid, 1, 256, 2.0**-8, seed=7)
+    u0 = Field.zeros(grid)
+    out = evolve(u0, w, 0.0, 0.25, nonlinear)
+    for call in (lambda: evolve(u0, w, 0.0, time, nonlinear),
+                 lambda: evolve(u0, w, time, 0.25, nonlinear),
+                 lambda: out.time_index(time),
+                 lambda: out.field_at(time),
+                 lambda: r_monitor(out, time, 0.25),
+                 lambda: w.time_index(time)):
+        with pytest.raises(ValueError, match="not on the dt"):
+            call()
+
+
+def test_flow_outcome_time_index_counts_from_its_start(grid, nonlinear):
+    w = sample_white_noise(grid, 1, 256, 2.0**-8, seed=7)
+    out = evolve(Field.zeros(grid), w, 0.125, 0.25, nonlinear)
+    assert out.n_stored == 33
+    assert out.time_index(0.125) == 0 and out.time_index(0.25) == 32
+    for time in (0.0, 0.25 + 2.0**-8, 0.2):
+        with pytest.raises(ValueError, match="not on the dt"):
+            out.time_index(time)
 
 
 def test_kpz_runs_alive():

@@ -354,6 +354,48 @@ def test_parse_error_position():
     assert "position 8" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("I(Xi", "expected ')', found end of input", 4),
+    ("I Xi", "expected '(', found 'Xi'", 2),
+    ("Xi)", "trailing input ')'", 2),
+    ("Xi^C1", "exponent must be an integer, found 'C1'", 3),
+    ("*Xi", "unexpected token '*'", 0),
+])
+def test_parse_error_faults_and_positions(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("X0", "X0"), ("X1", "X1"), ("X2", "X2"), ("X3", "X3"),
+    ("X1^2*X3*Xi", "X1^2*X3*Xi"),
+    # a product with a monomial prefix
+    ("X0*I(Xi)", "X0*I(Xi)"),
+    ("I(Xi)*X2*I(Xi)", "X2*I(Xi)^2"),
+    # unary minus, once and twice
+    ("-Xi", "-1*Xi"),
+    ("- -Xi", "Xi"),
+    ("2*Xi - 3*I(Xi)", "2*Xi + -3*I(Xi)"),
+    # a coefficient of several terms prints in parentheses
+    ("-(C1+C2)*Xi", "(-C2 - C1)*Xi"),
+    ("(C1 + 2*C2)*I(Xi)^2", "(2*C2 + C1)*I(Xi)^2"),
+    ("(1+C1)*X0", "(1 + C1)*X0"),
+    # I drops a bare monomial term by term
+    ("I(X0)", "0"),
+    ("I(X0 + Xi)", "I(Xi)"),
+])
+def test_parse_and_print_pinned(text, printed):
+    assert format_sum(parse_expr(text)) == printed
+
+
+def test_format_tree_product_with_monomial_prefix():
+    assert format_tree(product([integ(XI), x_monomial((1, 0, 0, 0))])) == "X0*I(Xi)"
+    assert format_tree(product([x_monomial((0, 2, 0, 1)), integ(XI), XI, integ(XI)])) \
+        == "X1^2*X3*Xi*I(Xi)^2"
+
+
 def test_parse_distributes_products_over_sums():
     got = parse_expr("(Xi + XiHat) * I(Xi)")
     want = fsum((product([XI, PSI]), 1), (product([XI_HAT, PSI]), 1))
