@@ -18,8 +18,8 @@ from . import trees
 from .equations import EquationSpec, RenormConstants, compute_renorm_constants
 from .grids import Field, Grid, l2_norm
 from .harness import _MEAN_AND_MAX, estimate_tv_bound, weighted_expectation
-from .noise import (ShiftPath, apply_shift, girsanov_weight, sample_white_noise,
-                    zero_noise_path)
+from .noise import (ShiftPath, _snap_index, apply_shift, girsanov_weight,
+                    sample_white_noise, zero_noise_path)
 from .shift import (CouplingParams, adaptedness_check, build_shift,
                     bump_chi, verify_coupling)
 from .solver import DEAD, check_semigroup, evolve
@@ -145,9 +145,9 @@ def criterion_4() -> dict:
     grid = _she_grid(64)
     spec = _nonlinear_she()
     dt, t = 2.0**-12, 0.25
-    k_t = round(t / dt)
     u0 = _state(grid)
     w = sample_white_noise(grid, 1, 4096, dt, seed=401)
+    k_t = w.time_index(t)
     base = evolve(u0, w, 0.0, t, spec)
 
     x = grid.axes()[0]
@@ -187,11 +187,11 @@ def criterion_5() -> dict:
     residual for the bounded multiplicative equation."""
     grid = _she_grid(64)
     dt, t = 2.0**-10, 0.25
-    k_t = round(t / dt)
     gamma = 0.05
     u = _state(grid)
     u_bar = u + _unit_direction(grid) * gamma
     w = sample_white_noise(grid, 1, 1024, dt, seed=501)
+    k_t = w.time_index(t)
 
     # additive heat: the built shift must match the closed form slice by slice
     lin = EquationSpec.she(drift="zero", diffusion="one")
@@ -272,7 +272,8 @@ def criterion_8() -> dict:
     grid = _she_grid(32)
     spec = _nonlinear_she()
     dt, t = 2.0**-7, 0.25
-    n_steps, k_t = 128, round(0.25 / 2.0**-7)
+    n_steps = 128
+    k_t = _snap_index(t, dt, n_steps)
     u0 = _state(grid, amp=0.3)
     x = grid.axes()[0]
 

@@ -170,8 +170,9 @@ def _load_config(path) -> dict:
 
 
 def build_grid(cfg: dict) -> Grid:
-    dim = _value(cfg, "grid.dim")
-    return Grid(dim=dim, n=_value(cfg, "grid.n"), extent=(_value(cfg, "grid.extent"),) * dim)
+    dim, n, extent = (_value(cfg, f"grid.{key}") for key in ("dim", "n", "extent"))
+    with _reading_input(f"grid.dim = {dim}, grid.n = {n}, grid.extent = {extent}: "):
+        return Grid(dim=dim, n=n, extent=(extent,) * dim)
 
 
 def build_spec(cfg: dict) -> EquationSpec:
@@ -258,24 +259,22 @@ def build_coupling(cfg: dict, sweep: bool = False) -> tuple[CouplingParams, tupl
     """The coupling parameters and the gammas to couple at: coupling.gamma, or
     with ``sweep`` the coupling.gamma_list entries when the config gives them
     (the list then replaces coupling.gamma, whose budget is not checked).
-    Each gamma must keep the exponential-moment budget."""
-    params = CouplingParams(m_bound=_value(cfg, "coupling.m_bound"),
-                            k_gamma=_value(cfg, "coupling.k_gamma"),
-                            **_given(cfg, "coupling", "cutoff_r", "tol"))
+    Each gamma must be > 0, finite and within the exponential-moment budget."""
+    with _reading_input("coupling."):
+        params = CouplingParams(m_bound=_value(cfg, "coupling.m_bound"),
+                                k_gamma=_value(cfg, "coupling.k_gamma"),
+                                **_given(cfg, "coupling", "cutoff_r", "tol"))
     gammas = _value(cfg, "coupling.gamma_list") if sweep else None
     key = "coupling.gamma_list entry"
     if not gammas:
         gammas, key = (_value(cfg, "coupling.gamma"),), "coupling.gamma"
     for gamma in gammas:
-        _check_budget(key, gamma, params)
+        if not 0 < gamma < math.inf:
+            raise ConfigError(f"{key} = {gamma}: must be > 0 and finite")
+        if gamma * params.m_bound > 1.0 + 1e-12:
+            raise ConfigError(f"{key} * coupling.m_bound = {gamma * params.m_bound:g} > 1; "
+                              "the exponential-moment budget needs gamma * M <= 1")
     return params, tuple(gammas)
-
-
-def _check_budget(key: str, gamma: float, params: CouplingParams):
-    if gamma * params.m_bound > 1.0 + 1e-12:
-        raise ConfigError(
-            f"{key} * coupling.m_bound = {gamma * params.m_bound:g} > 1; "
-            "the exponential-moment budget needs gamma * M <= 1")
 
 
 def _build_run(cfg: dict, args):
@@ -408,6 +407,8 @@ def cmd_jacobian_check(args) -> int:
     cfg = _load_config(args.config)
     with _reading_input():
         grid, dt, t, n_steps, spec, seed, u0 = _build_run(cfg, args)
+        if _step_range(0.0, t, dt, n_steps)[1] < 1:
+            raise ConfigError(f"time.t = {t}: jacobian-check needs at least one slice before t")
         w = build_noise(cfg, grid, spec.m, n_steps, dt, seed)
     checked = acceptance._jacobian_fd(u0, _displaced_state(Field.zeros(grid, spec.m), 1.0),
                                       w, t, spec)

@@ -6,7 +6,9 @@ exact.  The spectral convention throughout the package is the plain FFT pair:
 forward transform unscaled, inverse scaled by 1/N.  The public helpers use
 the full complex spectrum; the proxy norm and the solver transform real
 fields on the half spectrum (``_real_transform``), whose last axis keeps
-the frequencies 0..n/2.
+the frequencies 0..n/2.  They call numpy's pocketfft gufuncs directly once
+a check on first use finds them bit-identical to the public wrappers, and
+the wrappers on any mismatch or error.
 
 All value types here are immutable; operations return new objects and are
 safe to share across threads.
@@ -52,8 +54,10 @@ class Grid:
         if isinstance(ext, (int, float)):
             ext = (float(ext),) * self.dim
         ext = tuple(float(e) for e in ext)
-        if len(ext) != self.dim or not all(0 < e < math.inf for e in ext):
-            raise ValueError(f"extent must be {self.dim} finite lengths > 0, got {self.extent}")
+        if (len(ext) != self.dim or not all(0 < e < math.inf for e in ext)
+                or not 0 < math.prod(e / self.n for e in ext) < math.inf):
+            raise ValueError(f"extent must be {self.dim} finite lengths > 0 with a finite cell "
+                             f"volume > 0 over n = {self.n}, got {self.extent}")
         object.__setattr__(self, "extent", ext)
 
     @property
@@ -183,26 +187,58 @@ def spectral_inverse(modes: np.ndarray, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
-def _half_spectrum(a: np.ndarray, n: int) -> np.ndarray:
-    """The entries of a full-spectrum array (last axis in FFT order) that a
-    real transform keeps: frequencies 0..n/2 on the last axis."""
-    return a[..., :n // 2 + 1]
-
-
 def _real_transform(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Forward transform of real fields over the trailing grid axes, unscaled,
     on the half spectrum; written into ``out`` when given (same bits)."""
-    if grid.dim == 1:
-        return np.fft.rfft(values, axis=-1, out=out)
-    return np.fft.rfftn(values, axes=_spatial_axes(grid), out=out)
+    return _transforms()[0](values, grid, out)
 
 
 def _real_inverse(modes: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of ``_real_transform`` (scaled by 1/N): real fields on the grid,
     written into ``out`` when given (same bits)."""
-    if grid.dim == 1:
-        return np.fft.irfft(modes, n=grid.n, axis=-1, out=out)
-    return np.fft.irfftn(modes, s=grid.shape, axes=_spatial_axes(grid), out=out)
+    return _transforms()[1](modes, grid, out)
+
+
+_PUBLIC = (lambda values, grid, out: np.fft.rfftn(values, axes=_spatial_axes(grid), out=out),
+           lambda modes, grid, out: np.fft.irfftn(modes, grid.shape, _spatial_axes(grid), out=out))
+
+
+def _gufunc_pair() -> tuple:
+    """The real transforms as the pocketfft gufunc calls of ``np.fft.rfftn`` and
+    ``irfftn`` (n even), with the same operands and scale factors."""
+    from numpy.fft import _pocketfft_umath as pfu
+
+    def forward(values, grid, out):
+        if out is None:
+            out = np.empty_like(values, shape=values.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        pfu.rfft_n_even(values, 1.0, out=out)
+        return out if grid.dim == 1 else pfu.fft(out, 1.0, axes=[(-2,), (), (-2,)], out=out)
+
+    def inverse(modes, grid, out):
+        if grid.dim == 2:
+            modes = pfu.ifft(modes, 1 / grid.n, axes=[(-2,), (), (-2,)], out=np.empty_like(modes))
+        if out is None:
+            out = np.empty_like(modes, shape=modes.shape[:-1] + (grid.n,), dtype=float)
+        return pfu.irfft(modes, 1 / grid.n, out=out)
+
+    return forward, inverse
+
+
+@lru_cache(maxsize=1)
+def _transforms() -> tuple:
+    """The (forward, inverse) real transforms: the gufunc pair if it gives the
+    wrappers' bits on small 1D and 2D batches, else (mismatch or error) ``_PUBLIC``."""
+    try:
+        direct = _gufunc_pair()
+        for grid in (Grid(1, 8, 1.0), Grid(2, 8, 1.0)):
+            x = np.cos(np.arange(3 * grid.total_points) * 0.7).reshape((3, 1) + grid.shape)
+            modes = direct[0](x, grid, None)
+            if not (np.array_equal(modes, _PUBLIC[0](x, grid, None)) and np.array_equal(
+                    direct[1](modes, grid, None), _PUBLIC[1](modes, grid, None))):
+                return _PUBLIC
+        return direct
+    except Exception:
+        return _PUBLIC
 
 
 @lru_cache(maxsize=32)
@@ -214,7 +250,7 @@ def _dyadic_masks(dim: int, n: int) -> np.ndarray:
     mag = np.abs(k)
     if dim == 2:
         mag = np.maximum(mag[:, None], mag[None, :])
-    mag = _half_spectrum(mag, n)
+    mag = mag[..., :n // 2 + 1]
     n_shells = int(math.log2(n // 2)) + 1
     masks = np.zeros((n_shells,) + mag.shape, dtype=bool)
     masks[0] = mag <= 1

@@ -89,8 +89,11 @@ class CouplingParams:
     tol: float | None = None
 
     def __post_init__(self):
-        if self.m_bound <= 0 or self.cutoff_r <= 0 or self.k_gamma < 1:
-            raise ValueError("need m_bound > 0, cutoff_r > 0, k_gamma >= 1")
+        for name, ok in (("m_bound", self.m_bound > 0 and 1 / self.m_bound < math.inf),
+                         ("cutoff_r", self.cutoff_r > 0), ("k_gamma", self.k_gamma >= 1)):
+            if not ok:
+                raise ValueError(f"{name} = {getattr(self, name)} is out of range: need "
+                                 "m_bound > 0 with a finite 1/m_bound, cutoff_r > 0, k_gamma >= 1")
 
 
 @dataclass(frozen=True)

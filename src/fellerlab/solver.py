@@ -63,9 +63,8 @@ from functools import lru_cache
 import numpy as np
 
 from .equations import EquationSpec
-from .grids import (Field, Grid, _dyadic_masks, _gaussian_multiplier, _half_spectrum,
-                    _proxy_norms, _real_inverse, _real_transform, _shell_weights,
-                    _weighted_block_sup)
+from .grids import (Field, Grid, _dyadic_masks, _gaussian_multiplier, _proxy_norms,
+                    _real_inverse, _real_transform, _shell_weights, _weighted_block_sup)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -109,7 +108,7 @@ class _Workspace:
 
     def __init__(self, grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float):
         self.grid = grid
-        half = lambda a: _half_spectrum(a, grid.n)
+        half = lambda a: a[..., :grid.n // 2 + 1]
         self.decay = half(np.exp(-grid.wavenumbers_sq() * dt))
         self.moll = None if eps == 0.0 else half(_gaussian_multiplier(grid, eps))
         self.shell_masks = _dyadic_masks(grid.dim, grid.n)

@@ -340,6 +340,19 @@ def test_config_error_exit_code(tmp_path):
     # kpz1d reads m^3 coupling values
     ("solve", KPZ_CONFIG.replace("1,0,0,1,0,1,1,0", "1"), "equation.coupling needs m^3 = 8 values"),
     ("solve", HEAT_CONFIG.replace("grid.n = 32\n", ""), "missing config key 'grid.n'"),
+    # a finite extent whose cell volume underflows gives the noise no variance
+    ("tv", COUPLE_CONFIG + "grid.extent = 5e-324\n", "grid.extent = 5e-324"),
+    ("solve", OTHER_KIND_BASE.replace("she1d", "phi4_2d\ngrid.dim = 2\ngrid.extent = 1e-300"),
+     "grid.extent = 1e-300"),
+    # a gamma must be > 0 and finite, and 1/m_bound finite
+    *[("tv", COUPLE_CONFIG + f"coupling.gamma_list = {g}\n", f"coupling.gamma_list entry = {g}")
+      for g in ("-1.0", "-inf", "0.0")],
+    ("couple", COUPLE_CONFIG.replace("gamma = 0.05", "gamma = -0.05"), "coupling.gamma = -0.05"),
+    ("couple", COUPLE_CONFIG.replace("m_bound = 20.0", "m_bound = 5e-324"),
+     "coupling.m_bound = 5e-324 is out of range: need m_bound > 0 with a finite 1/m_bound"),
+    # the finite-difference check needs a slice before t to difference
+    *[("jacobian-check", COUPLE_CONFIG.replace("time.t = 0.25", f"time.t = {t}"),
+       f"time.t = {t}: jacobian-check needs at least one slice") for t in ("0.0", "1e-300")],
 ])
 def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
     """A fault found while the run is built from its config (here a

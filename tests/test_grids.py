@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fellerlab import (Field, Grid, holder_proxy_norm, l2_norm,
-                       mollify, spectral_inverse, spectral_transform)
+from fellerlab import (CouplingParams, EquationSpec, Field, Grid, build_shift,
+                       compute_renorm_constants, evolve, holder_proxy_norm, l2_norm,
+                       mollify, sample_white_noise, spectral_inverse, spectral_transform)
+from fellerlab import grids
 
 
 @pytest.fixture
@@ -27,6 +31,14 @@ def test_grid_validation():
 def test_grid_rejects_non_finite_extent(extent):
     with pytest.raises(ValueError, match="finite lengths > 0"):
         Grid(1, 8, (extent,))
+
+
+@pytest.mark.parametrize("dim, extent", [(1, 5e-324), (2, 1e-300), (2, 1e300)])
+def test_grid_rejects_cell_volume_off_the_floats(dim, extent):
+    """Finite lengths whose cell volume underflows to 0 or overflows to inf
+    would give the noise a zero or infinite variance."""
+    with pytest.raises(ValueError, match="finite cell volume > 0"):
+        Grid(dim, 8, (extent,) * dim)
 
 
 def test_field_rejects_non_finite(grid):
@@ -163,3 +175,86 @@ def test_mollify_translation_near_commutes(grid):
 def test_l2_norm_constant(grid):
     f = Field.constant(grid, 2.0)
     assert l2_norm(f) == pytest.approx(2.0)  # unit total volume
+
+
+def _pass_buffers(grid, rows=3, n_in=4, m=2):
+    """A forward buffer and mode buffers laid out as ``solver._Pass`` lays them."""
+    field_shape = (m,) + grid.shape
+    half = field_shape[:-1] + (grid.n // 2 + 1,)
+    rng = np.random.default_rng(3)
+    fwd = rng.standard_normal((rows, n_in) + field_shape)
+    modes = np.empty((rows, n_in) + half, dtype=complex)
+    return fwd, modes, np.empty((rows, n_in) + field_shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("view", [np.s_[:, :], np.s_[:, :1], np.s_[:, :3], np.s_[:2, 1:]])
+def test_direct_transforms_match_public_wrappers(dim, view):
+    """The gufunc transforms give the bits of np.fft.rfft(n)/irfft(n), with and
+    without ``out``, on whole buffers and on the strided views ``_Pass`` takes
+    (leading rows, leading or trailing fields)."""
+    grid = Grid(dim, 16, 1.0)
+    forward, inverse = grids._gufunc_pair()
+    fwd, modes, real = _pass_buffers(grid)
+    expected = grids._PUBLIC[0](fwd[view], grid, None)
+    assert np.array_equal(forward(fwd[view], grid, None), expected)
+    forward(fwd[view], grid, modes[view])
+    assert np.array_equal(modes[view], expected)
+    scaled = modes * (1.0 + 0.5j)
+    expected = grids._PUBLIC[1](scaled[view], grid, None)
+    assert np.array_equal(inverse(scaled[view], grid, None), expected)
+    inverse(scaled[view], grid, real[view])
+    assert np.array_equal(real[view], expected)
+    # the inverse leaves its input as it was
+    assert np.array_equal(scaled, modes * (1.0 + 0.5j))
+
+
+def test_real_transforms_run_on_the_checked_gufuncs():
+    """On this numpy the self-check passes, so the solver's transforms are the
+    gufunc pair, not the public wrappers."""
+    assert grids._transforms() is not grids._PUBLIC
+    assert "_gufunc_pair" in grids._transforms()[1].__qualname__
+
+
+def _runs():
+    """An evolve and a shift in 1D and an evolve in 2D, as raw arrays."""
+    g1 = Grid(1, 32, 1.0)
+    she = EquationSpec.she(drift="cubic_decay", diffusion="bounded_smooth", g_min=1.0, eps=0.05)
+    u = Field(g1, 0.3 * np.cos(2 * np.pi * g1.axes()[0]))
+    w = sample_white_noise(g1, 1, 256, 2.0**-8, seed=11)
+    out = evolve(u, w, 0.0, 0.25, she)
+    res = build_shift(u, u + Field.constant(g1, 0.05), w, 0.25, she,
+                      CouplingParams(m_bound=20.0, k_gamma=4))
+    g2 = Grid(2, 16, 1.0)
+    phi = EquationSpec.phi4(quartic=1.0, mass=0.5, eps=0.2)
+    phi = phi.with_renorm(compute_renorm_constants(phi, g2, 2.0**-8))
+    out2 = evolve(Field.zeros(g2), sample_white_noise(g2, 1, 256, 2.0**-8, seed=12),
+                  0.0, 0.25, phi)
+    return [out.fields, out.monitor_trace, res.h.values, np.array([res.cm_norm]),
+            out2.fields, out2.monitor_trace]
+
+
+@pytest.fixture
+def fresh_transforms():
+    grids._transforms.cache_clear()
+    yield
+    grids._transforms.cache_clear()
+
+
+@pytest.mark.parametrize("lookup", ["swapped", "missing"])
+def test_failed_self_check_falls_back_to_public_wrappers(monkeypatch, fresh_transforms, lookup):
+    """When the gufuncs that grids looks up differ from the ones the public
+    wrappers call (the complex passes swapped, which changes only the 2D
+    transforms) or are missing, the self-check binds the wrappers, and
+    evolves and shifts give the bits they give on the gufunc path."""
+    direct = _runs()
+    fake = SimpleNamespace()
+    if lookup == "swapped":
+        from numpy.fft import _pocketfft_umath as pfu
+        fake = SimpleNamespace(rfft_n_even=pfu.rfft_n_even, irfft=pfu.irfft,
+                               fft=pfu.ifft, ifft=pfu.fft)
+    monkeypatch.setattr(np.fft, "_pocketfft_umath", fake)
+    grids._transforms.cache_clear()
+    assert grids._transforms() is grids._PUBLIC
+    public = _runs()
+    assert all(np.array_equal(a, b) for a, b in zip(direct, public))
