@@ -75,21 +75,24 @@ def _fit_order(deltas, errors) -> float:
 _FD_DELTAS = (1e-3, 5e-4, 2.5e-4)  # finite-difference steps, halving
 
 
+def _fd_check(base: Field, derivative: Field, moved_at):
+    """Forward differences (moved_at(d) - base) / d against ``derivative``:
+    the L2 error at each of ``_FD_DELTAS``, the fitted order and whether it is
+    1 +- 0.3."""
+    errors = [l2_norm(Field(base.grid, (moved_at(d).values - base.values) / d
+                            - derivative.values)) for d in _FD_DELTAS]
+    order = _fit_order(_FD_DELTAS, errors)
+    return errors, order, abs(order - 1.0) <= 0.3
+
+
 def _jacobian_fd(u0: Field, v: Field, w, t: float, spec: EquationSpec):
-    """Forward differences of the flow from u0 along v, on the noise w from 0
-    to t, against ``jacobian_apply``: the L2 error at each of ``_FD_DELTAS``,
-    the fitted order and whether it is 1 +- 0.3; None if the base path dies."""
+    """:func:`_fd_check` of the flow from u0 along v, on the noise w from 0
+    to t, against ``jacobian_apply``; None if the base path dies."""
     base = evolve(u0, w, 0.0, t, spec)
     if not base.alive:
         return None
-    jv = jacobian_apply(base, v, 0.0, t, spec)
-    errors = []
-    for d in _FD_DELTAS:
-        moved = evolve(u0 + v * d, w, 0.0, t, spec)
-        errors.append(l2_norm(Field(u0.grid, (moved.final.values - base.final.values) / d
-                                    - jv.values)))
-    order = _fit_order(_FD_DELTAS, errors)
-    return errors, order, abs(order - 1.0) <= 0.3
+    return _fd_check(base.final, jacobian_apply(base, v, 0.0, t, spec),
+                     lambda d: evolve(u0 + v * d, w, 0.0, t, spec).final)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +175,9 @@ def criterion_4() -> dict:
     for k in range(64, k_t):
         h_dense[k, 0] = 4.0 * np.cos(2 * np.pi * (1 + k % 3) * x)
     md = malliavin_derivative(base, ShiftPath(grid, dt, h_dense), t, spec)
-    errors = []
-    for d in _FD_DELTAS:
-        moved = evolve(u0, apply_shift(w, ShiftPath(grid, dt, d * h_dense)), 0.0, t, spec)
-        errors.append(l2_norm(Field(grid, (moved.final.values - base.final.values) / d
-                                    - md.values)))
-    order = _fit_order(_FD_DELTAS, errors)
-    return {"passed": rel <= 1e-10 and abs(order - 1.0) <= 0.3,
+    errors, order, fd_ok = _fd_check(base.final, md, lambda d: evolve(
+        u0, apply_shift(w, ShiftPath(grid, dt, d * h_dense)), 0.0, t, spec).final)
+    return {"passed": rel <= 1e-10 and fd_ok,
             "sweep_vs_transport_rel": rel, "order": order, "errors": errors}
 
 

@@ -271,18 +271,22 @@ def build_coupling(cfg: dict, sweep: bool = False) -> tuple[CouplingParams, tupl
     for gamma in gammas:
         if not 0 < gamma < math.inf:
             raise ConfigError(f"{key} = {gamma}: must be > 0 and finite")
-        if gamma * params.m_bound > 1.0 + 1e-12:
-            raise ConfigError(f"{key} * coupling.m_bound = {gamma * params.m_bound:g} > 1; "
-                              "the exponential-moment budget needs gamma * M <= 1")
+        with _reading_input(f"{key} * coupling.m_bound: "):
+            params.check_budget(gamma)
     return params, tuple(gammas)
 
 
 def _build_run(cfg: dict, args):
     """Grid, times (dt, t, n_steps), renormalized equation, seed and initial
-    state of a run command, the state checked against the equation."""
+    state of a run command, the state checked against the equation and the
+    byte size of a noise path over [0, 1] against what an array can hold."""
     grid = build_grid(cfg)
     dt, t, n_steps = build_times(cfg)
-    spec = attach_renorm(build_spec(cfg), grid, dt, cfg)
+    spec = build_spec(cfg)
+    if n_steps * spec.m * grid.total_points * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"time.dt = {dt}: a noise path of {n_steps:.3g} slices has more "
+                          "bytes than an array can hold")
+    spec = attach_renorm(spec, grid, dt, cfg)
     seed = args.seed if args.seed is not None else _value(cfg, "harness.seed")
     u = build_initial(cfg, grid, spec.m)
     _check_state(u, grid, spec.m, spec)
@@ -367,6 +371,9 @@ def cmd_tv(args) -> int:
         _shift_slices(t, dt, n_steps)
         params, gammas = build_coupling(cfg, sweep=True)
         n_samples = _value(cfg, "harness.n_samples")
+        if (amp := _value(cfg, "noise.amplitude")) != 1.0:
+            raise ConfigError(f"noise.amplitude = {amp}: tv needs unit-intensity noise, "
+                              "which the bound's Cameron-Martin term assumes")
 
     reports = estimate_tv_sweep(u, [_displaced_state(u, gamma) for gamma in gammas], t, spec,
                                 params, n_samples, seed, dt, n_steps=n_steps,

@@ -23,8 +23,9 @@ all targets go through the same gamma-step and verification evolves.  Each
 row is computed exactly as it would be alone, so every per-sample result,
 and hence every report, is bit-identical whatever the chunk size.
 ``blowup_probability`` keeps no trajectory and draws its noise one time step
-at a time; ``weighted_expectation`` keeps the base trajectories only when a
-callable shift needs them.
+at a time; ``weighted_expectation`` draws each chunk's whole paths at once (the
+weight pairs the shift with every slice) and keeps the base trajectories only
+when a callable shift needs them.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import Field, _dyadic_masks, l2_norm
-from .noise import (ShiftPath, _check_path, _SliceSource, apply_shift, cm_norm_sq,
-                    girsanov_weight, sample_white_noise)
+from .noise import (NoisePath, ShiftPath, _check_path, _SliceSource, cm_norm_sq,
+                    girsanov_weight)
 from .shift import (CouplingParams, _build_shift_batch, _coupling_residuals,
                     _shift_slices)
 from .solver import _check_state, _evolve_batch, _step_range
@@ -222,11 +223,7 @@ def estimate_tv_sweep(
         raise ValueError("need at least one target u_bar")
     gammas = [l2_norm(u_bar - u) for u_bar in u_bars]
     for gamma in gammas:
-        if params.m_bound * gamma > 1.0 + 1e-12:
-            raise ValueError(
-                f"gamma * M = {gamma * params.m_bound} > 1; the exponential-moment "
-                "bound needs gamma * M <= 1 (shrink gamma or M)"
-            )
+        params.check_budget(gamma)
     fns = [(name, _clamped(fn)) for name, fn in functionals]
     n_steps = _check_path(u.m, n_steps, dt)
     _check_state(u, u.grid, u.m, spec)
@@ -295,35 +292,34 @@ def weighted_expectation(
     grid = u.grid
     fixed = isinstance(h, ShiftPath)
     if fixed:
-        dt = h.dt
-        n_steps = h.n_steps
-        h_of = lambda base, b, w: h
-    else:
-        if dt is None or n_steps is None:
-            raise ValueError("callable h needs explicit dt and n_steps")
-        h_of = lambda base, b, w: h(base.outcome(b, grid, 0.0, t, dt, w.increments[:k_t]))
+        dt, n_steps = h.dt, h.n_steps
+    elif dt is None or n_steps is None:
+        raise ValueError("callable h needs explicit dt and n_steps")
     fn = _clamped(functional)
     _check_path(u.m, n_steps, dt)
     _check_state(u, grid, u.m, spec)
     _, k_t = _step_range(0.0, t, dt, n_steps)
 
-    # per row: the full-length noise, shift and shifted noise, the two k_t-slice
-    # increment stacks and, for a callable h, the stored base trajectory
-    row_bytes = 8 * u.values.size * (3 * n_steps + 6 * (k_t + 1))
+    # per row: the full-length noise and shift, the two k_t-slice increment
+    # stacks and, for a callable h, the stored base trajectory
+    row_bytes = 8 * u.values.size * (2 * n_steps + 6 * (k_t + 1))
     weighted, plain = [], []
     for streams in _sample_chunks(n_samples, row_bytes):
-        noises = [sample_white_noise(grid, u.m, n_steps, dt, seed, stream=j) for j in streams]
-        base = _evolve_batch(_start_rows(u, len(streams)),
-                             np.stack([w.increments[:k_t] for w in noises], axis=1), spec, grid,
-                             dt, final_only=fixed)
-        shifts = [h_of(base, b, w) for b, w in enumerate(noises)]
+        drawn = _SliceSource(grid, u.m, n_steps, dt, seed, streams).drawn()
+        drawn.setflags(write=False)  # a callable h sees it as its outcome's noise terms
+        base = _evolve_batch(_start_rows(u, len(streams)), drawn[:k_t], spec, grid, dt,
+                             final_only=fixed)
+        shifts = [h if fixed else h(base.outcome(b, grid, 0.0, t, dt, drawn[:k_t, b]))
+                  for b in range(len(streams))]
+        # each weight checks its shift against the row's noise before the shifted evolve
+        weights = [girsanov_weight(NoisePath(grid, dt, drawn[:, b]), h_b)
+                   for b, h_b in enumerate(shifts)]
         moved = _evolve_batch(_start_rows(u, len(streams)),
-                              np.stack([apply_shift(w, h_b).increments[:k_t]
-                                        for w, h_b in zip(noises, shifts)], axis=1),
+                              drawn[:k_t] + np.stack([h_b.values[:k_t] for h_b in shifts],
+                                                     axis=1) * dt,
                               spec, grid, dt, final_only=True)
-        for b, (w, h_b) in enumerate(zip(noises, shifts)):
-            weighted.append(_final_value(moved, b, grid, fn) * girsanov_weight(w, h_b))
-            plain.append(_final_value(base, b, grid, fn))
+        weighted += [_final_value(moved, b, grid, fn) * wt for b, wt in enumerate(weights)]
+        plain += [_final_value(base, b, grid, fn) for b in range(len(streams))]
 
     weighted, plain = np.array(weighted), np.array(plain)
     diff = weighted - plain

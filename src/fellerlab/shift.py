@@ -89,11 +89,20 @@ class CouplingParams:
     tol: float | None = None
 
     def __post_init__(self):
-        for name, ok in (("m_bound", self.m_bound > 0 and 1 / self.m_bound < math.inf),
-                         ("cutoff_r", self.cutoff_r > 0), ("k_gamma", self.k_gamma >= 1)):
+        reciprocal_ok = lambda v: v > 0 and 1 / v < math.inf
+        for name, ok in (("m_bound", reciprocal_ok(self.m_bound)),
+                         ("cutoff_r", reciprocal_ok(self.cutoff_r)), ("k_gamma", self.k_gamma >= 1),
+                         ("tol", self.tol is None or 0 < self.tol < math.inf)):
             if not ok:
                 raise ValueError(f"{name} = {getattr(self, name)} is out of range: need "
-                                 "m_bound > 0 with a finite 1/m_bound, cutoff_r > 0, k_gamma >= 1")
+                                 "m_bound > 0 with a finite 1/m_bound, cutoff_r > 0 with a "
+                                 "finite 1/cutoff_r, k_gamma >= 1, tol unset or > 0 and finite")
+
+    def check_budget(self, gamma: float):
+        """Reject a displacement gamma outside the exponential-moment budget gamma * M <= 1."""
+        if self.m_bound * gamma > 1.0 + 1e-12:
+            raise ValueError(f"gamma * M = {gamma * self.m_bound:g} > 1; the exponential-moment "
+                             "bound needs gamma * M <= 1 (shrink gamma or M)")
 
 
 @dataclass(frozen=True)

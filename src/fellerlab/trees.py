@@ -147,16 +147,11 @@ XI = Tree(("xi",))
 XI_HAT = Tree(("xihat",))
 
 
-def x_monomial(k) -> Tree:
-    """Monomial X0^k0 X1^k1 X2^k2 X3^k3; k may be a 4-tuple or a dict."""
-    if isinstance(k, dict):
-        kk = [0, 0, 0, 0]
-        for i, e in k.items():
-            kk[i] = e
-        k = tuple(kk)
+def x_monomial(k: tuple[int, int, int, int]) -> Tree:
+    """Monomial X0^k0 X1^k1 X2^k2 X3^k3 of the 4-tuple k."""
+    if not isinstance(k, tuple) or len(k) != 4 or any(e < 0 for e in k):
+        raise ValueError(f"bad multi-index {k!r}: need a 4-tuple of integers >= 0")
     k = tuple(int(e) for e in k)
-    if len(k) != 4 or any(e < 0 for e in k):
-        raise ValueError(f"bad multi-index {k}")
     return Tree(("x", k))
 
 
@@ -629,14 +624,6 @@ def check_commutation(t: Tree) -> bool:
 # basis enumeration
 
 
-def _coerce_degree(bound) -> DegreeValue:
-    if isinstance(bound, DegreeValue):
-        return bound
-    if isinstance(bound, tuple):
-        return DegreeValue(bound[0], bound[1])
-    return DegreeValue(bound, 0)
-
-
 def _small_products(elements, slack: Fraction, cap: int) -> set[Tree]:
     """The products of one to three of ``elements`` whose degree bases sum to
     at most ``slack``."""
@@ -665,14 +652,15 @@ def _small_products(elements, slack: Fraction, cap: int) -> set[Tree]:
 
 
 def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree]:
-    """All basis trees of degree lexicographically below ``max_degree``.
+    """All basis trees of degree lexicographically below ``max_degree``, a
+    DegreeValue or a number (the degree with no kappa part).
 
     The generating leaves are the unit monomial and I(Xi) (plus I(XiHat) and
     the bare XiHat in the hatted structure); the family is closed under
     products of up to three factors and integration of non-monomial products.
     Sorted by degree, then canonically; raises when the count passes ``cap``.
     """
-    bound = _coerce_degree(max_degree)
+    bound = max_degree if isinstance(max_degree, DegreeValue) else DegreeValue(max_degree)
     slack = bound.base + 1
 
     gens = [PSI] + ([PSI_HAT] if hat else [])

@@ -175,6 +175,11 @@ def test_tv_outputs(tmp_path):
     assert len(manifest["summaries"]) == 2
 
 
+def test_tv_runs_at_explicit_unit_noise_amplitude(tmp_path):
+    cfg = _write(tmp_path, COUPLE_CONFIG + "harness.n_samples = 2\nnoise.amplitude = 1\n")
+    assert main(["tv", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_jacobian_check(tmp_path, capsys):
     cfg = _write(tmp_path, COUPLE_CONFIG)
     rc = main(["jacobian-check", "--config", cfg])
@@ -350,6 +355,17 @@ def test_config_error_exit_code(tmp_path):
     ("couple", COUPLE_CONFIG.replace("gamma = 0.05", "gamma = -0.05"), "coupling.gamma = -0.05"),
     ("couple", COUPLE_CONFIG.replace("m_bound = 20.0", "m_bound = 5e-324"),
      "coupling.m_bound = 5e-324 is out of range: need m_bound > 0 with a finite 1/m_bound"),
+    # the coupling ranges: a finite 1/cutoff_r, a given tol > 0 and finite
+    ("couple", COUPLE_CONFIG + "coupling.cutoff_r = 5e-324\n",
+     "coupling.cutoff_r = 5e-324 is out of range"),
+    *[("tv", COUPLE_CONFIG + f"harness.n_samples = 2\ncoupling.tol = {tol}\n",
+       f"coupling.tol = {tol} is out of range") for tol in ("-1.0", "0.0", "inf")],
+    # the bound's Cameron-Martin term assumes unit-intensity noise
+    *[("tv", COUPLE_CONFIG + f"harness.n_samples = 2\nnoise.amplitude = {amp}\n",
+       f"noise.amplitude = {amp}: tv needs unit-intensity noise") for amp in ("0.0", "2.0")],
+    # a noise path over [0, 1] with more bytes than an array can hold
+    ("solve", HEAT_CONFIG.replace("time.dt = 0.00390625", "time.dt = 1e-300"),
+     "time.dt = 1e-300: a noise path of 1e+300 slices"),
     # the finite-difference check needs a slice before t to difference
     *[("jacobian-check", COUPLE_CONFIG.replace("time.t = 0.25", f"time.t = {t}"),
        f"time.t = {t}: jacobian-check needs at least one slice") for t in ("0.0", "1e-300")],

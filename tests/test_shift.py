@@ -289,3 +289,6 @@ def test_coupling_params_validation():
         CouplingParams(m_bound=0.0, k_gamma=4)
     with pytest.raises(ValueError):
         CouplingParams(m_bound=1.0, k_gamma=0)
+    for bad in ({"tol": 0.0}, {"tol": -1.0}, {"cutoff_r": 5e-324}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} = .* is out of range"):
+            CouplingParams(m_bound=1.0, k_gamma=4, **bad)

@@ -34,6 +34,16 @@ def test_monomial_merge():
     assert k == (1, 2, 0, 0) and factors == (PSI,)
 
 
+def test_monomial_and_basis_bound_take_one_form():
+    """x_monomial takes a 4-tuple and generate_basis a DegreeValue or a number."""
+    for k in ({1: 2}, [0, 1, 0, 0], (0, 1, 0), (0, -1, 0, 0)):
+        with pytest.raises(ValueError, match="bad multi-index"):
+            x_monomial(k)
+    with pytest.raises(TypeError):
+        generate_basis((0, 1))
+    assert generate_basis(Fraction(1, 2)) == generate_basis(DegreeValue(Fraction(1, 2)))
+
+
 def test_integ_of_monomial_vanishes():
     assert integ(ONE) is None
     assert integ(x_monomial((0, 3, 0, 0))) is None
