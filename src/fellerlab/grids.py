@@ -274,29 +274,49 @@ def _proxy_norms(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     """``holder_proxy_norm`` of each state of ``values`` (B, m, *grid), shape
     (B,), in one batched inverse transform over (state, shell, component)
     triples; each state's norm has the bits it has alone."""
-    if abs(alpha) >= 2:
-        raise ValueError(f"|alpha| must be < 2, got {alpha}")
-    masks = _dyadic_masks(grid.dim, grid.n)
-    modes = _real_transform(values, grid)
-    blocks = _real_inverse(masks[:, None, ...] * modes[:, None, ...], grid)
-    return _weighted_block_sup(blocks, _shell_weights(alpha, masks.shape[0]))
+    return _ProxyNorms(grid, alpha, values.shape[1:], values.shape[0])(values)
+
+
+class _ProxyNorms:
+    """``_proxy_norms`` at exponent ``alpha`` of up to ``n`` states of one
+    shape per call, with its transform buffers allocated once: a caller
+    that norms many batches keeps one.  A call on fewer states uses the
+    leading rows of every buffer, which gives each state the bits it has
+    alone."""
+
+    def __init__(self, grid: Grid, alpha: float, shape: tuple, n: int):
+        if abs(alpha) >= 2:
+            raise ValueError(f"|alpha| must be < 2, got {alpha}")
+        masks = _dyadic_masks(grid.dim, grid.n)
+        half = shape[:-1] + (grid.n // 2 + 1,)
+        self.grid, self.weights = grid, _shell_weights(alpha, masks.shape[0])
+        # a complex copy of the masks multiplies the same bits without a cast per call
+        self.masks = masks[:, None, ...].astype(complex)
+        self.modes = np.empty((n,) + half, dtype=complex)
+        self.shells = np.empty((n,) + masks.shape[:1] + half, dtype=complex)
+        self.blocks = np.empty((n,) + masks.shape[:1] + shape)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        k = values.shape[0]
+        modes = _real_transform(values, self.grid, out=self.modes[:k])
+        shells = np.multiply(self.masks, modes[:, None, ...], out=self.shells[:k])
+        blocks = _real_inverse(shells, self.grid, out=self.blocks[:k])
+        return _weighted_block_sup(blocks, self.weights)
 
 
 def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:
     return 2.0 ** (alpha * np.arange(n_shells))
 
 
-def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Proxy norm of each row of real shell blocks (B, n_shells, m, *grid): the
     largest over shells j of weights[j] times the block's sup-norm, shape (B,).
-    ``out``, a contiguous array of the blocks' shape, holds the weighted
-    entries when given.
+    The weighted entries overwrite ``blocks``.
 
     Rounding is monotone, so a positive weight times a block's largest entry
     is the largest of its weighted entries, bit for bit: each row is reduced
     in one pass."""
-    weighted = np.abs(blocks, out=out)
+    weighted = np.abs(blocks, out=blocks)
     weighted *= weights.reshape((-1,) + (1,) * (blocks.ndim - 2))
     return weighted.reshape(blocks.shape[0], -1).max(axis=1)
 

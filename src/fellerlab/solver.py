@@ -13,13 +13,11 @@ trajectory is dead it stays dead, and evolving the dead state returns the
 dead state for any input.
 
 Each step makes one batched forward and one batched inverse transform:
-u_k, u_k + dt F(u_k) and dW_k go forward together, and the monitor's shell
-blocks of u_k, the heat step and the mollified increment come back
-together.  kpz1d makes two of each, since its drift needs the gradient of
-u_k first: one pass for the shell blocks, the gradient and the increment,
-one for the heat step.  The final state takes no step, so its monitor
-value comes from the batched proxy norm (``grids._proxy_norms``), which
-gives the same bits.  The stepper can carry the tangent flow
+u_k + dt F(u_k) and dW_k go forward together, and the heat step and the
+mollified increment come back together.  kpz1d makes two of each, since
+its drift needs the gradient of u_k first: one pass for the gradient and
+the increment, one for the heat step.  The stepper can carry the tangent
+flow
 
     x_{k+1} = E (x_k + dt DF(u_k) x_k) + DG(u_k) x_k * smooth(dW_k)
 
@@ -29,15 +27,22 @@ it.  It is the only tangent loop: the linearizations in ``tangent`` and
 ``shift`` replay a stored path by evolving it again from a stored state
 along the same raw increments, with the tangent carried.
 
+A path dies at its first state that fails a check, and that depends only
+on the path's past, so the steps do not check: they write their states
+into a buffer, and a block of states is checked at once after it is
+stepped.  The monitor of the whole block is one batched proxy norm
+(``grids._ProxyNorms``, its buffers allocated once per evolve), G and
+finiteness one test each; rows that died in the block leave at its end,
+and what they computed past their death is discarded.
+
 Each evolve lays its step out once (``_StepPlan``): the slot of every
 field in the stacked transforms and its multiplier, and buffers for the
-forward input, the modes, the multiplied modes, the inverse output and
-the monitor's reduction.  Fields are written straight into their slots,
-and the transforms write into the buffers (``out=``); rows that die leave
-the leading rows of every buffer to the survivors.  At batch size one a
-step is mostly numpy call overhead, which this keeps to the calls the
-arithmetic needs.  Every transform and product gets the operands it would
-get on fresh arrays, so no bit changes.
+forward input, the modes and the inverse output.  Fields are written
+straight into their slots, and the transforms write into the buffers
+(``out=``); rows that die leave the leading rows of every buffer to the
+survivors.  At batch size one a step is mostly numpy call overhead, which
+this keeps to the calls the arithmetic needs.  Every transform and product
+gets the operands it would get on fresh arrays, so no bit changes.
 
 The fields are real, so the transforms are real-to-complex (``rfft``,
 ``rfftn``): modes are kept on the half spectrum, frequencies 0..n/2 on the
@@ -63,8 +68,8 @@ from functools import lru_cache
 import numpy as np
 
 from .equations import EquationSpec
-from .grids import (Field, Grid, _dyadic_masks, _gaussian_multiplier, _proxy_norms,
-                    _real_inverse, _real_transform, _shell_weights, _weighted_block_sup)
+from .grids import (Field, Grid, _ProxyNorms, _dyadic_masks, _gaussian_multiplier,
+                    _proxy_norms, _real_inverse, _real_transform)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -106,16 +111,11 @@ class _Workspace:
     Fields are real, so their modes are kept on the half spectrum
     (``grids._real_transform``), and so is every multiplier."""
 
-    def __init__(self, grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float):
+    def __init__(self, grid: Grid, dt: float, kind: str, eps: float):
         self.grid = grid
         half = lambda a: a[..., :grid.n // 2 + 1]
         self.decay = half(np.exp(-grid.wavenumbers_sq() * dt))
         self.moll = None if eps == 0.0 else half(_gaussian_multiplier(grid, eps))
-        self.shell_masks = _dyadic_masks(grid.dim, grid.n)
-        self.shell_weights = _shell_weights(monitor_eta, self.shell_masks.shape[0])
-        # complex copies of the masks and multipliers multiply the same bits
-        # without a cast on every call
-        self._shell_sel = self.shell_masks[:, None, ...].astype(complex)
         self.gradient = None  # dealiased derivative multiplier, for kpz1d's drift
         if kind == "kpz1d":
             k = half(grid.frequencies()[0])
@@ -123,8 +123,8 @@ class _Workspace:
 
 
 @lru_cache(maxsize=32)
-def _workspace(grid: Grid, dt: float, kind: str, eps: float, monitor_eta: float) -> _Workspace:
-    return _Workspace(grid, dt, kind, eps, monitor_eta)
+def _workspace(grid: Grid, dt: float, kind: str, eps: float) -> _Workspace:
+    return _Workspace(grid, dt, kind, eps)
 
 
 @dataclass(frozen=True)
@@ -238,33 +238,24 @@ class _Pass:
     stack of fields, with buffers allocated once for up to ``n_rows`` rows.
 
     The caller writes the fields of each row into ``inputs(n)`` (n, n_in, m,
-    *grid): ``n_plain`` fields without a multiplier, then one per multiplier
-    in ``names`` ('decay', 'moll', 'gradient' of the workspace, stacked once
-    per pass).  With ``monitor`` field 0 also comes back as the monitor's
-    dyadic shell blocks, ahead of the multiplied fields.  A run on fewer rows
-    uses the leading rows of every buffer, so its arrays are laid out as
-    fresh ones would be and every transform and product has the same
-    operands as on a batch of that size.
+    *grid), one per multiplier in ``names`` ('decay', 'moll', 'gradient' of
+    the workspace, stacked once per pass).  A run on fewer rows uses the
+    leading rows of every buffer, so its arrays are laid out as fresh ones
+    would be and every transform and product has the same operands as on a
+    batch of that size.
     """
 
-    def __init__(self, ws: _Workspace, n_rows: int, field_shape: tuple, names: tuple,
-                 monitor: bool, n_plain: int = 0):
+    def __init__(self, ws: _Workspace, n_rows: int, field_shape: tuple, names: tuple):
         half = field_shape[:-1] + (ws.grid.n // 2 + 1,)
-        self.ws, self.n_plain = ws, n_plain
-        self.n_shells = ws.shell_masks.shape[0] if monitor else 0
-        n_in, n_out = n_plain + len(names), self.n_shells + len(names)
-        self.fwd = np.empty((n_rows, n_in) + field_shape)
-        self.modes = np.empty((n_rows, n_in) + half, dtype=complex)
-        self.scaled = np.empty((n_rows, n_out) + half, dtype=complex)
-        self.real = np.empty((n_rows, n_out) + field_shape)
-        self.sup = np.empty((n_rows, self.n_shells) + field_shape)
+        self.grid = ws.grid
+        self.fwd = np.empty((n_rows, len(names)) + field_shape)
+        self.modes = np.empty((n_rows, len(names)) + half, dtype=complex)
+        self.real = np.empty_like(self.fwd)
         self.mult = np.stack([getattr(ws, name) for name in names]).astype(complex)[:, None]
         self.views = self._views(n_rows)
 
     def _views(self, n: int) -> tuple:
-        modes, scaled, real, k = self.modes[:n], self.scaled[:n], self.real[:n], self.n_shells
-        return (self.fwd[:n], modes, scaled, real, modes[:, :1], scaled[:, :k],
-                modes[:, self.n_plain:], scaled[:, k:], real[:, :k], self.sup[:n])
+        return self.fwd[:n], self.modes[:n], self.real[:n]
 
     def inputs(self, n: int) -> np.ndarray:
         """The forward buffer's first n rows, laid out for the next ``run``."""
@@ -272,34 +263,28 @@ class _Pass:
             self.views = self._views(n)
         return self.views[0]
 
-    def run(self):
-        """Transform the rows of the last ``inputs``: the monitor value per row
-        (None without a monitor) and the inverse buffer's rows (n, n_out, m,
-        *grid), a view the next run overwrites."""
-        ws = self.ws
-        fwd, modes, scaled, real, head, shells, tail, scaled_tail, blocks, sup = self.views
-        _real_transform(fwd, ws.grid, out=modes)
-        if self.n_shells:
-            np.multiply(ws._shell_sel, head, out=shells)
-        np.multiply(tail, self.mult, out=scaled_tail)
-        _real_inverse(scaled, ws.grid, out=real)
-        if not self.n_shells:
-            return None, real
-        return _weighted_block_sup(blocks, ws.shell_weights, sup), real
+    def run(self) -> np.ndarray:
+        """Transform the rows of the last ``inputs``, multiply each field's
+        modes by its multiplier (in place) and transform back: the inverse
+        buffer's rows (n, n_in, m, *grid), a view the next run overwrites."""
+        fwd, modes, real = self.views
+        _real_transform(fwd, self.grid, out=modes)
+        np.multiply(modes, self.mult, out=modes)
+        return _real_inverse(modes, self.grid, out=real)
 
 
 class _StepPlan:
     """The spectral step of one evolve, laid out once for its equation and for
     whether a tangent and an inject ride along.
 
-    A pointwise drift takes one pass: u_k (for the monitor), u_k + dt F(u_k),
-    the tangent input, dW_k and the inject slice go forward together, and
-    u_k's shell blocks, the two heat steps and the two smoothed slices come
-    back together.  kpz1d's drift needs the gradient of u_k first, so it
-    takes two: u_k (monitor and gradient), the tangent (gradient), dW_k and
-    the inject slice, then the two heat inputs.  Without a mollifier the
-    noise and inject slices are used as they are and skip the transforms.
-    Each field is written straight into its slot of the forward buffer.
+    A pointwise drift takes one pass: u_k + dt F(u_k), the tangent input,
+    dW_k and the inject slice go forward together, and the two heat steps
+    and the two smoothed slices come back together.  kpz1d's drift needs
+    the gradient of u_k first, so it takes two: u_k and the tangent (for
+    their gradients), dW_k and the inject slice, then the two heat inputs.
+    Without a mollifier the noise and inject slices are used as they are
+    and skip the transforms.  Each field is written straight into its slot
+    of the forward buffer.
 
     Every output is a view into a pass's inverse buffer and holds only until
     that pass runs again: a caller that keeps one across steps copies it.
@@ -307,52 +292,58 @@ class _StepPlan:
 
     def __init__(self, grid: Grid, dt: float, spec: EquationSpec, n_rows: int,
                  field_shape: tuple, tangent: bool, inject: bool):
-        ws = _workspace(grid, dt, spec.kind, spec.eps, spec.monitor_eta)
+        ws = _workspace(grid, dt, spec.kind, spec.eps)
         self.dt, self.spec, self.tangent = dt, spec, tangent
         self.n_noise = (1 + inject) if ws.moll is not None else 0  # smoothed slices
         noise = ("moll",) * self.n_noise
         heat = ("decay",) * (1 + tangent)
-        if ws.gradient is None:  # u_k goes forward for the monitor alone
-            self.passes = (_Pass(ws, n_rows, field_shape, heat + noise, True, n_plain=1),)
+        if ws.gradient is None:
+            self.passes = (_Pass(ws, n_rows, field_shape, heat + noise),)
         else:
             grads = ("gradient",) * (1 + tangent)
-            self.passes = (_Pass(ws, n_rows, field_shape, grads + noise, True),
-                           _Pass(ws, n_rows, field_shape, heat, False))
+            self.passes = (_Pass(ws, n_rows, field_shape, grads + noise),
+                           _Pass(ws, n_rows, field_shape, heat))
 
     def step(self, u, x, dw, h):
-        """The transforms of one step from the states u (B, m, *grid): the
-        monitor value of u, the heat steps of u + dt f(u) and of the tangent
-        input (None without a tangent), and the smoothed increment dw and
-        inject slice h (None without an inject)."""
-        spec, dt, n, t = self.spec, self.dt, u.shape[0], self.tangent
+        """The transforms of one step from the states u (B, m, *grid): the heat
+        steps of u + dt f(u) and of the tangent input (None without a
+        tangent), and the smoothed increment dw and inject slice h (None
+        without an inject)."""
+        spec, dt, n = self.spec, self.dt, u.shape[0]
         first = self.passes[0]
         fwd = first.inputs(n)
-        fwd[:, 0] = u
         pointwise = len(self.passes) == 1
         if pointwise:
-            np.add(u, dt * spec.drift(u), out=fwd[:, 1])
+            np.add(u, dt * spec.drift(u), out=fwd[:, 0])
             if x is not None:
-                np.add(x, dt * spec.drift_jvp(u, x), out=fwd[:, 2])
-        elif x is not None:
-            fwd[:, 1] = x
-        at = pointwise + 1 + t  # the noise slots follow the state and tangent inputs
+                np.add(x, dt * spec.drift_jvp(u, x), out=fwd[:, 1])
+        else:
+            fwd[:, 0] = u
+            if x is not None:
+                fwd[:, 1] = x
+        at = 1 + self.tangent  # the noise slots follow the state and tangent inputs
         if self.n_noise:
             fwd[:, at] = dw
         if self.n_noise > 1:
             fwd[:, at + 1] = h
-        mon, real = first.run()
-        k = first.n_shells  # outputs: shells, then one per multiplied input
-        dwe = real[:, k + 1 + t] if self.n_noise else dw
-        he = real[:, k + 2 + t] if self.n_noise > 1 else h
+        real = first.run()
+        dwe = real[:, at] if self.n_noise else dw
+        he = real[:, at + 1] if self.n_noise > 1 else h
         if not pointwise:
-            du, dx = real[:, k], real[:, k + 1] if x is not None else None
+            du, dx = real[:, 0], real[:, 1] if x is not None else None
             second = self.passes[1]
             fwd = second.inputs(n)
             np.add(u, dt * spec.drift(u, du), out=fwd[:, 0])
             if x is not None:
                 np.add(x, dt * spec.drift_jvp(u, x, du, dx), out=fwd[:, 1])
-            real, k = second.run()[1], 0
-        return mon, real[:, k], real[:, k + 1] if x is not None else None, dwe, he
+            real = second.run()
+        return real[:, 0], real[:, 1] if x is not None else None, dwe, he
+
+
+# bytes of shell blocks that one block check norms at once (``_ProxyNorms``
+# transforms each state into one real block per dyadic shell): a block holds
+# as many states as fit, at least one and at most the whole path
+_CHECK_BYTES = 1 << 18
 
 
 def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt: float,
@@ -372,16 +363,16 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     tangent gains G(u_j) smooth(h_j) dt (smooth(h_j) dt under additive
     noise), each slice smoothed in its step's forward transform.
 
-    One ``_StepPlan`` per call holds the step's transform buffers.  Step j
-    transforms u_j once: its modes give u_j's monitor value as well as
-    the next state, so u_j is checked and stored at step j; u_J takes no
-    step and is normed by ``_proxy_norms``.  A row that dies leaves the
-    active set and the others go on; every numpy call acts on each row as
-    it would on that row alone, so row b is bit-identical to a batch of one.
+    A row dies at its first state u_j that is not finite (j > 0), whose
+    running monitor exceeds ``r_blowup``, or (j < J) whose G drops below
+    ``g_min``, tested in that order; it keeps u_0..u_{j-1}, and u_j too
+    after a G death or a monitor death at j = 0.  The steps run a block of
+    states at a time (``_CHECK_BYTES``), and then the block is checked at
+    once; the steps a row took past its death are discarded.  Every numpy
+    call acts on each row and state as it would on that row alone, so row b
+    is bit-identical to a batch of one, whatever the block size.
     """
-    n_rows = u0.shape[0]
-    n_steps = increments.shape[0]
-    g_min = spec.g_min
+    n_rows, n_steps = u0.shape[0], increments.shape[0]
     n_kept = 1 if final_only else n_steps + 1
     fields = np.zeros((n_kept,) + u0.shape)
     tangent = None if x0 is None else np.zeros_like(fields)
@@ -390,75 +381,82 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     death_step = np.zeros(n_rows, dtype=int)
     reasons = [None] * n_rows
 
+    n_shells = _dyadic_masks(grid.dim, grid.n).shape[0]
+    cells = math.prod(u0.shape[1:])  # entries of one state
+    size = min(n_steps + 1, max(1, _CHECK_BYTES // max(1, 8 * n_shells * cells * n_rows)))
+    states = np.empty((size + 1,) + u0.shape)  # u_{j0+i} of the block from u_{j0} at slot i
+    xs = None if x0 is None else np.empty_like(states)  # and its tangent
+    states[0] = u0
+    if xs is not None:
+        xs[0] = x0
     rows = np.arange(n_rows)
     sel = slice(None)  # basic-slice stand-in for ``rows`` while no row has died
-    u = np.array(u0, dtype=np.float64)
-    x = None if x0 is None else np.array(x0, dtype=np.float64)
-    r = None
-    step = ()  # the current step's per-row transforms
+    r = None  # running monitor of the active rows before the block
     plan = _StepPlan(grid, dt, spec, n_rows, u0.shape[1:], x0 is not None, inject is not None)
+    norms = _ProxyNorms(grid, spec.monitor_eta, u0.shape[1:], size * n_rows)
 
-    def drop(mask, at, reason, stored):
-        """Retire the active rows under ``mask``; returns the survivors' mask."""
-        nonlocal rows, sel, u, x, r, step
-        for b in rows[mask]:
-            reasons[b] = reason
-            death_step[b], n_stored[b] = at, stored
-        keep = ~mask
-        rows, u, r = rows[keep], u[keep], r[keep]
-        x = None if x is None else x[keep]
-        step = [None if a is None else a[keep] for a in step]
-        sel = rows
-        return keep
-
-    def store(j):
-        at = 0 if final_only else j
-        fields[at, sel] = u
-        trace[at, sel] = r
-        if x is not None:
-            tangent[at, sel] = x
+    def keep(b, i, count):
+        """Store the first ``count`` states of the block's rows i as rows b."""
+        if count > 0:
+            to, of = (slice(1), slice(count - 1, count)) if final_only else \
+                (slice(j0, j0 + count), slice(count))
+            fields[to, b], trace[to, b] = states[of, i], mon[of, i]
+            if xs is not None:
+                tangent[to, b] = xs[of, i]
 
     # a non-finite death is recorded as data, so its overflow is not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        # each check tests the whole batch first and splits by row only on a hit
-        for j in range(n_steps + 1):
-            if rows.size == 0:
+        for j0 in range(0, n_steps + 1, size):
+            n, last = rows.size, min(size, n_steps + 1 - j0)
+            if n == 0:
                 break
-            last = j == n_steps
-            # rows that die below at step j were transformed too; drop() discards
-            # their results with them
-            if last:
-                mon = _proxy_norms(u, grid, spec.monitor_eta)
-            else:
-                mon, *step = plan.step(u, x, increments[j, sel],
-                                       None if inject is None else inject[j, sel])
-            r = mon if r is None else np.maximum(r, mon)
-            if j == 0:
-                store(0)  # u_0 is kept even when it trips the monitor; a later u_j is not
-            if r.max() > spec.r_blowup:
-                drop(r > spec.r_blowup, j, "monitor_threshold", max(j, 1))
-                if rows.size == 0:
-                    break
-            if j > 0:
-                store(j)
-            if last:
-                break
-            g, dg = spec.noise_coefficients(u, derivative=x is not None)
-            if g is not None and g.min() < g_min:
-                keep = drop(g.reshape(rows.size, -1).min(axis=1) < g_min, j, "nondegenerate", j + 1)
-                g, dg = g[keep], None if dg is None else dg[keep]
-                if rows.size == 0:
-                    break
-            heat, heat_x, dwe, he = step
-            if x is not None:
-                # heat_x is a view the next step's transforms overwrite
-                x = heat_x.copy() if dg is None else heat_x + dg * x * dwe
-                if inject is not None:
-                    x = x + (he if g is None else g * he) * dt
-            u = heat + (dwe if g is None else g * dwe)
-            if not np.isfinite(u).all():
-                finite = np.isfinite(u).reshape(rows.size, -1).all(axis=1)
-                drop(~finite, j + 1, "non_finite", j + 1)
+            for i in range(min(last, n_steps - j0)):
+                u, x = states[i, :n], None if xs is None else xs[i, :n]
+                heat, heat_x, dwe, he = plan.step(u, x, increments[j0 + i, sel],
+                                                  None if inject is None else inject[j0 + i, sel])
+                g, dg = spec.noise_coefficients(u, derivative=x is not None)
+                if x is not None:  # heat_x is a view the next step's transforms overwrite
+                    nxt = xs[i + 1, :n]
+                    if dg is None:
+                        nxt[...] = heat_x
+                    else:
+                        np.add(heat_x, dg * x * dwe, out=nxt)
+                    if inject is not None:
+                        nxt += (he if g is None else g * he) * dt
+                np.add(heat, dwe if g is None else g * dwe, out=states[i + 1, :n])
+
+            block = states[:last, :n]
+            mon = norms(block.reshape((-1,) + u0.shape[1:])).reshape(last, n)
+            if r is not None:
+                np.maximum(r, mon[0], out=mon[0])
+            np.maximum.accumulate(mon, axis=0, out=mon)
+            bad = ~np.isfinite(block).reshape(last, n, cells).all(axis=2)
+            bad[0] &= j0 > 0  # u_0 is not tested
+            over = mon > spec.r_blowup
+            hit = bad | over
+            g = spec.noise_coefficients(block[:n_steps - j0])[0]
+            if g is not None:  # u_J takes no step, so its G is not tested
+                low = g.reshape(g.shape[0], n, cells).min(axis=2) < spec.g_min
+                hit[:low.shape[0]] |= low
+            died = np.flatnonzero(hit.any(axis=0))
+            for i in died:  # each by its first event, in the order of the checks
+                k = int(hit[:, i].argmax())
+                reason, stored = (("non_finite", k) if bad[k, i] else
+                                  ("monitor_threshold", max(k, 1 - j0)) if over[k, i] else
+                                  ("nondegenerate", k + 1))
+                b = rows[i]
+                reasons[b], death_step[b], n_stored[b] = reason, j0 + k, j0 + stored
+                keep(b, i, stored)
+            live = slice(n)
+            if died.size:
+                live = np.delete(np.arange(n), died)
+                rows = sel = rows[live]
+            keep(sel, live, last)
+            # the block's last step made the next block's first state
+            states[0, :rows.size] = states[size, live]
+            if xs is not None:
+                xs[0, :rows.size] = xs[size, live]
+            r = mon[-1, live]
     return _Paths(fields, trace, n_stored, death_step, reasons, tangent)
 
 

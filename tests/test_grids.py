@@ -131,7 +131,7 @@ def test_weighted_block_sup_matches_per_shell_sup():
     for alpha in (-1.5, -0.25, 0.0, 0.25, 1.9):
         weights = _shell_weights(alpha, 5)
         per_shell = np.abs(blocks).reshape(6, 5, -1).max(axis=2)
-        assert np.array_equal(_weighted_block_sup(blocks, weights),
+        assert np.array_equal(_weighted_block_sup(blocks.copy(), weights),
                               (weights * per_shell).max(axis=1))
 
 

@@ -292,8 +292,7 @@ def test_workspace_cache_bounded(grid, nonlinear):
     from fellerlab.solver import _workspace
     bound = _workspace.cache_info().maxsize
     for i in range(3 * bound):
-        _workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear.kind, nonlinear.eps,
-                   nonlinear.monitor_eta)
+        _workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear.kind, nonlinear.eps)
     assert _workspace.cache_info().currsize == bound
 
 
@@ -429,11 +428,11 @@ def _full_spectrum_step(u, x, dw, h, spec, grid, dt):
 
 def test_half_spectrum_step_matches_full_spectrum_reference():
     """The half-spectrum transforms of one planned step agree with full
-    complex FFTs and full multipliers to 1e-12 relative: monitor, heat step,
-    tangent heat step, smoothed increment and smoothed inject slice, for
-    she1d with a mollifier, kpz1d (m = 2, gradient pass and Nyquist column)
-    and phi4_2d.  The plan is sized for more rows than the step uses, and
-    the batched proxy norm that monitors the final state agrees too."""
+    complex FFTs and full multipliers to 1e-12 relative: heat step, tangent
+    heat step, smoothed increment and smoothed inject slice, for she1d with
+    a mollifier, kpz1d (m = 2, gradient pass and Nyquist column) and
+    phi4_2d.  The plan is sized for more rows than the step uses, and the
+    batched proxy norm that monitors every state agrees too."""
     from fellerlab import compute_renorm_constants
     from fellerlab.grids import _proxy_norms
     from fellerlab.solver import _StepPlan
@@ -452,9 +451,141 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
         u, x, dw, h = rng.standard_normal((4, 3, spec.m) + grid.shape)
         u += 2.0 * (-1.0) ** np.arange(grid.n)  # weight on the last axis's Nyquist mode
         plan = _StepPlan(grid, dt, spec, 5, u.shape[1:], tangent=True, inject=True)
-        got = plan.step(u, x, dw, h)
+        got = (_proxy_norms(u, grid, spec.monitor_eta),) + plan.step(u, x, dw, h)
         want = _full_spectrum_step(u, x, dw, h, spec, grid, dt)
         assert len(got) == len(want)
-        for g, w in zip(got + (_proxy_norms(u, grid, spec.monitor_eta),), want + want[:1]):
+        for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("diffusion, g_min, r_blowup, amp, reason", [
+    ("one", 1e-8, 5.0, 10.0, "monitor_threshold"),
+    ("bounded_smooth", 1.2, 1e6, 0.1, "nondegenerate"),
+])
+def test_nan_row_does_not_hold_back_other_deaths(diffusion, g_min, r_blowup, amp, reason):
+    """A finite row near the largest double has a NaN monitor and a NaN G;
+    beside it, another row dies at the state it dies at alone, with the same
+    kept states, trace and counts."""
+    from fellerlab.solver import _evolve_batch
+    grid, dt = Grid(1, 32, 1.0), 2.0**-8
+    spec = EquationSpec.she(drift="cubic_decay", diffusion=diffusion, g_min=g_min,
+                            r_blowup=r_blowup)
+    huge = 1.7e308 * (-1.0) ** np.arange(32)
+    row = amp * np.cos(2 * np.pi * grid.axes()[0])
+    increments = np.zeros((4, 2, 1, 32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = _evolve_batch(row[None, None], increments[:, 1:], spec, grid, dt)
+        both = _evolve_batch(np.stack([huge, row])[:, None], increments, spec, grid, dt)
+    assert (alone.reasons[0], alone.death_step[0]) == (reason, 0)
+    got = both.rows(slice(1, 2))
+    assert got.reasons == alone.reasons
+    for name in ("fields", "trace", "n_stored", "death_step"):
+        assert np.array_equal(getattr(got, name), getattr(alone, name))
+
+
+def _block_batches():
+    """Batches (grid, spec, dt, u0, noise source) of she1d rows on ten steps that die
+    by one reason each: by the monitor at every step from 0 to the final
+    state 10, by G from step 0 to step 9 (u_10 takes no step, so its G is
+    not tested), and not finite from step 1 (u_0 is not tested) to 10; in
+    blocks of four states, at steps on a block boundary (4, 8) and inside
+    one.  Each batch keeps a live row.  A last, noiseless batch has a row
+    whose G first drops below ``g_min`` at u_10 (so it lives) and one
+    whose u_0 is NaN (it dies not finite at step 1, keeping u_0)."""
+    from fellerlab.noise import _SliceSource
+    grid, dt = Grid(1, 32, 1.0), 2.0**-8
+    affine = ScalarFn("affine", lambda u: 1.0 + u, lambda u: np.ones_like(u))
+    cases = [
+        (EquationSpec.she(drift="cubic_growth", diffusion="one", eps=0.05, r_blowup=10.0),
+         np.linspace(3.0, 10.5, 16)),
+        (EquationSpec.she(drift="cubic_growth", diffusion=affine, g_min=0.5, eps=0.05),
+         np.r_[-np.linspace(0.14, 0.36, 23), -0.55]),
+        (EquationSpec.she(drift="cubic_growth", diffusion="one", eps=0.05, r_blowup=math.inf),
+         np.array([1e120, 1e60, 1e5, 30, 10, 9.5, 9, 8.5, 8, 7.5, 7, 6.5])),
+    ]
+    for spec, amps in cases:
+        source = _SliceSource(grid, spec.m, 10, dt, 21, range(len(amps)))
+        yield grid, spec, dt, amps[:, None, None] * np.ones((1,) + grid.shape), source
+    amps = np.array([-0.49555, np.nan, -0.4, -0.4965])
+    yield (grid, EquationSpec.she(drift="cubic_growth", diffusion=affine, g_min=0.5), dt,
+           amps[:, None, None] * np.ones((1,) + grid.shape), np.zeros((10, 4, 1) + grid.shape))
+
+
+def _variants(u0, shape):
+    """Keyword sets for ``_evolve_batch`` on increments of ``shape``: plain,
+    final-state-only, with a tangent, and with a tangent and an inject."""
+    wave = np.sin(2 * np.pi * np.arange(u0[0].size) / u0.shape[-1]).reshape(u0.shape[1:])
+    x0 = np.broadcast_to(wave, u0.shape)
+    inject = np.broadcast_to(0.5 * np.roll(wave, 3), shape)
+    return {"plain": {}, "final_only": {"final_only": True}, "tangent": {"x0": x0},
+            "inject": {"x0": x0, "inject": inject}}
+
+
+def _bits(paths):
+    """Every ``_Paths`` field, as bytes."""
+    return (paths.fields.tobytes(), paths.trace.tobytes(), paths.n_stored.astype(np.int64).tobytes(),
+            paths.death_step.astype(np.int64).tobytes(), repr(paths.reasons),
+            None if paths.tangent is None else paths.tangent.tobytes())
+
+
+def test_block_size_changes_no_bit(monkeypatch):
+    """Checking the states one at a time, four at a time or the whole path at
+    once gives the same bits in every ``_Paths`` field, for rows that die by
+    each reason at step 0, on a block boundary, inside a block and at the
+    final state, kept whole or final-only, with a tangent and an inject,
+    with increments as an array or drawn slice by slice."""
+    from fellerlab import solver
+    from fellerlab.grids import _dyadic_masks
+    cases = [(g, s, d, u, (src,) if isinstance(src, np.ndarray) else (src, src.drawn()))
+             for g, s, d, u, src in _block_batches()]
+    cases += [(g, s, d, u, (inc,)) for g, s, d, u, inc in _fate_batches()]
+    deaths = set()
+    for grid, spec, dt, u0, sources in cases:
+        one_state = 8 * _dyadic_masks(grid.dim, grid.n).shape[0] * u0.size
+        for name, kw in _variants(u0, sources[-1].shape).items():
+            runs = []
+            for budget in (1, 4 * one_state, 1 << 62):
+                monkeypatch.setattr(solver, "_CHECK_BYTES", budget)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    runs += [solver._evolve_batch(u0, src, spec, grid, dt, **kw) for src in sources]
+            assert all(_bits(run) == _bits(runs[0]) for run in runs), name
+        if sources[0].shape[0] == 10:
+            deaths |= {(r, int(j)) for r, j in zip(runs[0].reasons, runs[0].death_step)}
+    for reason, steps in (("monitor_threshold", (0, 4, 8, 5, 10)), ("nondegenerate", (0, 8, 5, 9)),
+                          ("non_finite", (1, 4, 7, 10))):
+        assert {(reason, j) for j in steps} <= deaths, reason
+    grid, spec, dt, u0, zeros = list(_block_batches())[-1]
+    edge = solver._evolve_batch(u0, zeros, spec, grid, dt)
+    assert edge.reasons[:2] == [None, "non_finite"] and list(edge.n_stored[:2]) == [11, 1]
+    assert (1.0 + edge.fields[10, 0]).min() < 0.5
+
+
+def _pinned_digests():
+    """sha256 (first 24 hex digits) over ``_bits`` of every variant of each
+    batch of ``_fate_batches`` and ``_block_batches``, in order."""
+    import hashlib
+    from fellerlab.solver import _evolve_batch
+    digests = []
+    for grid, spec, dt, u0, noise in list(_fate_batches()) + list(_block_batches()):
+        sha = hashlib.sha256()
+        for kw in _variants(u0, noise.shape).values():
+            with np.errstate(over="ignore", invalid="ignore"):
+                paths = _evolve_batch(u0, noise, spec, grid, dt, **kw)
+            for part in _bits(paths):
+                sha.update(b"-" if part is None else part.encode() if isinstance(part, str) else part)
+        digests.append(sha.hexdigest()[:24])
+    return digests
+
+
+def test_evolve_bits_pinned():
+    """The evolves of ``_pinned_digests`` (every death reason, 1D and 2D, m = 2,
+    kept whole and final-only, with a tangent and an inject, increments as an
+    array and drawn slice by slice) give the bits they gave when each state
+    was checked inside its step."""
+    assert _pinned_digests() == _PINNED
+
+
+_PINNED = ['53eb785353ee689f46fd5e55', '060b8990ac6e200928ea7da5', '1ddb768aea92e4d4d7c3de0e',
+           '6c7957867e505c25e62925b8', '807205fa33fb219b8e5c12e4', '5787c346770c4408cff1b3f1',
+           '0f781e09ba7ab0388ded8367', 'e0e9b8e829c97b2afd40976a']
