@@ -66,6 +66,7 @@ def _bool(raw: str) -> bool:
 # NaN would switch a guard or a bound off silently; +-inf stays (no bound)
 _float = _checked(float, lambda v: v == v, "must be a number")
 _length = _checked(_float, lambda v: 0 < v < np.inf, "must be > 0 and finite")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)")  # a Philox key word
 
 
 def _floats(raw: str) -> tuple:
@@ -110,7 +111,7 @@ _KEYS = {
     "coupling.cutoff_r": (_float, None),
     "coupling.tol": (_float, None),
     "harness.n_samples": (_checked(int, lambda v: v >= 1, "must be >= 1"), 100),
-    "harness.seed": (int, 0),
+    "harness.seed": (_seed, 0),
     "output.dir": (str, "out"),
     "output.snapshot_stride": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0),
 }
@@ -287,7 +288,10 @@ def _build_run(cfg: dict, args):
         raise ConfigError(f"time.dt = {dt}: a noise path of {n_steps:.3g} slices has more "
                           "bytes than an array can hold")
     spec = attach_renorm(spec, grid, dt, cfg)
-    seed = args.seed if args.seed is not None else _value(cfg, "harness.seed")
+    seed = _value(cfg, "harness.seed")
+    if args.seed is not None:
+        with _reading_input(f"--seed {args.seed}: "):
+            seed = _seed(args.seed)
     u = build_initial(cfg, grid, spec.m)
     _check_state(u, grid, spec.m, spec)
     return grid, dt, t, n_steps, spec, seed, u

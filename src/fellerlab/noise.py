@@ -10,7 +10,19 @@ path is reproducible slice by slice whatever other paths are drawn beside it
 or in what batch, a prefix of slices is the same whatever the path length,
 and increments over disjoint time windows come from independent counter
 blocks.  ``_SliceSource`` is the one drawer: whole paths, stacked streams
-and slice-at-a-time reads all come from it.
+and slice-at-a-time reads all come from it, through one Philox generator
+per source that is reseated for every slice.  The reseat writes the key
+word, the counter and the buffer position straight into numpy's
+``philox_state`` (``_SliceStreamsInPlace``), and numpy's C sampler
+``random_standard_normal_fill`` fills the slice at its address, with no
+state dict and no ``Generator`` call in between.  Both are looked up when
+the first source is made, behind a one-time self-check
+(``_slice_streams``): the state words must read back what the public state
+setter wrote, and draws at m = 1, m = 2 and in 2D, at slices 0, 1 and
+2^33 + 5, must have the bits of the setter plus
+``Generator.standard_normal``.  On any mismatch or error the drawer is
+that public path (``_SliceStreams``), which draws the same slices, so a
+numpy that moves its private layout costs only speed.
 
 A :class:`ShiftPath` is a deterministic direction for shifting the noise: a
 time grid of spatial fields with the units of noise density (field per unit
@@ -24,8 +36,10 @@ divided by dt and rounded; ``_check_path`` settles a path to draw.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -94,10 +108,11 @@ class _Path:
     def time_index(self, time: float) -> int:
         return _snap_index(time, self.dt, self.n_steps)
 
-    def _check_pair(self, other: "_Path", message: str):
-        """Reject ``other`` unless it has this path's grid, dt and shape."""
-        if (self.grid, self.dt, self.n_steps, self.m) != (other.grid, other.dt,
-                                                          other.n_steps, other.m):
+    def _check_pair(self, other, message: str):
+        """Reject ``other``, a path or a trajectory, unless it has this path's
+        grid, dt and m and, if a path, its slice count."""
+        if (self.grid, self.dt, self.m) != (other.grid, other.dt, other.m) or (
+                isinstance(other, _Path) and self.n_steps != other.n_steps):
             raise ValueError(message)
 
 
@@ -127,23 +142,102 @@ class ShiftPath(_Path):
 
 
 class _SliceStreams:
-    """Philox generator reseated at counter block (0, k, 0, 0) per slice k,
-    so each slice owns a disjoint 2^64-block range of one keyed stream."""
+    """The slices of one seed's keyed Philox streams, through numpy's public
+    interface: slice k of stream j is the generator at key (seed, j) and
+    counter block (0, k, 0, 0) with its buffer spent, reseated by the state
+    setter and filled by ``Generator.standard_normal``, so each slice owns a
+    disjoint 2^64-block range of its stream."""
 
-    def __init__(self, seed: int, stream: int):
-        key = np.array([seed & (2**64 - 1), stream & (2**64 - 1)], dtype=np.uint64)
-        self.bitgen = np.random.Philox(key=key)
-        self.gen = np.random.Generator(self.bitgen)
-        # one state to reseat from: counter (0, k, 0, 0), key, buffer spent
-        self._state = self.bitgen.state
+    def __init__(self, seed: int):
+        self.bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._gen = np.random.Generator(self.bitgen)
+        self._state = self.bitgen.state  # counter 0, key (seed, 0): rewritten per slice
         self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-        self._state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
-        self._counter = self._state["state"]["counter"]
 
-    def at_slice(self, k: int) -> np.random.Generator:
-        self._counter[1] = k  # the setter copies the counter, so it can be rewritten
-        self.bitgen.state = self._state
-        return self.gen
+    def fill(self, pairs: list, out: np.ndarray):
+        """Row i of ``out``, shape (len(pairs),) + the slice shape, gets slice
+        k of stream j for the i-th pair (j, k) of ``pairs``."""
+        block = self._state["state"]  # the setter copies it, so it can be rewritten
+        for row, (j, k) in zip(out, pairs):
+            block["key"][1], block["counter"][1] = j, k
+            self.bitgen.state = self._state
+            self._gen.standard_normal(out=row)
+
+
+class _SliceStreamsInPlace:
+    """``_SliceStreams`` reseated in place and filled by numpy's C sampler:
+    each slice writes key word 1, counter words 0 and 1 and buffer_pos = 4
+    straight into the ``philox_state`` (counter words 2 and 3 stay 0: a slice
+    never draws the 2^64 blocks a carry into them takes) and calls
+    ``random_standard_normal_fill``, the function behind
+    ``Generator.standard_normal``, at the row's address."""
+
+    def __init__(self, normal_fill, seed: int):
+        self.bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._counter, self._key, self._pos = _state_words(self.bitgen)
+        self._bitgen_t, self._normal_fill = self.bitgen.ctypes.bit_generator, normal_fill
+
+    def fill(self, pairs: list, out: np.ndarray):
+        """``_SliceStreams.fill``, into a C-contiguous float64 ``out``."""
+        if out.dtype != np.float64 or not out.flags.c_contiguous or len(out) != len(pairs):
+            raise ValueError("need a C-contiguous float64 array of one row per pair")
+        counter, key, pos = self._counter, self._key, self._pos
+        normal_fill, bitgen_t = self._normal_fill, self._bitgen_t
+        count = math.prod(out.shape[1:])
+        # ctypes objects as arguments skip a conversion per call; the row pointer moves in place
+        n, row, step = ctypes.c_ssize_t(count), ctypes.c_void_p(out.ctypes.data), 8 * count
+        for j, k in pairs:
+            key[1], counter[0], counter[1], pos.value = j, 0, k, 4
+            normal_fill(bitgen_t, n, row)
+            row.value += step
+
+
+def _state_words(bitgen) -> tuple:
+    """The counter (4 words) and key (2 words) of a Philox ``philox_state``,
+    reached through its first two pointers, and its buffer_pos, the int at
+    offset 16."""
+    state = bitgen.ctypes.state_address
+    counter, key = (ctypes.c_void_p.from_address(state + at).value for at in (0, 8))
+    return ((ctypes.c_uint64 * 4).from_address(counter), (ctypes.c_uint64 * 2).from_address(key),
+            ctypes.c_int.from_address(state + 16))
+
+
+# the self-check's draws: m = 1, m = 2 and a 2D slice at slices 0, 1 and
+# 2^33 + 5 of two streams, 2,688 normals that take the ziggurat's rejection branch
+_CHECK_SHAPES = ((64,), (2, 64), (1, 16, 16))
+_CHECK_PAIRS = [(j, k) for k in (0, 1, 2**33 + 5) for j in (0, 3)]
+
+
+@lru_cache(maxsize=1)
+def _slice_streams():
+    """The drawer class: ``_SliceStreamsInPlace`` bound to numpy's C sampler
+    if its state words read back what the public setter wrote and its draws
+    of ``_CHECK_SHAPES`` at ``_CHECK_PAIRS`` have the public path's bits,
+    else (mismatch or error) ``_SliceStreams``."""
+    try:
+        from numpy.random import _generator
+        normal_fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
+        normal_fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+        normal_fill.restype = None
+        probe = np.random.Philox()
+        words = ([2**60, 2**61, 3 * 2**60, 2**62], [5, 2**63 + 7], 3)
+        probe.state = {"bit_generator": "Philox", "buffer": np.zeros(4, dtype=np.uint64),
+                       "buffer_pos": words[2], "has_uint32": 0, "uinteger": 0,
+                       "state": {"counter": np.array(words[0], dtype=np.uint64),
+                                 "key": np.array(words[1], dtype=np.uint64)}}
+        counter, key, pos = _state_words(probe)
+        if (list(counter), list(key), pos.value) != words:
+            return _SliceStreams
+        in_place = partial(_SliceStreamsInPlace, normal_fill)
+        for shape in _CHECK_SHAPES:
+            drawn = [np.empty((len(_CHECK_PAIRS),) + shape) for _ in range(2)]
+            for streams, out in zip((in_place, _SliceStreams), drawn):
+                streams(11).fill(_CHECK_PAIRS, out)
+            if not np.array_equal(*drawn):
+                return _SliceStreams
+        return in_place
+    except Exception:
+        return _SliceStreams
 
 
 def _check_path(m: int, n_steps: int | None, dt: float) -> int:
@@ -164,28 +258,34 @@ class _SliceSource:
     n_streams, m) + grid.shape; ``src[j, rows]`` is slice j of the streams at
     positions ``rows`` (an index array or a slice), drawn on demand and
     bit-identical to those entries of ``drawn()``: each slice has its own
-    counter block, and scaling is elementwise."""
+    counter block, and scaling is elementwise.  The seed and every stream
+    lie in [0, 2**64), the range of a key word, so no two alias."""
 
     def __init__(self, grid: Grid, m: int, n_slices: int, dt: float, seed: int,
                  streams: range):
+        for value in (seed, *streams[:1], *streams[-1:]):
+            if not 0 <= value < 2**64:
+                raise ValueError(f"seed and stream must lie in [0, 2**64), got {value}")
         self.shape = (n_slices, len(streams), m) + grid.shape
         self._sigma = math.sqrt(dt / grid.cell_volume)
-        self._streams = [_SliceStreams(seed, j) for j in streams]
+        self._ids = np.arange(streams.start, streams.stop, streams.step, dtype=object)
+        self._streams = _slice_streams()(seed)
 
     def __getitem__(self, key) -> np.ndarray:
         k, rows = key
-        picked = np.arange(len(self._streams))[rows]
-        inc = np.empty((picked.size,) + self.shape[2:])
-        for i, b in enumerate(picked):
-            self._streams[b].at_slice(k).standard_normal(out=inc[i])
+        if not 0 <= k < 2**64:
+            raise IndexError(f"slice {k} is outside [0, 2**64)")
+        picked = self._ids[rows].tolist()
+        inc = np.empty((len(picked),) + self.shape[2:])
+        self._streams.fill([(j, k) for j in picked], inc)
         inc *= self._sigma
         return inc
 
     def drawn(self) -> np.ndarray:
         inc = np.empty(self.shape)
-        for i, streams in enumerate(self._streams):
-            for k in range(self.shape[0]):
-                streams.at_slice(k).standard_normal(out=inc[k, i])
+        ids = self._ids.tolist()
+        self._streams.fill([(j, k) for k in range(self.shape[0]) for j in ids],
+                           inc.reshape((-1,) + self.shape[2:]))
         inc *= self._sigma
         return inc
 
@@ -197,8 +297,8 @@ def sample_white_noise(
 
     The path must reach time one (n_steps * dt >= 1) because every flow map in
     the lab is defined on [0, 1].  Increment entries are i.i.d.
-    N(0, dt / cell_volume) per component; identical (seed, stream) give
-    bit-identical paths.
+    N(0, dt / cell_volume) per component; identical (seed, stream), each in
+    [0, 2**64), give bit-identical paths.
     """
     _check_path(m, n_steps, dt)
     source = _SliceSource(grid, m, n_steps, dt, seed, range(stream, stream + 1))

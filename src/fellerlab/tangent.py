@@ -77,8 +77,7 @@ def malliavin_derivative(outcome: FlowOutcome, h: ShiftPath, t: float,
     """
     if outcome.s != 0.0:
         raise ValueError("noise derivatives are taken along trajectories started at time 0")
-    if h.grid != outcome.grid or h.dt != outcome.dt or h.m != outcome.m:
-        raise ValueError("shift incompatible with trajectory")
+    h._check_pair(outcome, "shift incompatible with trajectory")
     j_t = outcome.time_index(t)
     if h.n_steps < j_t:
         raise ValueError(f"shift has {h.n_steps} slices, t needs {j_t}")

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -369,14 +370,19 @@ def test_config_error_exit_code(tmp_path):
     # the finite-difference check needs a slice before t to difference
     *[("jacobian-check", COUPLE_CONFIG.replace("time.t = 0.25", f"time.t = {t}"),
        f"time.t = {t}: jacobian-check needs at least one slice") for t in ("0.0", "1e-300")],
+    # a seed is a Philox key word: outside [0, 2**64) it would alias another seed
+    *[("couple", COUPLE_CONFIG.replace("harness.seed = 5", f"harness.seed = {seed}"),
+       f"harness.seed = '{seed}': must lie in [0, 2**64)")
+      for seed in ("-1", "18446744073709551616")],
+    ("solve --seed -1", HEAT_CONFIG, "--seed -1: must lie in [0, 2**64)"),
 ])
 def test_config_value_error_exits_two(tmp_path, capsys, command, text, message):
-    """A fault found while the run is built from its config (here a
+    """A fault found while the run is built from its config and flags (here a
     ValueError of the grid, a horizon off the time grid, a gamma_list entry
     over the budget, a malformed value, a horizon of one slice for a shift, a
     state that does not fit the equation) is a configuration error."""
     cfg = _write(tmp_path, text)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -531,3 +537,14 @@ def test_kpz_solve_manifest_renorm_and_equation_fields(tmp_path, eps):
         assert equation["renorm"] == {"values": [0.0, 0.0], "provenance": "user-supplied"}
     assert equation["coupling"] == coupling.tolist()
     assert equation["symmetric"] is False
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """The noise drawer looks numpy's sampler up when its first source is
+    made, so importing the CLI, as every run set-up and the symbols command
+    do, loads no numpy.random."""
+    import subprocess
+    import fellerlab
+    code = "import sys, fellerlab.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fellerlab.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,3 +257,129 @@ def test_noise_bits_pinned(grid, m, digest):
         inc = sample_white_noise(grid, m, 128, 2.0**-7, seed=11, stream=stream).increments
         h.update(np.ascontiguousarray(inc, dtype="<f8").tobytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (5 + 2**64, 0), (0, -1),
+                                          (0, 2**64)])
+def test_seed_or_stream_outside_the_key_range_rejected(grid, seed, stream):
+    """A seed and a stream are the two words of a Philox key: outside
+    [0, 2**64) one would alias another (5 + 2**64 would draw the noise of 5)."""
+    from fellerlab.noise import _SliceSource
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\*\*64\)"):
+        sample_white_noise(grid, 1, 64, 2.0**-6, seed=seed, stream=stream)
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\*\*64\)"):
+        _SliceSource(grid, 1, 4, 2.0**-6, seed, range(stream, stream + 2))
+    top = sample_white_noise(grid, 1, 64, 2.0**-6, seed=2**64 - 1, stream=2**64 - 1)
+    assert np.isfinite(top.increments).all()
+
+
+@pytest.mark.parametrize("k", [-1, 2**64])
+def test_slice_index_outside_the_counter_range_rejected(grid, k):
+    """A slice index is one word of the Philox counter: an index outside it
+    is an error, not the slice it is congruent to."""
+    from fellerlab.noise import _SliceSource
+    with pytest.raises(IndexError, match="outside"):
+        _SliceSource(grid, 1, 4, 2.0**-6, 0, range(2))[k, slice(None)]
+
+
+_ZIGGURAT_R = 3.6541528853610088  # numpy's ziggurat draws beyond this from its tail
+
+
+def _reference_slice(seed: int, stream: int, k: int, shape: tuple):
+    """Slice k of a stream from numpy's public interface alone: the Philox
+    keyed (seed, stream), set through the state setter to counter (0, k, 0,
+    0) with its buffer spent, filled by Generator.standard_normal; and the
+    64-bit words the fill consumed (more than its normals when the
+    ziggurat's fast path rejected)."""
+    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    state = bitgen.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"]["counter"] = np.array([0, k, 0, 0], dtype=np.uint64)
+    bitgen.state = state
+    out = np.random.Generator(bitgen).standard_normal(shape)
+    after = bitgen.state
+    return out, 4 * int(after["state"]["counter"][0]) - (4 - after["buffer_pos"])
+
+
+def test_slice_source_matches_public_reference():
+    """The in-place drawer is the one bound here, and every slice it draws
+    equals the public-interface reference bit for bit: m = 1 and m = 2 at
+    n = 64 and a 16 x 16 grid, low slices drawn whole and far ones (2^33 +
+    5, 2^63) on demand, over 10^6 normals that take the ziggurat's
+    rejection branch and its tail."""
+    from fellerlab.noise import _SliceSource, _SliceStreamsInPlace, _slice_streams
+    assert _slice_streams().func is _SliceStreamsInPlace
+    normals = consumed = 0
+    peak = 0.0
+    for grid, m in ((Grid(1, 64, 1.0), 1), (Grid(1, 64, 1.0), 2), (Grid(2, 16, 1.0), 1)):
+        # dt = cell volume scales by exactly 1, so the slices are the raw normals
+        source = _SliceSource(grid, m, 1200, grid.cell_volume, 21, range(5, 7))
+        drawn = source.drawn()
+        far = {k: source[k, slice(None)] for k in (0, 1, 2**33 + 5, 2**63)}
+        for i, stream in enumerate((5, 6)):
+            for k in range(1200):
+                want, words = _reference_slice(21, stream, k, (m,) + grid.shape)
+                assert np.array_equal(drawn[k, i], want)
+                normals, consumed, peak = normals + want.size, consumed + words, max(
+                    peak, np.abs(want).max())
+            for k, got in far.items():
+                assert np.array_equal(got[i], _reference_slice(21, stream, k, got.shape[1:])[0])
+    assert normals >= 10**6
+    assert consumed > normals and peak > _ZIGGURAT_R
+
+
+def test_self_check_draws_take_the_rejection_branch():
+    """The first-use self-check's draws are enough to leave the ziggurat's
+    fast path: the reference fills consume more words than they give."""
+    from fellerlab.noise import _CHECK_PAIRS, _CHECK_SHAPES
+    normals = consumed = 0
+    for shape in _CHECK_SHAPES:
+        for stream, k in _CHECK_PAIRS:
+            want, words = _reference_slice(11, stream, k, shape)
+            normals, consumed = normals + want.size, consumed + words
+    assert consumed > normals
+
+
+@pytest.fixture
+def fresh_slice_streams():
+    from fellerlab import noise
+    noise._slice_streams.cache_clear()
+    yield noise
+    noise._slice_streams.cache_clear()
+
+
+def _estimates():
+    """A blow-up estimate with deaths and a tv chunk, as comparable values."""
+    from fellerlab import (CouplingParams, EquationSpec, Field, blowup_probability,
+                           estimate_tv_bound)
+    g1 = Grid(1, 32, 1.0)
+    growth = EquationSpec.she(drift="cubic_growth", diffusion="one", r_blowup=1e4)
+    blowup = blowup_probability(Field.constant(g1, 1.6), 0.25, growth, 12, 49, 2.0**-7)
+    she = EquationSpec.she(drift="cubic_decay", diffusion="bounded_smooth", g_min=1.0)
+    u = Field(g1, 0.3 * np.cos(2 * np.pi * g1.axes()[0]))
+    tv = estimate_tv_bound(u, u + Field.constant(g1, 0.05), 0.25, she,
+                           CouplingParams(m_bound=10.0, k_gamma=4), 4, 42, 2.0**-7)
+    return blowup, tv
+
+
+@pytest.mark.parametrize("fault", ["missing", "mismatch"])
+def test_failed_self_check_falls_back_to_public_path(monkeypatch, fresh_slice_streams, fault):
+    """When numpy's sampler cannot be looked up, or the function found draws
+    other bits (here the exponential fill), the self-check binds the public
+    path, and a blow-up estimate and a tv chunk give the bits they give on
+    the in-place path."""
+    import ctypes
+    noise = fresh_slice_streams
+    in_place = _estimates()
+    assert noise._slice_streams().func is noise._SliceStreamsInPlace
+    assert 0 < in_place[0].estimate < 1
+
+    def lookup(path, real=ctypes.PyDLL):
+        if fault == "missing":
+            return SimpleNamespace()
+        exponential = real(path).random_standard_exponential_fill
+        return SimpleNamespace(random_standard_normal_fill=exponential)
+    monkeypatch.setattr(ctypes, "PyDLL", lookup)
+    noise._slice_streams.cache_clear()
+    assert noise._slice_streams() is noise._SliceStreams
+    assert _estimates() == in_place
