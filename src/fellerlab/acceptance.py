@@ -16,7 +16,7 @@ import numpy as np
 
 from . import trees
 from .equations import EquationSpec, RenormConstants, compute_renorm_constants
-from .grids import Field, Grid, l2_norm
+from .grids import Field, Grid, _mode_phase, l2_norm
 from .harness import _MEAN_AND_MAX, estimate_tv_bound, weighted_expectation
 from .noise import (ShiftPath, _snap_index, apply_shift, girsanov_weight,
                     sample_white_noise, zero_noise_path)
@@ -55,15 +55,13 @@ def _nonlinear_she():
 
 
 def _state(grid, m=1, amp=0.4):
-    x = np.meshgrid(*grid.axes(), indexing="ij")
-    phase = sum(2.0 * np.pi * c / e for c, e in zip(x, grid.extent))
+    phase = _mode_phase(grid)
     vals = amp * np.cos(phase) + 0.5 * amp * np.sin(2 * phase)
     return Field(grid, np.broadcast_to(vals[None], (m,) + grid.shape))
 
 
 def _unit_direction(grid, m=1, mode=1):
-    x = np.meshgrid(*grid.axes(), indexing="ij")
-    phase = sum(2.0 * np.pi * mode * c / e for c, e in zip(x, grid.extent))
+    phase = _mode_phase(grid, mode)
     f = Field(grid, np.broadcast_to(np.cos(phase)[None], (m,) + grid.shape))
     return f * (1.0 / l2_norm(f))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .equations import DIFFUSIONS, DRIFTS, EquationSpec, RenormConstants, compute_renorm_constants
-from .grids import Field, Grid, l2_norm
+from .grids import Field, Grid, _mode_phase, l2_norm
 from .harness import _MEAN_AND_MAX, estimate_tv_sweep
 from .noise import NoisePath, _SliceSource, _snap_index, sample_white_noise
 from .shift import CouplingParams, _shift_slices, build_shift, verify_coupling
@@ -214,18 +214,14 @@ def build_initial(cfg: dict, grid: Grid, m: int) -> Field:
     if kind == "constant":
         return Field.constant(grid, _given(cfg, "initial", "value").get("value", amp), m)
     if kind == "cosine":
-        mode = _value(cfg, "initial.mode")
-        def profile(*coords):
-            phase = sum(2.0 * np.pi * mode * c / e for c, e in zip(coords, grid.extent))
-            return amp * np.cos(phase)
-        return Field.from_function(grid, profile, m)
+        phase = _mode_phase(grid, _value(cfg, "initial.mode"))
+        return Field(grid, np.broadcast_to(amp * np.cos(phase), (m,) + grid.shape))
     rng = np.random.default_rng(_value(cfg, "initial.seed"))
     vals = np.zeros((m,) + grid.shape)
-    coords = np.meshgrid(*grid.axes(), indexing="ij")
     for mode in range(1, 4):
+        phase = _mode_phase(grid, mode)
         for comp in range(m):
             a, b = rng.normal(size=2) / mode
-            phase = sum(2.0 * np.pi * mode * c / e for c, e in zip(coords, grid.extent))
             vals[comp] += amp * (a * np.cos(phase) + b * np.sin(phase))
     return Field(grid, vals)
 
@@ -298,8 +294,7 @@ def _build_run(cfg: dict, args):
 
 
 def _displaced_state(u: Field, gamma: float) -> Field:
-    direction = Field.from_function(u.grid, lambda *cs: np.cos(
-        sum(2.0 * np.pi * c / e for c, e in zip(cs, u.grid.extent))), u.m)
+    direction = Field(u.grid, np.broadcast_to(np.cos(_mode_phase(u.grid)), u.values.shape))
     return u + direction * (gamma / l2_norm(direction))
 
 

@@ -84,19 +84,32 @@ class Grid:
         return [np.arange(self.n) * self.spacing(i) for i in range(self.dim)]
 
     def frequencies(self) -> list[np.ndarray]:
-        """Integer frequency per axis in FFT order, in [-n/2, n/2)."""
+        """Integer frequency per axis in FFT order, in (-n/2, n/2]: the
+        Nyquist mode is +n/2, so n = 8 gives 0, 1, 2, 3, 4, -3, -2, -1."""
         k = np.arange(self.n)
         k[k > self.n // 2] -= self.n
         return [k.copy() for _ in range(self.dim)]
 
     def wavenumbers_sq(self) -> np.ndarray:
         """|2 pi k / L|^2 on the full mode grid (heat symbol)."""
-        out = np.zeros(self.shape)
-        for axis, (k, ext) in enumerate(zip(self.frequencies(), self.extent)):
-            shape = [1] * self.dim
-            shape[axis] = self.n
-            out = out + (2.0 * np.pi * k.reshape(shape) / ext) ** 2
-        return out
+        return _scaled_wavenumbers_sq(self, 1.0)
+
+
+def _scaled_wavenumbers_sq(grid: Grid, scale: float) -> np.ndarray:
+    """|2 pi k scale / L|^2 summed over the axes, on the full mode grid."""
+    out = np.zeros(grid.shape)
+    for axis, (k, ext) in enumerate(zip(grid.frequencies(), grid.extent)):
+        shape = [1] * grid.dim
+        shape[axis] = grid.n
+        out = out + (2.0 * np.pi * k.reshape(shape) * scale / ext) ** 2
+    return out
+
+
+def _mode_phase(grid: Grid, mode: float = 1) -> np.ndarray:
+    """2 pi mode (x_1/L_1 + .. + x_d/L_d) at the lattice points: the phase of
+    the cosine mode ``mode`` along the diagonal."""
+    coords = np.meshgrid(*grid.axes(), indexing="ij")
+    return sum(2.0 * np.pi * mode * c / e for c, e in zip(coords, grid.extent))
 
 
 @dataclass(frozen=True)
@@ -161,12 +174,7 @@ class Field:
 
 def _gaussian_multiplier(grid: Grid, eps: float) -> np.ndarray:
     """Mode-space damping factors of the Gaussian mollifier at scale ``eps``."""
-    arg = np.zeros(grid.shape)
-    for axis, (k, ext) in enumerate(zip(grid.frequencies(), grid.extent)):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        arg = arg + (2.0 * np.pi * k.reshape(shape) * eps / ext) ** 2
-    return np.exp(-0.5 * arg)
+    return np.exp(-0.5 * _scaled_wavenumbers_sq(grid, eps))
 
 
 def _spatial_axes(grid: Grid) -> tuple[int, ...]:
@@ -245,9 +253,7 @@ def _transforms() -> tuple:
 def _dyadic_masks(dim: int, n: int) -> np.ndarray:
     """Boolean shell masks on the half spectrum, shape (n_shells, .., n//2 + 1):
     shell 0 is |k| <= 1, shell j is 2^(j-1) < |k| <= 2^j in the max norm."""
-    k = np.arange(n)
-    k[k > n // 2] -= n
-    mag = np.abs(k)
+    mag = np.abs(Grid(dim, n, 1.0).frequencies()[0])
     if dim == 2:
         mag = np.maximum(mag[:, None], mag[None, :])
     mag = mag[..., :n // 2 + 1]
@@ -267,22 +273,16 @@ def holder_proxy_norm(f: Field, alpha: float) -> float:
     homogeneous of degree one, and within a constant of the sup-norm of any
     single harmonic at alpha = 0.
     """
-    return float(_proxy_norms(f.values[None], f.grid, alpha)[0])
-
-
-def _proxy_norms(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    """``holder_proxy_norm`` of each state of ``values`` (B, m, *grid), shape
-    (B,), in one batched inverse transform over (state, shell, component)
-    triples; each state's norm has the bits it has alone."""
-    return _ProxyNorms(grid, alpha, values.shape[1:], values.shape[0])(values)
+    return float(_ProxyNorms(f.grid, alpha, f.values.shape, 1)(f.values[None])[0])
 
 
 class _ProxyNorms:
-    """``_proxy_norms`` at exponent ``alpha`` of up to ``n`` states of one
-    shape per call, with its transform buffers allocated once: a caller
-    that norms many batches keeps one.  A call on fewer states uses the
-    leading rows of every buffer, which gives each state the bits it has
-    alone."""
+    """``holder_proxy_norm`` at exponent ``alpha`` of each of up to ``n``
+    states (B, m, *grid) of one shape per call, shape (B,), in one batched
+    inverse transform over (state, shell, component) triples, with its
+    transform buffers allocated once: a caller that norms many batches keeps
+    one.  A call on fewer states uses the leading rows of every buffer, which
+    gives each state the bits it has alone."""
 
     def __init__(self, grid: Grid, alpha: float, shape: tuple, n: int):
         if abs(alpha) >= 2:

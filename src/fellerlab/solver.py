@@ -63,13 +63,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .equations import EquationSpec
 from .grids import (Field, Grid, _ProxyNorms, _dyadic_masks, _gaussian_multiplier,
-                    _proxy_norms, _real_inverse, _real_transform)
+                    _real_inverse, _real_transform)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -102,29 +101,6 @@ DEAD = DeadState()
 
 class NondegeneracyError(ValueError):
     """Raised when the noise coefficient drops below its configured floor."""
-
-
-class _Workspace:
-    """Precomputed mode-space data for one (grid, dt, equation), looked up by
-    each evolve's plan in a cache of the 32 most recent (``_workspace``).
-
-    Fields are real, so their modes are kept on the half spectrum
-    (``grids._real_transform``), and so is every multiplier."""
-
-    def __init__(self, grid: Grid, dt: float, kind: str, eps: float):
-        self.grid = grid
-        half = lambda a: a[..., :grid.n // 2 + 1]
-        self.decay = half(np.exp(-grid.wavenumbers_sq() * dt))
-        self.moll = None if eps == 0.0 else half(_gaussian_multiplier(grid, eps))
-        self.gradient = None  # dealiased derivative multiplier, for kpz1d's drift
-        if kind == "kpz1d":
-            k = half(grid.frequencies()[0])
-            self.gradient = ((1j * 2.0 * np.pi / grid.extent[0]) * k) * (np.abs(k) <= grid.n // 3)
-
-
-@lru_cache(maxsize=32)
-def _workspace(grid: Grid, dt: float, kind: str, eps: float) -> _Workspace:
-    return _Workspace(grid, dt, kind, eps)
 
 
 @dataclass(frozen=True)
@@ -238,20 +214,19 @@ class _Pass:
     stack of fields, with buffers allocated once for up to ``n_rows`` rows.
 
     The caller writes the fields of each row into ``inputs(n)`` (n, n_in, m,
-    *grid), one per multiplier in ``names`` ('decay', 'moll', 'gradient' of
-    the workspace, stacked once per pass).  A run on fewer rows uses the
-    leading rows of every buffer, so its arrays are laid out as fresh ones
-    would be and every transform and product has the same operands as on a
-    batch of that size.
+    *grid), one per half-spectrum multiplier in ``mults`` (stacked once per
+    pass).  A run on fewer rows uses the leading rows of every buffer, so its
+    arrays are laid out as fresh ones would be and every transform and
+    product has the same operands as on a batch of that size.
     """
 
-    def __init__(self, ws: _Workspace, n_rows: int, field_shape: tuple, names: tuple):
-        half = field_shape[:-1] + (ws.grid.n // 2 + 1,)
-        self.grid = ws.grid
-        self.fwd = np.empty((n_rows, len(names)) + field_shape)
-        self.modes = np.empty((n_rows, len(names)) + half, dtype=complex)
+    def __init__(self, grid: Grid, n_rows: int, field_shape: tuple, mults: tuple):
+        half = field_shape[:-1] + (grid.n // 2 + 1,)
+        self.grid = grid
+        self.fwd = np.empty((n_rows, len(mults)) + field_shape)
+        self.modes = np.empty((n_rows, len(mults)) + half, dtype=complex)
         self.real = np.empty_like(self.fwd)
-        self.mult = np.stack([getattr(ws, name) for name in names]).astype(complex)[:, None]
+        self.mult = np.stack(mults).astype(complex)[:, None]
         self.views = self._views(n_rows)
 
     def _views(self, n: int) -> tuple:
@@ -284,7 +259,8 @@ class _StepPlan:
     their gradients), dW_k and the inject slice, then the two heat inputs.
     Without a mollifier the noise and inject slices are used as they are
     and skip the transforms.  Each field is written straight into its slot
-    of the forward buffer.
+    of the forward buffer.  The multipliers (heat decay, mollifier and
+    kpz1d's dealiased gradient) are built here, on the half spectrum.
 
     Every output is a view into a pass's inverse buffer and holds only until
     that pass runs again: a caller that keeps one across steps copies it.
@@ -292,17 +268,19 @@ class _StepPlan:
 
     def __init__(self, grid: Grid, dt: float, spec: EquationSpec, n_rows: int,
                  field_shape: tuple, tangent: bool, inject: bool):
-        ws = _workspace(grid, dt, spec.kind, spec.eps)
+        half = lambda a: a[..., :grid.n // 2 + 1]
         self.dt, self.spec, self.tangent = dt, spec, tangent
-        self.n_noise = (1 + inject) if ws.moll is not None else 0  # smoothed slices
-        noise = ("moll",) * self.n_noise
-        heat = ("decay",) * (1 + tangent)
-        if ws.gradient is None:
-            self.passes = (_Pass(ws, n_rows, field_shape, heat + noise),)
+        moll = () if spec.eps == 0.0 else (half(_gaussian_multiplier(grid, spec.eps)),)
+        noise = moll * (1 + inject)  # one multiplier per smoothed slice
+        self.n_noise = len(noise)
+        heat = (half(np.exp(-grid.wavenumbers_sq() * dt)),) * (1 + tangent)
+        if spec.kind != "kpz1d":
+            self.passes = (_Pass(grid, n_rows, field_shape, heat + noise),)
         else:
-            grads = ("gradient",) * (1 + tangent)
-            self.passes = (_Pass(ws, n_rows, field_shape, grads + noise),
-                           _Pass(ws, n_rows, field_shape, heat))
+            k = half(grid.frequencies()[0])
+            grad = ((1j * 2.0 * np.pi / grid.extent[0]) * k) * (np.abs(k) <= grid.n // 3)
+            self.passes = (_Pass(grid, n_rows, field_shape, (grad,) * (1 + tangent) + noise),
+                           _Pass(grid, n_rows, field_shape, heat))
 
     def step(self, u, x, dw, h):
         """The transforms of one step from the states u (B, m, *grid): the heat
@@ -364,7 +342,8 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     noise), each slice smoothed in its step's forward transform.
 
     A row dies at its first state u_j that is not finite (j > 0), whose
-    running monitor exceeds ``r_blowup``, or (j < J) whose G drops below
+    running monitor exceeds ``r_blowup`` (a finite state whose proxy norm
+    overflows to NaN counts as +inf), or (j < J) whose G drops below
     ``g_min``, tested in that order; it keeps u_0..u_{j-1}, and u_j too
     after a G death or a monitor death at j = 0.  The steps run a block of
     states at a time (``_CHECK_BYTES``), and then the block is checked at
@@ -427,10 +406,12 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
 
             block = states[:last, :n]
             mon = norms(block.reshape((-1,) + u0.shape[1:])).reshape(last, n)
+            bad = ~np.isfinite(block).reshape(last, n, cells).all(axis=2)
+            # a finite state whose norm overflows to NaN (inf - inf) is over any threshold
+            mon[np.isnan(mon) & ~bad] = math.inf
             if r is not None:
                 np.maximum(r, mon[0], out=mon[0])
             np.maximum.accumulate(mon, axis=0, out=mon)
-            bad = ~np.isfinite(block).reshape(last, n, cells).all(axis=2)
             bad[0] &= j0 > 0  # u_0 is not tested
             over = mon > spec.r_blowup
             hit = bad | over
@@ -506,8 +487,8 @@ def r_monitor(outcome: FlowOutcome, time: float, eta: float) -> float:
     if not outcome.alive and outcome.blow_up_time is not None and time >= outcome.blow_up_time - 1e-12:
         return math.inf
     states = outcome.fields[:outcome.time_index(time) + 1]
-    return float(max(_proxy_norms(states[j:j + 64], outcome.grid, eta).max()
-                     for j in range(0, len(states), 64)))
+    norms = _ProxyNorms(outcome.grid, eta, states.shape[1:], min(64, len(states)))
+    return float(max(norms(states[j:j + 64]).max() for j in range(0, len(states), 64)))
 
 
 def check_semigroup(u0, w: NoisePath, s: float, t: float, r: float, spec: EquationSpec) -> float:

@@ -25,6 +25,8 @@ def test_grid_validation():
         Grid(dim=2, n=16, extent=(1.0, -1.0))
     g = Grid(dim=2, n=16, extent=(2.0, 0.5))
     assert g.cell_volume == pytest.approx((2.0 / 16) * (0.5 / 16))
+    # FFT order in (-n/2, n/2]: the Nyquist mode keeps its + sign
+    assert Grid(dim=1, n=8, extent=(1.0,)).frequencies()[0].tolist() == [0, 1, 2, 3, 4, -3, -2, -1]
 
 
 @pytest.mark.parametrize("extent", [np.inf, np.nan])

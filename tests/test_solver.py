@@ -288,14 +288,6 @@ def test_batched_evolve_rows_match_single_path():
             assert np.array_equal(got.noise_terms, want.noise_terms)
 
 
-def test_workspace_cache_bounded(grid, nonlinear):
-    from fellerlab.solver import _workspace
-    bound = _workspace.cache_info().maxsize
-    for i in range(3 * bound):
-        _workspace(grid, 2.0**-8 * (1.0 + i / 1000.0), nonlinear.kind, nonlinear.eps)
-    assert _workspace.cache_info().currsize == bound
-
-
 def test_final_only_evolve_matches_stored_paths():
     """Keeping only final states, and drawing the increments slice by slice,
     changes no row's final state, reason or death step."""
@@ -434,7 +426,7 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
     phi4_2d.  The plan is sized for more rows than the step uses, and the
     batched proxy norm that monitors every state agrees too."""
     from fellerlab import compute_renorm_constants
-    from fellerlab.grids import _proxy_norms
+    from fellerlab.grids import _ProxyNorms
     from fellerlab.solver import _StepPlan
     dt = 2.0**-8
     grid1 = Grid(dim=1, n=32, extent=(1.0,))
@@ -451,7 +443,7 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
         u, x, dw, h = rng.standard_normal((4, 3, spec.m) + grid.shape)
         u += 2.0 * (-1.0) ** np.arange(grid.n)  # weight on the last axis's Nyquist mode
         plan = _StepPlan(grid, dt, spec, 5, u.shape[1:], tangent=True, inject=True)
-        got = (_proxy_norms(u, grid, spec.monitor_eta),) + plan.step(u, x, dw, h)
+        got = (_ProxyNorms(grid, spec.monitor_eta, u.shape[1:], len(u))(u),) + plan.step(u, x, dw, h)
         want = _full_spectrum_step(u, x, dw, h, spec, grid, dt)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -464,9 +456,10 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
     ("bounded_smooth", 1.2, 1e6, 0.1, "nondegenerate"),
 ])
 def test_nan_row_does_not_hold_back_other_deaths(diffusion, g_min, r_blowup, amp, reason):
-    """A finite row near the largest double has a NaN monitor and a NaN G;
-    beside it, another row dies at the state it dies at alone, with the same
-    kept states, trace and counts."""
+    """A finite row near the largest double has a NaN proxy norm and a NaN G:
+    the monitor retires it at u_0, which it keeps with an infinite trace
+    value.  Beside it, another row dies at the state it dies at alone, with
+    the same kept states, trace and counts."""
     from fellerlab.solver import _evolve_batch
     grid, dt = Grid(1, 32, 1.0), 2.0**-8
     spec = EquationSpec.she(drift="cubic_decay", diffusion=diffusion, g_min=g_min,
@@ -478,6 +471,8 @@ def test_nan_row_does_not_hold_back_other_deaths(diffusion, g_min, r_blowup, amp
         alone = _evolve_batch(row[None, None], increments[:, 1:], spec, grid, dt)
         both = _evolve_batch(np.stack([huge, row])[:, None], increments, spec, grid, dt)
     assert (alone.reasons[0], alone.death_step[0]) == (reason, 0)
+    assert (both.reasons[0], both.death_step[0], both.n_stored[0]) == ("monitor_threshold", 0, 1)
+    assert np.array_equal(both.fields[0, 0, 0], huge) and both.trace[0, 0] == math.inf
     got = both.rows(slice(1, 2))
     assert got.reasons == alone.reasons
     for name in ("fields", "trace", "n_stored", "death_step"):
