@@ -83,7 +83,7 @@ _KEYS = {
     "equation.drift": (_choice(*DRIFTS), None, "she1d"),
     "equation.diffusion": (_choice(*DIFFUSIONS), None, "she1d"),
     "equation.g_min": (_float, None, "she1d"),
-    "equation.eps": (_checked(_float, lambda v: v >= 0, "must be >= 0"), 0.0),
+    "equation.eps": (_checked(_float, lambda v: 0 <= v < np.inf, "must be >= 0 and finite"), 0.0),
     "equation.m": (int, 1, "kpz1d"),
     "equation.coupling": (_floats, (1.0,), "kpz1d"),
     "equation.symmetric": (_bool, None, "kpz1d"),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,44 +36,87 @@ __all__ = [
 @dataclass(frozen=True)
 class ScalarFn:
     """A named pointwise function with its derivative (for linearization),
-    and optionally both from one pass (``fn_and_d``, same bits as the pair)."""
+    and optionally both from one pass (``fn_and_d``, same bits as the pair).
+    A built-in one is written once, as ``kernel(u, uu, out, derivative)`` ->
+    (F, F' or None) from u and uu = u*u into the buffers ``out`` (None: fresh;
+    the second is scratch without ``derivative``); fn, d_fn and fn_and_d call it."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     d_fn: Callable[[np.ndarray], np.ndarray]
     fn_and_d: Callable[[np.ndarray], tuple] | None = None
+    kernel: Callable | None = None
 
     def __call__(self, u):
         return self.fn(u)
 
-
-def _bounded_smooth(u):
-    # 1 + u^2 / (2 (1 + u^2)): smooth, bounded in [1, 1.5], >= 1 everywhere
-    return 1.0 + 0.5 * u * u / (1.0 + u * u)
-
-
-def _bounded_smooth_d(u):
-    return u / (1.0 + u * u) ** 2
+    def _kernel(self) -> Callable:
+        """``kernel``, or one that calls fn, d_fn and fn_and_d and ignores its buffers."""
+        both = self.fn_and_d or (lambda u: (self.fn(u), self.d_fn(u)))
+        return self.kernel or (lambda u, uu, out, derivative:
+                               both(u) if derivative else (self.fn(u), None))
 
 
-def _bounded_smooth_both(u):
-    # both of the above with 1 + u^2 formed once; each keeps its operation order
-    den = 1.0 + u * u
-    return 1.0 + 0.5 * u * u / den, u / den ** 2
+def _from_kernel(name: str, kernel: Callable) -> ScalarFn:
+    fresh = lambda u, derivative: kernel(u, u * u, (None, None), derivative)
+    return ScalarFn(name, lambda u: fresh(u, False)[0], lambda u: fresh(u, True)[1],
+                    lambda u: fresh(u, True), kernel)
+
+
+def _cubic(c: float) -> Callable:
+    """The kernel of the drift sign(c) u^3, derivative c u^2 (c = +-3).  Its
+    constant, like _bounded_smooth's, is a 0-d array: the products of the
+    Python float, without a scalar conversion on every call."""
+    negative, c = c < 0, np.array(c)
+
+    def kernel(u, uu, out, derivative):
+        f = np.multiply(uu, u, out[0])
+        f = np.negative(f, f) if negative else f
+        return f, np.multiply(np.multiply(c, u, out[1]), u, out[1]) if derivative else None
+    return kernel
+
+
+def _bounded_smooth(u, uu, out, derivative, one=np.array(1.0), half=np.array(0.5)):
+    # 1 + u^2 / (2 (1 + u^2)): smooth, bounded in [1, 1.5], >= 1 everywhere;
+    # its derivative is u / (1 + u^2)^2, with 1 + u^2 formed once
+    den = np.add(one, uu, out[1])
+    g = np.multiply(half, u, out[0])
+    g = np.add(one, np.divide(np.multiply(g, u, g), den, g), g)
+    return g, np.divide(u, np.square(den, den), den) if derivative else None
 
 
 DRIFTS = {
-    "zero": ScalarFn("zero", lambda u: np.zeros_like(u), lambda u: np.zeros_like(u)),
-    "linear_decay": ScalarFn("linear_decay", lambda u: -u, lambda u: -np.ones_like(u)),
-    "cubic_decay": ScalarFn("cubic_decay", lambda u: -(u * u * u), lambda u: -3.0 * u * u),
-    "cubic_growth": ScalarFn("cubic_growth", lambda u: u * u * u, lambda u: 3.0 * u * u),
+    "zero": _from_kernel("zero", lambda u, uu, out, derivative: (
+        np.zeros_like(u), np.zeros_like(u) if derivative else None)),
+    "linear_decay": _from_kernel("linear_decay", lambda u, uu, out, derivative: (
+        np.negative(u, out[0]), -np.ones_like(u) if derivative else None)),
+    "cubic_decay": _from_kernel("cubic_decay", _cubic(-3.0)),
+    "cubic_growth": _from_kernel("cubic_growth", _cubic(3.0)),
 }
 
 DIFFUSIONS = {
-    "one": ScalarFn("one", lambda u: np.ones_like(u), lambda u: np.zeros_like(u)),
-    "bounded_smooth": ScalarFn("bounded_smooth", _bounded_smooth, _bounded_smooth_d,
-                               _bounded_smooth_both),
+    "one": _from_kernel("one", lambda u, uu, out, derivative: (
+        np.ones_like(u), np.zeros_like(u) if derivative else None)),
+    "bounded_smooth": _from_kernel("bounded_smooth", _bounded_smooth),
 }
+
+_KPZ_SUM = "ijk,...jx,...kx->...ix"  # S^i_jk a^j b^k at every point
+
+
+@lru_cache(maxsize=1)
+def _einsum() -> Callable:
+    """The C einsum that ``np.einsum`` calls without ``optimize``, if it gives
+    np.einsum's bits into ``out`` on a small kpz1d batch laid out as the
+    solver's, else (mismatch or error) ``np.einsum``."""
+    try:
+        from numpy._core.multiarray import c_einsum
+        x = np.cos(np.arange(96) * 0.7).reshape(2, 2, 3, 8)
+        s = np.sin(np.arange(27.0)).reshape(3, 3, 3)
+        direct = c_einsum(_KPZ_SUM, s, x[:, 0], x[:, 1], out=np.empty((2, 3, 8)))
+        same = np.array_equal(direct, np.einsum(_KPZ_SUM, s, x[:, 0], x[:, 1]))
+        return c_einsum if same else np.einsum
+    except Exception:
+        return np.einsum
 
 
 @dataclass(frozen=True)
@@ -111,9 +155,9 @@ class EquationSpec:
 
     def __post_init__(self):
         # the mollifier squares eps, so a negative one would smooth at |eps|
-        # while the counterterms took it as zero
-        if not self.eps >= 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        # while the counterterms took it as zero, and an infinite one is NaN at k = 0
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be >= 0 and finite, got {self.eps}")
         if not abs(self.monitor_eta) < 2:
             raise ValueError(f"monitor_eta must lie in (-2, 2), got {self.monitor_eta}")
         # the renorm count checked, and coupling and renorm.values made arrays, once
@@ -206,40 +250,61 @@ class EquationSpec:
                              "call compute_renorm_constants or supply them")
         return self._renorm
 
+    def _drift_kernel(self) -> Callable:
+        """The drift as a kernel(a, b, out, derivative), kind and constants
+        resolved: a ScalarFn kernel of (u, u*u), except kpz1d's, of the dealiased
+        gradients (du, dx) of u and a tangent x, giving F and its derivative
+        along x into three buffers."""
+        if self.kind == "she1d":
+            return self.drift_fn._kernel()
+        if self.kind == "phi4_2d":
+            q, mass, k = self.quartic, self.mass, 3.0 * self.quartic * self.renorm_values()[0]
+
+            def phi4(u, uu, out, derivative):  # -q u^3 - mass u + 3 q C u
+                f = np.multiply(-q, np.multiply(uu, u, out[0]), out[0])
+                t = np.multiply(mass, u, out[1])
+                f = np.add(np.subtract(f, t, f), np.multiply(k, u, t), f)
+                if not derivative:
+                    return f, None
+                d = np.multiply(np.multiply(-3.0 * q, u, out[1]), u, out[1])
+                return f, np.add(np.subtract(d, mass, d), k, d)
+            return phi4
+        einsum, s, c = _einsum(), self._coupling, self.renorm_values()[:, None]
+        quad = lambda a, b, o: einsum(_KPZ_SUM, s, a, b, out=np.empty(a.shape) if o is None else o)
+
+        def kpz(du, dx, out, derivative):  # S du du - C, and S du dx + S dx du
+            f = quad(du, du, out[0])
+            f = np.subtract(f, c, f)
+            if not derivative:
+                return f, None
+            d = quad(du, dx, out[1])
+            return f, np.add(d, quad(dx, du, out[2]), d)
+        return kpz
+
     def drift(self, u: np.ndarray, du: np.ndarray | None = None) -> np.ndarray:
         """Drift at u; kpz1d reads it from ``du``, the dealiased gradient of u."""
-        if self.kind == "she1d":
-            return self.drift_fn.fn(u)
-        if self.kind == "phi4_2d":
-            c = self.renorm_values()[0]
-            return -self.quartic * (u * u * u) - self.mass * u + 3.0 * self.quartic * c * u
-        s = self._coupling
-        quad = np.einsum("ijk,...jx,...kx->...ix", s, du, du)
-        return quad - self.renorm_values()[:, None]
+        a, b = (du, None) if self.kind == "kpz1d" else (u, u * u)
+        return self._drift_kernel()(a, b, (None,) * 3, False)[0]
 
     def drift_jvp(self, u: np.ndarray, x: np.ndarray, du: np.ndarray | None = None,
                   dx: np.ndarray | None = None) -> np.ndarray:
         """Derivative of the drift at u along x; kpz1d reads it from the
         dealiased gradients ``du`` and ``dx``."""
-        if self.kind == "she1d":
-            return self.drift_fn.d_fn(u) * x
-        if self.kind == "phi4_2d":
-            c = self.renorm_values()[0]
-            return (-3.0 * self.quartic * u * u - self.mass + 3.0 * self.quartic * c) * x
-        s = self._coupling
-        return (np.einsum("ijk,...jx,...kx->...ix", s, du, dx)
-                + np.einsum("ijk,...jx,...kx->...ix", s, dx, du))
+        kpz = self.kind == "kpz1d"
+        d = self._drift_kernel()(*((du, dx) if kpz else (u, u * u)), (None,) * 3, True)[1]
+        return d if kpz else d * x
+
+    def _noise_kernel(self) -> Callable | None:
+        """G as a ScalarFn kernel, None when G is identically one."""
+        g = self.diffusion_fn
+        return g._kernel() if self.kind == "she1d" and g.name != "one" else None
 
     def noise_coefficients(self, u: np.ndarray, derivative: bool = False) -> tuple:
         """The pointwise noise coefficient G(u) and, with ``derivative``, its
         derivative G'(u) (else None), both from one pass where the diffusion
         has one; (None, None) when G is identically one."""
-        if not (self.kind == "she1d" and self.diffusion_fn.name != "one"):
-            return None, None
-        g = self.diffusion_fn
-        if not derivative:
-            return g.fn(u), None
-        return (g.fn(u), g.d_fn(u)) if g.fn_and_d is None else g.fn_and_d(u)
+        kernel = self._noise_kernel()
+        return (None, None) if kernel is None else kernel(u, u * u, (None, None), derivative)
 
     def digest_dict(self) -> dict:
         """Stable description for manifests and hashing."""

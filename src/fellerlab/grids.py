@@ -5,8 +5,8 @@ axis, which keeps the dyadic frequency shells used by the Hoelder proxy norm
 exact.  The spectral convention throughout the package is the plain FFT pair:
 forward transform unscaled, inverse scaled by 1/N.  The public helpers use
 the full complex spectrum; the proxy norm and the solver transform real
-fields on the half spectrum (``_real_transform``), whose last axis keeps
-the frequencies 0..n/2.  They call numpy's pocketfft gufuncs directly once
+fields on the half spectrum (``_transforms``), whose last axis keeps the
+frequencies 0..n/2.  They call numpy's pocketfft gufuncs directly once
 a check on first use finds them bit-identical to the public wrappers, and
 the wrappers on any mismatch or error.
 
@@ -54,10 +54,13 @@ class Grid:
         if isinstance(ext, (int, float)):
             ext = (float(ext),) * self.dim
         ext = tuple(float(e) for e in ext)
-        if (len(ext) != self.dim or not all(0 < e < math.inf for e in ext)
+        # the largest |2 pi k / L|^2 (k = n/2 on every axis) as wavenumbers_sq rounds it
+        top = [2.0 * math.pi * (self.n // 2) * 1.0 / e for e in ext if 0 < e < math.inf]
+        if (len(ext) != self.dim or len(top) != self.dim or not sum(k * k for k in top) < math.inf
                 or not 0 < math.prod(e / self.n for e in ext) < math.inf):
             raise ValueError(f"extent must be {self.dim} finite lengths > 0 with a finite cell "
-                             f"volume > 0 over n = {self.n}, got {self.extent}")
+                             f"volume > 0 and finite squared wavenumbers over n = {self.n}, "
+                             f"got {self.extent}")
         object.__setattr__(self, "extent", ext)
 
     @property
@@ -195,47 +198,45 @@ def spectral_inverse(modes: np.ndarray, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
-def _real_transform(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward transform of real fields over the trailing grid axes, unscaled,
-    on the half spectrum; written into ``out`` when given (same bits)."""
-    return _transforms()[0](values, grid, out)
-
-
-def _real_inverse(modes: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of ``_real_transform`` (scaled by 1/N): real fields on the grid,
-    written into ``out`` when given (same bits)."""
-    return _transforms()[1](modes, grid, out)
-
-
 _PUBLIC = (lambda values, grid, out: np.fft.rfftn(values, axes=_spatial_axes(grid), out=out),
-           lambda modes, grid, out: np.fft.irfftn(modes, grid.shape, _spatial_axes(grid), out=out))
+           lambda modes, grid, out, scratch=None: np.fft.irfftn(modes, grid.shape,
+                                                                _spatial_axes(grid), out=out))
 
 
 def _gufunc_pair() -> tuple:
     """The real transforms as the pocketfft gufunc calls of ``np.fft.rfftn`` and
-    ``irfftn`` (n even), with the same operands and scale factors."""
+    ``irfftn`` (n even), with the same operands and scale factors.  The
+    inverse takes ``scratch`` for a 2D inverse's complex pass: an array like
+    ``modes``, or ``modes`` itself when the caller is done with them."""
     from numpy.fft import _pocketfft_umath as pfu
+    # the scale factors as 0-d arrays (n is a power of two): the same doubles,
+    # without a conversion per call
+    one, inv_n = np.array(1.0), {2**k: np.array(2.0**-k) for k in range(3, 31)}
 
     def forward(values, grid, out):
         if out is None:
             out = np.empty_like(values, shape=values.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
-        pfu.rfft_n_even(values, 1.0, out=out)
-        return out if grid.dim == 1 else pfu.fft(out, 1.0, axes=[(-2,), (), (-2,)], out=out)
+        pfu.rfft_n_even(values, one, out=out)
+        return out if grid.dim == 1 else pfu.fft(out, one, axes=[(-2,), (), (-2,)], out=out)
 
-    def inverse(modes, grid, out):
+    def inverse(modes, grid, out, scratch=None):
+        fct = inv_n.get(grid.n, 1 / grid.n)
         if grid.dim == 2:
-            modes = pfu.ifft(modes, 1 / grid.n, axes=[(-2,), (), (-2,)], out=np.empty_like(modes))
+            scratch = np.empty_like(modes) if scratch is None else scratch
+            modes = pfu.ifft(modes, fct, axes=[(-2,), (), (-2,)], out=scratch)
         if out is None:
             out = np.empty_like(modes, shape=modes.shape[:-1] + (grid.n,), dtype=float)
-        return pfu.irfft(modes, 1 / grid.n, out=out)
+        return pfu.irfft(modes, fct, out=out)
 
     return forward, inverse
 
 
 @lru_cache(maxsize=1)
 def _transforms() -> tuple:
-    """The (forward, inverse) real transforms: the gufunc pair if it gives the
-    wrappers' bits on small 1D and 2D batches, else (mismatch or error) ``_PUBLIC``."""
+    """(forward, inverse)(array, grid, out): the real transforms over the grid
+    axes onto and off the half spectrum, the inverse scaled by 1/N, into
+    ``out`` when given (same bits).  The gufunc pair if it gives the wrappers'
+    bits on small 1D and 2D batches, else (mismatch or error) ``_PUBLIC``."""
     try:
         direct = _gufunc_pair()
         for grid in (Grid(1, 8, 1.0), Grid(2, 8, 1.0)):
@@ -280,9 +281,10 @@ class _ProxyNorms:
     """``holder_proxy_norm`` at exponent ``alpha`` of each of up to ``n``
     states (B, m, *grid) of one shape per call, shape (B,), in one batched
     inverse transform over (state, shell, component) triples, with its
-    transform buffers allocated once: a caller that norms many batches keeps
-    one.  A call on fewer states uses the leading rows of every buffer, which
-    gives each state the bits it has alone."""
+    transform buffers and transforms bound once: a caller that norms many
+    batches keeps one.  A call on fewer states uses the leading rows of every
+    buffer, which gives each state the bits it has alone.  A finite state whose
+    norm overflows (to NaN, from inf - inf) is given +inf, over any bound."""
 
     def __init__(self, grid: Grid, alpha: float, shape: tuple, n: int):
         if abs(alpha) >= 2:
@@ -290,6 +292,7 @@ class _ProxyNorms:
         masks = _dyadic_masks(grid.dim, grid.n)
         half = shape[:-1] + (grid.n // 2 + 1,)
         self.grid, self.weights = grid, _shell_weights(alpha, masks.shape[0])
+        self.forward, self.inverse = _transforms()
         # a complex copy of the masks multiplies the same bits without a cast per call
         self.masks = masks[:, None, ...].astype(complex)
         self.modes = np.empty((n,) + half, dtype=complex)
@@ -298,10 +301,13 @@ class _ProxyNorms:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         k = values.shape[0]
-        modes = _real_transform(values, self.grid, out=self.modes[:k])
+        modes = self.forward(values, self.grid, self.modes[:k])
         shells = np.multiply(self.masks, modes[:, None, ...], out=self.shells[:k])
-        blocks = _real_inverse(shells, self.grid, out=self.blocks[:k])
-        return _weighted_block_sup(blocks, self.weights)
+        blocks = self.inverse(shells, self.grid, self.blocks[:k], shells)
+        norms = _weighted_block_sup(blocks, self.weights)
+        if np.isnan(norms).any():
+            norms[np.isnan(norms) & np.isfinite(values).reshape(k, -1).all(axis=1)] = math.inf
+        return norms
 
 
 def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:

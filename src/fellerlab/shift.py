@@ -64,12 +64,15 @@ def bump_chi(s: float) -> float:
 def cutoff_chi(r):
     """Monotone C^1 cutoff: 1 on [0, 1], 0 on [2, inf), smoothstep between.
 
-    Takes a float or an array of them (elementwise, same arithmetic)."""
+    Takes a float or an array of them (elementwise, same arithmetic).  The
+    smoothstep is evaluated only where it is used, so a huge r cannot overflow it."""
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0.0):
         raise ValueError(f"argument must be >= 0, got {r}")
-    x = r - 1.0
-    out = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, 1.0 - 3.0 * x * x + 2.0 * x * x * x))
+    out = np.where(r <= 1.0, 1.0, 0.0)
+    mid = ~((r <= 1.0) | (r >= 2.0))  # 1 < r < 2, and NaN
+    x = r[mid] - 1.0
+    out[mid] = 1.0 - 3.0 * x * x + 2.0 * x * x * x
     return float(out) if out.ndim == 0 else out
 
 

@@ -35,14 +35,14 @@ stepped.  The monitor of the whole block is one batched proxy norm
 finiteness one test each; rows that died in the block leave at its end,
 and what they computed past their death is discarded.
 
-Each evolve lays its step out once (``_StepPlan``): the slot of every
-field in the stacked transforms and its multiplier, and buffers for the
-forward input, the modes and the inverse output.  Fields are written
-straight into their slots, and the transforms write into the buffers
-(``out=``); rows that die leave the leading rows of every buffer to the
-survivors.  At batch size one a step is mostly numpy call overhead, which
-this keeps to the calls the arithmetic needs.  Every transform and product
-gets the operands it would get on fresh arrays, so no bit changes.
+Each evolve lays its step out once (``_StepPlan``) and binds it once per
+row count: the bound step zips over a block's state and tangent slots,
+writing each next state and tangent into the next slot, and the spec's
+kernels write the drift and G into the plan's buffers, u*u shared.  Rows
+that die leave the leading rows of every buffer to the survivors.  At
+batch size one a step is mostly numpy call overhead, which this keeps to
+the calls the arithmetic needs.  Every transform and product gets the
+operands it would get on fresh arrays, so no bit changes.
 
 The fields are real, so the transforms are real-to-complex (``rfft``,
 ``rfftn``): modes are kept on the half spectrum, frequencies 0..n/2 on the
@@ -68,7 +68,7 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import (Field, Grid, _ProxyNorms, _dyadic_masks, _gaussian_multiplier,
-                    _real_inverse, _real_transform)
+                    _transforms)
 from .noise import NoisePath, _snap_index
 
 __all__ = [
@@ -209,48 +209,37 @@ def _check_state(u0: Field, grid: Grid, m: int, spec: EquationSpec):
         raise ValueError(f"{spec.kind} expects dim={spec.dim}, m={spec.m}")
 
 
-class _Pass:
-    """One batched forward and one batched inverse real transform over a fixed
-    stack of fields, with buffers allocated once for up to ``n_rows`` rows.
+def _pass(grid: Grid, n_rows: int, field_shape: tuple, mults: tuple):
+    """One batched forward and inverse real transform over a fixed stack of
+    fields, buffers and transforms bound once for up to ``n_rows`` rows:
+    ``bind(n)`` -> (fwd, real, run), a view per field slot (one per
+    half-spectrum multiplier in ``mults``) of the forward and the inverse
+    buffer's first n rows, and ``run()``, which transforms fwd, multiplies the
+    modes by the multipliers in place (they are then the 2D inverse's scratch)
+    and transforms back.  Fewer rows use the leading rows of every buffer, so
+    every transform and product has the operands of a fresh batch that size."""
+    half = field_shape[:-1] + (grid.n // 2 + 1,)
+    fwd = np.empty((n_rows, len(mults)) + field_shape)
+    modes = np.empty((n_rows, len(mults)) + half, dtype=complex)
+    real = np.empty_like(fwd)
+    mult = np.stack(mults).astype(complex)[:, None]
+    forward, inverse = _transforms()
 
-    The caller writes the fields of each row into ``inputs(n)`` (n, n_in, m,
-    *grid), one per half-spectrum multiplier in ``mults`` (stacked once per
-    pass).  A run on fewer rows uses the leading rows of every buffer, so its
-    arrays are laid out as fresh ones would be and every transform and
-    product has the same operands as on a batch of that size.
-    """
+    def bind(n: int) -> tuple:
+        f, m, r = fwd[:n], modes[:n], real[:n]
 
-    def __init__(self, grid: Grid, n_rows: int, field_shape: tuple, mults: tuple):
-        half = field_shape[:-1] + (grid.n // 2 + 1,)
-        self.grid = grid
-        self.fwd = np.empty((n_rows, len(mults)) + field_shape)
-        self.modes = np.empty((n_rows, len(mults)) + half, dtype=complex)
-        self.real = np.empty_like(self.fwd)
-        self.mult = np.stack(mults).astype(complex)[:, None]
-        self.views = self._views(n_rows)
-
-    def _views(self, n: int) -> tuple:
-        return self.fwd[:n], self.modes[:n], self.real[:n]
-
-    def inputs(self, n: int) -> np.ndarray:
-        """The forward buffer's first n rows, laid out for the next ``run``."""
-        if self.views[0].shape[0] != n:
-            self.views = self._views(n)
-        return self.views[0]
-
-    def run(self) -> np.ndarray:
-        """Transform the rows of the last ``inputs``, multiply each field's
-        modes by its multiplier (in place) and transform back: the inverse
-        buffer's rows (n, n_in, m, *grid), a view the next run overwrites."""
-        fwd, modes, real = self.views
-        _real_transform(fwd, self.grid, out=modes)
-        np.multiply(modes, self.mult, out=modes)
-        return _real_inverse(modes, self.grid, out=real)
+        def run():
+            forward(f, grid, m)
+            np.multiply(m, mult, m)
+            inverse(m, grid, r, m)
+        return list(f.swapaxes(0, 1)), list(r.swapaxes(0, 1)), run
+    return bind
 
 
 class _StepPlan:
     """The spectral step of one evolve, laid out once for its equation and for
-    whether a tangent and an inject ride along.
+    whether a tangent and an inject ride along, over the block slots
+    ``states`` (T+1, B, m, *grid) and ``xs`` (the tangent's, or None).
 
     A pointwise drift takes one pass: u_k + dt F(u_k), the tangent input,
     dW_k and the inject slice go forward together, and the two heat steps
@@ -260,62 +249,85 @@ class _StepPlan:
     Without a mollifier the noise and inject slices are used as they are
     and skip the transforms.  Each field is written straight into its slot
     of the forward buffer.  The multipliers (heat decay, mollifier and
-    kpz1d's dealiased gradient) are built here, on the half spectrum.
-
-    Every output is a view into a pass's inverse buffer and holds only until
-    that pass runs again: a caller that keeps one across steps copies it.
+    kpz1d's dealiased gradient) are built here, on the half spectrum; the
+    drift and G are the spec's kernels, run on buffers of the plan.
     """
 
-    def __init__(self, grid: Grid, dt: float, spec: EquationSpec, n_rows: int,
-                 field_shape: tuple, tangent: bool, inject: bool):
+    def __init__(self, grid: Grid, dt: float, spec: EquationSpec, states: np.ndarray,
+                 xs: np.ndarray | None, increments, inject):
         half = lambda a: a[..., :grid.n // 2 + 1]
-        self.dt, self.spec, self.tangent = dt, spec, tangent
+        self.dt, self.states, self.xs = dt, states, xs
+        self.increments, self.inject = increments, inject
+        self.drift, self.noise = spec._drift_kernel(), spec._noise_kernel()
+        n_rows, field_shape = states.shape[1], states.shape[2:]
         moll = () if spec.eps == 0.0 else (half(_gaussian_multiplier(grid, spec.eps)),)
-        noise = moll * (1 + inject)  # one multiplier per smoothed slice
-        self.n_noise = len(noise)
-        heat = (half(np.exp(-grid.wavenumbers_sq() * dt)),) * (1 + tangent)
+        noise = moll * (1 + (inject is not None))  # one multiplier per smoothed slice
+        self.n_noise, fields = len(noise), 1 + (xs is not None)
+        heat = (half(np.exp(-grid.wavenumbers_sq() * dt)),) * fields
         if spec.kind != "kpz1d":
-            self.passes = (_Pass(grid, n_rows, field_shape, heat + noise),)
+            self.passes = (_pass(grid, n_rows, field_shape, heat + noise),)
         else:
             k = half(grid.frequencies()[0])
             grad = ((1j * 2.0 * np.pi / grid.extent[0]) * k) * (np.abs(k) <= grid.n // 3)
-            self.passes = (_Pass(grid, n_rows, field_shape, (grad,) * (1 + tangent) + noise),
-                           _Pass(grid, n_rows, field_shape, heat))
+            self.passes = (_pass(grid, n_rows, field_shape, (grad,) * fields + noise),
+                           _pass(grid, n_rows, field_shape, heat))
+        self.buffers = np.empty((5, n_rows) + field_shape)
 
-    def step(self, u, x, dw, h):
-        """The transforms of one step from the states u (B, m, *grid): the heat
-        steps of u + dt f(u) and of the tangent input (None without a
-        tangent), and the smoothed increment dw and inject slice h (None
-        without an inject)."""
-        spec, dt, n = self.spec, self.dt, u.shape[0]
-        first = self.passes[0]
-        fwd = first.inputs(n)
-        pointwise = len(self.passes) == 1
-        if pointwise:
-            np.add(u, dt * spec.drift(u), out=fwd[:, 0])
-            if x is not None:
-                np.add(x, dt * spec.drift_jvp(u, x), out=fwd[:, 1])
-        else:
-            fwd[:, 0] = u
-            if x is not None:
-                fwd[:, 1] = x
-        at = 1 + self.tangent  # the noise slots follow the state and tangent inputs
-        if self.n_noise:
-            fwd[:, at] = dw
-        if self.n_noise > 1:
-            fwd[:, at + 1] = h
-        real = first.run()
-        dwe = real[:, at] if self.n_noise else dw
-        he = real[:, at + 1] if self.n_noise > 1 else h
-        if not pointwise:
-            du, dx = real[:, 0], real[:, 1] if x is not None else None
-            second = self.passes[1]
-            fwd = second.inputs(n)
-            np.add(u, dt * spec.drift(u, du), out=fwd[:, 0])
-            if x is not None:
-                np.add(x, dt * spec.drift_jvp(u, x, du, dx), out=fwd[:, 1])
-            real = second.run()
-        return real[:, 0], real[:, 1] if x is not None else None, dwe, he
+    def bind(self, n: int, sel):
+        """The step of the block's first n rows along the increments' rows
+        ``sel``: ``run(j0, count)`` takes steps j0..j0+count-1 from slots
+        0..count-1, each writing the next state and tangent into the next slot."""
+        dt = np.array(self.dt)  # a 0-d array multiplies like the float, without a conversion
+        drift, noise, inject, increments = self.drift, self.noise, self.inject, self.increments
+        add, mul, copy = np.add, np.multiply, np.copyto
+        tangent, smoothed, pointwise = self.xs is not None, self.n_noise, len(self.passes) == 1
+        states = self.states[:, :n]
+        xs = self.xs[:, :n] if tangent else states  # read and written only with a tangent
+        # u*u, scratch, and the kernels' outputs (the pointwise kernels use two)
+        uu, t, out = self.buffers[0, :n], self.buffers[1, :n], tuple(self.buffers[2:, :n])
+        passes = [p(n) for p in self.passes]
+        (fwd, real, first), (in_heat, heat, heat_pass) = passes[0], passes[-1]
+        at = 1 + tangent  # the noise slots follow the state and tangent inputs
+        in_dw, in_h, *_ = fwd[at:] + [None] * 2
+        dw_smooth, h_smooth, *_ = real[at:] + [None] * 2
+        in_x, heat_x, dx = (in_heat[1], heat[1], real[1]) if tangent else (None,) * 3
+
+        def run(j0: int, count: int):
+            for u, x, u_next, x_next, j in zip(states, xs, states[1:], xs[1:],
+                                               range(j0, j0 + count)):
+                dwe = increments[j, sel]
+                he = None if inject is None else inject[j, sel]
+                if smoothed:  # the raw slices go forward, and come back smoothed
+                    copy(in_dw, dwe)
+                    dwe = dw_smooth
+                    if he is not None:
+                        copy(in_h, he)
+                        he = h_smooth
+                if pointwise:
+                    sq = mul(u, u, uu)
+                    f, d = drift(u, sq, out, tangent)
+                    if tangent:
+                        d = mul(d, x, out[1])
+                else:  # kpz1d: the gradients of u and x first
+                    copy(fwd[0], u)
+                    if tangent:
+                        copy(fwd[1], x)
+                    first()
+                    f, d = drift(real[0], dx, out, tangent)
+                add(u, mul(dt, f, out[0]), in_heat[0])
+                if tangent:
+                    add(x, mul(dt, d, out[1]), in_x)
+                heat_pass()
+                g, dg = (None, None) if noise is None else noise(u, sq, out, tangent)
+                if tangent:
+                    if dg is None:
+                        copy(x_next, heat_x)
+                    else:
+                        add(heat_x, mul(mul(dg, x, t), dwe, t), x_next)
+                    if he is not None:
+                        add(x_next, mul(he if g is None else mul(g, he, t), dt, t), x_next)
+                add(heat[0], dwe if g is None else mul(g, dwe, t), u_next)
+        return run
 
 
 # bytes of shell blocks that one block check norms at once (``_ProxyNorms``
@@ -371,7 +383,8 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     rows = np.arange(n_rows)
     sel = slice(None)  # basic-slice stand-in for ``rows`` while no row has died
     r = None  # running monitor of the active rows before the block
-    plan = _StepPlan(grid, dt, spec, n_rows, u0.shape[1:], x0 is not None, inject is not None)
+    plan = _StepPlan(grid, dt, spec, states, xs, increments, inject)
+    step = plan.bind(n_rows, sel)
     norms = _ProxyNorms(grid, spec.monitor_eta, u0.shape[1:], size * n_rows)
 
     def keep(b, i, count):
@@ -389,26 +402,11 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
             n, last = rows.size, min(size, n_steps + 1 - j0)
             if n == 0:
                 break
-            for i in range(min(last, n_steps - j0)):
-                u, x = states[i, :n], None if xs is None else xs[i, :n]
-                heat, heat_x, dwe, he = plan.step(u, x, increments[j0 + i, sel],
-                                                  None if inject is None else inject[j0 + i, sel])
-                g, dg = spec.noise_coefficients(u, derivative=x is not None)
-                if x is not None:  # heat_x is a view the next step's transforms overwrite
-                    nxt = xs[i + 1, :n]
-                    if dg is None:
-                        nxt[...] = heat_x
-                    else:
-                        np.add(heat_x, dg * x * dwe, out=nxt)
-                    if inject is not None:
-                        nxt += (he if g is None else g * he) * dt
-                np.add(heat, dwe if g is None else g * dwe, out=states[i + 1, :n])
+            step(j0, min(last, n_steps - j0))
 
             block = states[:last, :n]
             mon = norms(block.reshape((-1,) + u0.shape[1:])).reshape(last, n)
             bad = ~np.isfinite(block).reshape(last, n, cells).all(axis=2)
-            # a finite state whose norm overflows to NaN (inf - inf) is over any threshold
-            mon[np.isnan(mon) & ~bad] = math.inf
             if r is not None:
                 np.maximum(r, mon[0], out=mon[0])
             np.maximum.accumulate(mon, axis=0, out=mon)
@@ -432,6 +430,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
             if died.size:
                 live = np.delete(np.arange(n), died)
                 rows = sel = rows[live]
+                step = plan.bind(rows.size, sel)
             keep(sel, live, last)
             # the block's last step made the next block's first state
             states[0, :rows.size] = states[size, live]

@@ -399,6 +399,21 @@ def test_infinite_grid_extent_exits_two_without_warnings(tmp_path, capsys, exten
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [("equation.eps", "inf"), ("grid.extent", "1e-300")])
+def test_nan_mollifier_or_overflowing_wavenumbers_exit_two_without_warnings(tmp_path, capsys,
+                                                                            key, value):
+    """The shipped heat_decay run with an infinite eps (a mollifier NaN at
+    k = 0) or an extent whose squared wavenumbers overflow is a
+    configuration error naming the key, found before any numerics could
+    warn, not a non_finite blow-up (exit 3)."""
+    cfg = _write(tmp_path, (SHIPPED / "heat_decay.cfg").read_text() + f"{key} = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{key} = " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_key_kinds_are_kinds_of_their_section():
     """Each kind a key of the table is restricted to parses with the kind
     parser of the key's section."""

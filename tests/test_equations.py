@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,16 @@ def test_bounded_smooth_pair_matches_separate_functions():
         assert np.array_equal(np.signbit(dg), np.signbit(dg_sep))
     assert spec.noise_coefficients(u)[1] is None
     assert EquationSpec.she(diffusion="one").noise_coefficients(u, derivative=True) == (None, None)
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("make", [
+    lambda eps: EquationSpec.she(eps=eps),
+    lambda eps: EquationSpec.kpz(np.ones((1, 1, 1)), eps=eps),
+    lambda eps: EquationSpec.phi4(quartic=1.0, eps=eps),
+])
+def test_non_finite_eps_is_rejected(make, eps):
+    """An infinite eps would make the mollifier NaN at k = 0 (inf * 0), so
+    every kind rejects a non-finite one."""
+    with pytest.raises(ValueError, match="eps must be >= 0 and finite"):
+        make(eps)

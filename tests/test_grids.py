@@ -180,7 +180,7 @@ def test_l2_norm_constant(grid):
 
 
 def _pass_buffers(grid, rows=3, n_in=4, m=2):
-    """A forward buffer and mode buffers laid out as ``solver._Pass`` lays them."""
+    """A forward buffer and mode buffers laid out as ``solver._pass`` lays them."""
     field_shape = (m,) + grid.shape
     half = field_shape[:-1] + (grid.n // 2 + 1,)
     rng = np.random.default_rng(3)
@@ -193,8 +193,9 @@ def _pass_buffers(grid, rows=3, n_in=4, m=2):
 @pytest.mark.parametrize("view", [np.s_[:, :], np.s_[:, :1], np.s_[:, :3], np.s_[:2, 1:]])
 def test_direct_transforms_match_public_wrappers(dim, view):
     """The gufunc transforms give the bits of np.fft.rfft(n)/irfft(n), with and
-    without ``out``, on whole buffers and on the strided views ``_Pass`` takes
-    (leading rows, leading or trailing fields)."""
+    without ``out`` and with the modes as the inverse's scratch, on whole
+    buffers and on the strided views ``solver._pass`` takes (leading rows,
+    leading or trailing fields)."""
     grid = Grid(dim, 16, 1.0)
     forward, inverse = grids._gufunc_pair()
     fwd, modes, real = _pass_buffers(grid)
@@ -207,8 +208,11 @@ def test_direct_transforms_match_public_wrappers(dim, view):
     assert np.array_equal(inverse(scaled[view], grid, None), expected)
     inverse(scaled[view], grid, real[view])
     assert np.array_equal(real[view], expected)
-    # the inverse leaves its input as it was
+    # the inverse leaves its input as it was, unless given it as scratch
     assert np.array_equal(scaled, modes * (1.0 + 0.5j))
+    real[...] = 0.0
+    inverse(scaled[view], grid, real[view], scaled[view])
+    assert np.array_equal(real[view], expected)
 
 
 def test_real_transforms_run_on_the_checked_gufuncs():
@@ -260,3 +264,39 @@ def test_failed_self_check_falls_back_to_public_wrappers(monkeypatch, fresh_tran
     assert grids._transforms() is grids._PUBLIC
     public = _runs()
     assert all(np.array_equal(a, b) for a, b in zip(direct, public))
+
+
+@pytest.mark.parametrize("dim, extent", [(1, 1e-300), (1, 1e-152), (2, 1.8e-152)])
+def test_overflowing_squared_wavenumbers_are_rejected(dim, extent):
+    """A Grid whose largest squared wavenumber |2 pi (n/2) / L|^2 (summed over
+    the axes) overflows is rejected, not left to warn in wavenumbers_sq."""
+    with pytest.raises(ValueError, match="finite squared wavenumbers"):
+        Grid(dim, 64, extent)
+
+
+@pytest.mark.parametrize("dim, extent", [(1, 1.8e-152), (2, 2.5e-152), (1, 1.0)])
+def test_finite_squared_wavenumbers_are_kept(dim, extent):
+    """Just inside the rule the Grid is built and wavenumbers_sq is finite,
+    without a warning."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(Grid(dim, 64, extent).wavenumbers_sq()).all()
+
+
+def test_overflowing_proxy_norm_is_inf_in_all_three_monitors():
+    """The +-1.7e308 she1d state (n = 32) is finite but its proxy norm
+    overflows: holder_proxy_norm, r_monitor and the evolve's monitor trace
+    all give +inf, and a non-finite state keeps its NaN."""
+    from fellerlab import r_monitor, zero_noise_path
+    from fellerlab.grids import _ProxyNorms
+    grid, dt = Grid(1, 32, 1.0), 2.0**-8
+    spec = EquationSpec.she(drift="zero", diffusion="one", r_blowup=np.inf)
+    u0 = Field(grid, 1.7e308 * (-1.0) ** np.arange(32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = evolve(u0, zero_noise_path(grid, 1, 256, dt), 0.0, 4 * dt, spec)
+        norm = holder_proxy_norm(u0, spec.monitor_eta)
+        monitor = r_monitor(out, 0.0, spec.monitor_eta)
+        bad = _ProxyNorms(grid, 0.0, (1, 32), 1)(np.full((1, 1, 32), np.nan))
+    assert out.monitor_trace[0] == norm == monitor == np.inf
+    assert np.isnan(bad[0])

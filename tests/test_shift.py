@@ -59,6 +59,34 @@ def test_cutoff_profile():
     assert cutoff_chi(2.0 - eps) < 1e-10 * 1e6
 
 
+def test_cutoff_bits_match_both_branch_formula():
+    """cutoff_chi gives the bits of the formula that evaluates the smoothstep
+    everywhere and then picks a branch, on a seeded grid of r in [0, 3] with
+    the break points, as an array and one float at a time."""
+    r = np.r_[np.random.default_rng(12).uniform(0.0, 3.0, 2000), 0.0, 1.0, 2.0, 3.0,
+              np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0)]
+    x = r - 1.0
+    want = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, 1.0 - 3.0 * x * x + 2.0 * x * x * x))
+    assert cutoff_chi(r).tobytes() == want.tobytes()
+    assert all(cutoff_chi(float(a)) == b for a, b in zip(r[:50], want[:50]))
+    assert math.isnan(cutoff_chi(math.nan))
+
+
+def test_tiny_cutoff_scale_builds_a_shift_without_warnings(grid):
+    """At cutoff_r = 1e-300 every monitor ratio is huge: each slice freezes
+    at once (cutoff 0) without an overflow warning from the unused smoothstep."""
+    import warnings
+    spec = EquationSpec.she(drift="cubic_decay", diffusion="bounded_smooth", g_min=1.0)
+    u = Field(grid, 0.3 * np.cos(2 * np.pi * grid.axes()[0]))
+    w = sample_white_noise(grid, 1, 256, DT, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cutoff_chi(np.array([1e300, 4e299])).tolist() == [0.0, 0.0]
+        res = build_shift(u, u + Field.constant(grid, 0.05), w, T, spec,
+                          CouplingParams(m_bound=20.0, k_gamma=4, cutoff_r=1e-300))
+    assert res.status == "frozen" and res.diagnostics["min_cutoff"] == 0.0
+
+
 def test_compensating_direction_support_and_heat_oracle(grid):
     spec = EquationSpec.she(drift="zero", diffusion="one")
     u0 = Field.zeros(grid)

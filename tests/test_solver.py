@@ -6,7 +6,7 @@ import pytest
 from fellerlab import (DEAD, EquationSpec, Field, Grid, check_semigroup,
                        evolve, holder_proxy_norm, r_monitor,
                        sample_white_noise, splice, zero_noise_path)
-from fellerlab.equations import ScalarFn
+from fellerlab.equations import DIFFUSIONS, DRIFTS, RenormConstants, ScalarFn
 from fellerlab.grids import _gaussian_multiplier
 
 
@@ -419,12 +419,13 @@ def _full_spectrum_step(u, x, dw, h, spec, grid, dt):
 
 
 def test_half_spectrum_step_matches_full_spectrum_reference():
-    """The half-spectrum transforms of one planned step agree with full
+    """The half-spectrum transforms of one bound step agree with full
     complex FFTs and full multipliers to 1e-12 relative: heat step, tangent
-    heat step, smoothed increment and smoothed inject slice, for she1d with
-    a mollifier, kpz1d (m = 2, gradient pass and Nyquist column) and
-    phi4_2d.  The plan is sized for more rows than the step uses, and the
-    batched proxy norm that monitors every state agrees too."""
+    heat step, smoothed increment and smoothed inject slice (read from the
+    passes' inverse buffers), for she1d with a mollifier, kpz1d (m = 2,
+    gradient pass and Nyquist column) and phi4_2d.  The plan is sized for
+    more rows than the step uses, and the batched proxy norm that monitors
+    every state agrees too."""
     from fellerlab import compute_renorm_constants
     from fellerlab.grids import _ProxyNorms
     from fellerlab.solver import _StepPlan
@@ -442,13 +443,174 @@ def test_half_spectrum_step_matches_full_spectrum_reference():
     for grid, spec in cases:
         u, x, dw, h = rng.standard_normal((4, 3, spec.m) + grid.shape)
         u += 2.0 * (-1.0) ** np.arange(grid.n)  # weight on the last axis's Nyquist mode
-        plan = _StepPlan(grid, dt, spec, 5, u.shape[1:], tangent=True, inject=True)
-        got = (_ProxyNorms(grid, spec.monitor_eta, u.shape[1:], len(u))(u),) + plan.step(u, x, dw, h)
+        states = np.empty((2, 5) + u.shape[1:])
+        xs = np.empty_like(states)
+        states[0, :3], xs[0, :3] = u, x
+        plan = _StepPlan(grid, dt, spec, states, xs, dw[None], h[None])
+        plan.bind(3, slice(None))(0, 1)
+        first, last = plan.passes[0](3)[1], plan.passes[-1](3)[1]
+        got = (_ProxyNorms(grid, spec.monitor_eta, u.shape[1:], len(u))(u),
+               last[0], last[1], first[2], first[3])
         want = _full_spectrum_step(u, x, dw, h, spec, grid, dt)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def _hook_step(spec, grid, dt, u, x, dw, h):
+    """One step from the public hooks (drift, drift_jvp, noise_coefficients)
+    on fresh arrays, each field through its own transforms with the
+    multipliers built as the plan builds them: the next states and tangents
+    (None without a tangent)."""
+    from fellerlab.grids import _transforms
+    forward, inverse = _transforms()
+    smooth = lambda a, mult: inverse(forward(a, grid, None) * mult, grid, None)
+    half = lambda a: a[..., :grid.n // 2 + 1]
+    heat = half(np.exp(-grid.wavenumbers_sq() * dt))
+    if spec.eps > 0:
+        moll = half(_gaussian_multiplier(grid, spec.eps))
+        dw, h = smooth(dw, moll), None if h is None else smooth(h, moll)
+    du = dx = None
+    if spec.kind == "kpz1d":
+        k = half(grid.frequencies()[0])
+        grad = ((1j * 2.0 * np.pi / grid.extent[0]) * k) * (np.abs(k) <= grid.n // 3)
+        du, dx = smooth(u, grad), None if x is None else smooth(x, grad)
+    g, dg = spec.noise_coefficients(u, derivative=x is not None)
+    u_next = smooth(u + dt * spec.drift(u, du), heat) + (dw if g is None else g * dw)
+    if x is None:
+        return u_next, None
+    x_next = smooth(x + dt * spec.drift_jvp(u, x, du, dx), heat)
+    if dg is not None:
+        x_next = x_next + dg * x * dw
+    if h is not None:
+        x_next += (h if g is None else g * h) * dt
+    return u_next, x_next
+
+
+def _hard_fields(rng, shape, special):
+    """Seeded normal fields with +-0 and values near 1e154 (whose cube
+    overflows) mixed in, and, with ``special``, one inf or NaN entry."""
+    a = rng.standard_normal(shape)
+    flat = a.reshape(-1)
+    flat[1::7], flat[2::7] = 0.0, -0.0
+    flat[3::11] = 1.3e154 * np.sign(flat[4::11][:flat[3::11].size] + 0.5)
+    if special is not None:
+        flat[5] = special
+    return a
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bound_step_cases():
+    grid1, grid2, dt = Grid(1, 16, 1.0), Grid(2, 8, (1.0, 2.0)), 2.0**-6
+    kpz2 = np.array([1, 0, 0, 1, 0, 1, 1, 0.0]).reshape(2, 2, 2)
+    kpz3 = np.sin(np.arange(27.0)).reshape(3, 3, 3)
+    for eps in (0.0, 0.1):
+        for drift in DRIFTS:
+            for diffusion in DIFFUSIONS:
+                yield grid1, dt, EquationSpec.she(drift=drift, diffusion=diffusion, eps=eps)
+        for s in (kpz2, kpz3):
+            yield grid1, dt, EquationSpec.kpz(s, eps=eps, renorm=RenormConstants((0.3,) * len(s)))
+        yield grid2, dt, EquationSpec.phi4(quartic=0.7, mass=0.3, eps=eps,
+                                           renorm=RenormConstants((0.2,)))
+
+
+@pytest.mark.parametrize("special", [None, math.inf, math.nan])
+def test_bound_step_matches_public_hooks_bit_for_bit(special):
+    """A bound step writes the bits of the public hooks on fresh arrays into
+    the next slots, for every drift x diffusion pair of she1d, kpz1d at m = 2
+    and 3 and phi4_2d, with and without a mollifier, a tangent and an
+    inject, on 1, 2 and 5 of a plan's 5 rows, on inputs with +-0, values near
+    1e154 and one inf or NaN entry; and again after a rebind to 2 rows taken
+    from the increments as rows that outlived others."""
+    from fellerlab.solver import _StepPlan
+    rng = np.random.default_rng(21)
+    for grid, dt, spec in _bound_step_cases():
+        shape = (5, spec.m) + grid.shape
+        for tangent, inject in ((False, False), (True, False), (True, True)):
+            u, x, dw, h = (_hard_fields(rng, shape, special) for _ in range(4))
+            states, xs = np.empty((3,) + shape), np.empty((3,) + shape) if tangent else None
+            for n, sel in ((1, slice(None)), (2, slice(None)), (5, slice(None)),
+                           (2, np.array([1, 4]))):
+                if isinstance(sel, slice):  # the 2-row rebind keeps the 5-row plan
+                    plan = _StepPlan(grid, dt, spec, states, xs, dw[None, :n].repeat(2, 0),
+                                     h[None, :n].repeat(2, 0) if inject else None)
+                rows = np.arange(5)[sel][:n]
+                states[0, :n] = u[rows]
+                if tangent:
+                    xs[0, :n] = x[rows]
+                with np.errstate(all="ignore"):
+                    plan.bind(n, sel)(1, 1)  # the step from slot 0 along slice 1
+                    want = _hook_step(spec, grid, dt, u[rows], x[rows] if tangent else None,
+                                      dw[rows], h[rows] if inject else None)
+                assert _same_bits(states[1, :n], want[0]), (spec.digest_dict(), n)
+                if tangent:
+                    assert _same_bits(xs[1, :n], want[1]), (spec.digest_dict(), n)
+
+
+def test_user_scalar_fns_step_like_the_built_ins():
+    """A ScalarFn given as plain functions, with or without fn_and_d, evolves
+    with the bits of the built-in kernels it restates, tangent included, and
+    a function that returns a shared array gets it back unchanged."""
+    from fellerlab.solver import _evolve_batch
+    grid, dt = Grid(1, 32, 1.0), 2.0**-8
+    cubic = ScalarFn("mine", lambda u: -(u * u * u), lambda u: -3.0 * u * u)
+    smooth = DIFFUSIONS["bounded_smooth"]
+    plain = ScalarFn("plain", lambda u: smooth.fn(u), lambda u: smooth.d_fn(u))
+    both = ScalarFn("both", lambda u: smooth.fn(u), lambda u: smooth.d_fn(u),
+                    lambda u: (smooth.fn(u), smooth.d_fn(u)))
+    rng = np.random.default_rng(5)
+    u0, x0 = 0.5 * rng.standard_normal((2, 3, 1, 32))
+    increments = 0.1 * rng.standard_normal((16, 3, 1, 32))
+    run = lambda spec: _bits(_evolve_batch(u0, increments, spec, grid, dt, x0=x0))
+    built_in = run(EquationSpec.she("cubic_decay", "bounded_smooth", eps=0.05))
+    for diffusion in (plain, both):
+        assert run(EquationSpec.she(cubic, diffusion, eps=0.05)) == built_in
+    shared = np.full((1, 1, 32), 0.25)
+    const = ScalarFn("const", lambda u: shared, lambda u: np.zeros_like(u))
+    run(EquationSpec.she(const, "one"))
+    assert np.all(shared == 0.25)
+
+
+def test_kpz_sums_run_on_the_checked_c_einsum():
+    """On this numpy the self-check passes, so kpz1d's sums run on the C
+    einsum behind np.einsum, not on np.einsum itself."""
+    from fellerlab.equations import _einsum
+    assert _einsum() is not np.einsum
+
+
+@pytest.mark.parametrize("lookup", ["wrong", "missing"])
+def test_failed_einsum_check_falls_back_to_np_einsum(monkeypatch, lookup):
+    """When the C einsum that equations looks up gives other bits (here: a few
+    ulps off) or is missing, the self-check binds
+    np.einsum, and a kpz1d evolve with a tangent gives the bits it gives on
+    the C einsum."""
+    import numpy._core.multiarray as multiarray
+    from fellerlab import equations
+    from fellerlab.solver import _evolve_batch
+    grid, dt = Grid(1, 32, 1.0), 2.0**-8
+    spec = EquationSpec.kpz(np.sin(np.arange(27.0)).reshape(3, 3, 3), eps=0.05,
+                            renorm=RenormConstants((0.1, 0.2, 0.3)))
+    rng = np.random.default_rng(9)
+    u0, x0 = 0.3 * rng.standard_normal((2, 2, 3, 32))
+    increments = 0.1 * rng.standard_normal((12, 2, 3, 32))
+    run = lambda: _bits(_evolve_batch(u0, increments, spec, grid, dt, x0=x0))
+    direct = run()
+    if lookup == "missing":
+        monkeypatch.delattr(multiarray, "c_einsum")
+    else:
+        off = lambda sub, *ops, out: np.multiply(np.einsum(sub, *ops), 1 + 2**-50, out=out)
+        monkeypatch.setattr(multiarray, "c_einsum", off)
+    equations._einsum.cache_clear()
+    try:
+        assert equations._einsum() is np.einsum
+        assert run() == direct
+    finally:
+        monkeypatch.undo()
+        equations._einsum.cache_clear()
 
 
 @pytest.mark.parametrize("diffusion, g_min, r_blowup, amp, reason", [
