@@ -176,8 +176,10 @@ class Field:
 
 
 def _gaussian_multiplier(grid: Grid, eps: float) -> np.ndarray:
-    """Mode-space damping factors of the Gaussian mollifier at scale ``eps``."""
-    return np.exp(-0.5 * _scaled_wavenumbers_sq(grid, eps))
+    """Mode-space damping factors of the Gaussian mollifier at scale ``eps``
+    (exp(-inf) = 0, the exact limit, for a square past the largest double)."""
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * _scaled_wavenumbers_sq(grid, eps))
 
 
 def _spatial_axes(grid: Grid) -> tuple[int, ...]:

@@ -38,8 +38,7 @@ import numpy as np
 
 from .equations import EquationSpec
 from .grids import Field, _dyadic_masks, l2_norm
-from .noise import (NoisePath, ShiftPath, _check_path, _SliceSource, cm_norm_sq,
-                    girsanov_weight)
+from .noise import NoisePath, ShiftPath, _check_path, _SliceSource, girsanov_weight
 from .shift import (CouplingParams, _build_shift_batch, _coupling_residuals,
                     _shift_slices)
 from .solver import _check_state, _evolve_batch, _step_range
@@ -94,7 +93,7 @@ _MEAN_AND_MAX = (("clamped_mean", lambda f: float(np.mean(f.values))),
 
 def _clamped(functional: Callable[[Field], float]) -> Callable[[Field], float]:
     def wrapped(f: Field) -> float:
-        return float(np.clip(functional(f), -1.0, 1.0))
+        return min(max(float(functional(f)), -1.0), 1.0)  # NaN stays NaN, as under np.clip
 
     return wrapped
 
@@ -105,9 +104,10 @@ def _standard_error(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.inf
 
 
-def _final_value(paths, b: int, grid, fn: Callable[[Field], float]) -> float:
-    """fn of row b's final state, or 0 for a row that died."""
-    return fn(Field(grid, paths.final(b))) if paths.reasons[b] is None else 0.0
+def _final_values(paths, b: int, grid, fns) -> tuple[float, ...]:
+    """Each of the functionals ``fns`` of row b's final state, or 0 for a row that died."""
+    final = Field(grid, paths.final(b)) if paths.reasons[b] is None else None
+    return tuple(0.0 if final is None else fn(final) for fn in fns)
 
 
 @dataclass(frozen=True)
@@ -139,30 +139,32 @@ def _tv_records(u: Field, u_bars: Sequence[Field], t: float, dt: float, k_t: int
                 streams: range, fns) -> list[list[SampleRecord]]:
     """One chunk of tv samples for every target in ``u_bars``: a row per
     (target, noise stream) pair, target-major, each stream drawn once and
-    shared by all targets.  Returns the records of each target in stream
-    order."""
+    shared by all targets.  The shifts are read from the gamma loop's batch,
+    and each row's squared norm from its result.  Returns the records of each
+    target in stream order."""
     grid, n_streams = u.grid, len(streams)
     drawn = _SliceSource(grid, u.m, k_t, dt, seed, streams).drawn()
     increments = np.concatenate([drawn] * len(u_bars), axis=1)
     row_ubars = [u_bar for u_bar in u_bars for _ in streams]
     n_rows = len(row_ubars)
-    results, from_u = _build_shift_batch(u, row_ubars, increments, t, dt, n_steps, spec, params)
-    h = np.stack([r.h.values[:k_t] for r in results], axis=1)
+    h = np.zeros((k_t, n_rows) + u.values.shape)  # the batch's shifts before t
+    results, from_u = _build_shift_batch(u, row_ubars, increments, t, dt, n_steps, spec,
+                                         params, h)
     # each u_bar under the shifted noise (verification) and, for the
-    # functionals, under the plain noise, as one batch
+    # functionals, under the plain noise, as one batch; only final states are read
     noises = [increments + h * dt] + ([increments] if fns else [])
     starts = np.stack([u_bar.values for u_bar in row_ubars] * len(noises))
-    from_ubar = _evolve_batch(starts, np.concatenate(noises, axis=1), spec, grid, dt)
+    from_ubar = _evolve_batch(starts, np.concatenate(noises, axis=1), spec, grid, dt,
+                              final_only=True)
     residuals = _coupling_residuals(grid, [r.gamma_target for r in results], from_u,
                                     from_ubar.rows(slice(0, n_rows)))
     from_ubar = from_ubar.rows(slice(-n_rows, None))
 
-    def values(paths, b):
-        return tuple(_final_value(paths, b, grid, fn) for _, fn in fns)
-
+    callables = [fn for _, fn in fns]
     records = [SampleRecord(index=streams[b % n_streams], status=res.status,
-                            residual=residuals[b], h_norm_sq=cm_norm_sq(res.h),
-                            f_from_u=values(from_u, b), f_from_ubar=values(from_ubar, b))
+                            residual=residuals[b], h_norm_sq=res.cm_norm_sq,
+                            f_from_u=_final_values(from_u, b, grid, callables),
+                            f_from_ubar=_final_values(from_ubar, b, grid, callables))
                for b, res in enumerate(results)]
     return [records[i:i + n_streams] for i in range(0, n_rows, n_streams)]
 
@@ -318,8 +320,8 @@ def weighted_expectation(
                               drawn[:k_t] + np.stack([h_b.values[:k_t] for h_b in shifts],
                                                      axis=1) * dt,
                               spec, grid, dt, final_only=True)
-        weighted += [_final_value(moved, b, grid, fn) * wt for b, wt in enumerate(weights)]
-        plain += [_final_value(base, b, grid, fn) for b in range(len(streams))]
+        weighted += [_final_values(moved, b, grid, [fn])[0] * wt for b, wt in enumerate(weights)]
+        plain += [_final_values(base, b, grid, [fn])[0] for b in range(len(streams))]
 
     weighted, plain = np.array(weighted), np.array(plain)
     diff = weighted - plain

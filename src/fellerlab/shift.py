@@ -122,10 +122,14 @@ class ShiftResult:
     gamma_reached: float
     status: str
     gamma_star: float | None
-    cm_norm: float
+    cm_norm_sq: float
     a_bound_used: float
     cutoff_r: float
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def cm_norm(self) -> float:
+        return math.sqrt(self.cm_norm_sq)
 
     def __post_init__(self):
         if self.cm_norm > self.a_bound_used * self.gamma_reached + NORM_BOUND_SLACK:
@@ -135,23 +139,32 @@ class ShiftResult:
             )
 
 
-def _transfer_slices(paths: _Paths, k_t: int, t: float, spec: EquationSpec) -> np.ndarray:
+def _transfer_weights(k_t: int, t: float) -> np.ndarray:
+    """(1/t) chi(k/k_t) for the k_t slices before t: zero up to some slice, nonzero from it on."""
+    return np.array([bump_chi(k / k_t) for k in range(k_t)]) / t
+
+
+def _transfer_slices(paths: _Paths, chi_over_t: np.ndarray, spec: EquationSpec) -> np.ndarray:
     """Transfer directions of B paths evolved k_t steps with the tangent carried.
 
-    Returns slices (k_t, B, m, *grid), slice k of row b being (1/t) chi(k/k_t)
+    Returns slices (k_t, B, m, *grid), slice k of row b being chi_over_t[k]
     G^{-1}(u_k) times the tangent value at k+1 for every k the row's stored
-    path reaches (k < n_stored - 1) and zero elsewhere.  G is not checked
-    against g_min here: the evolve retires a row at the first state whose G
-    drops below it, so every state read here has passed that check.
+    path reaches (k < n_stored - 1) and zero elsewhere, computed only from the
+    first slice where chi is nonzero.  G is not checked against g_min here:
+    the evolve retires a row at the first state whose G drops below it, so
+    every state read here has passed that check.
     """
-    field_axes = (None,) * (paths.fields.ndim - 2)
-    chi_over_t = np.array([bump_chi(k / k_t) / t for k in range(k_t)])
-    use = ((np.arange(k_t)[:, None] < paths.n_stored - 1)
-           & (chi_over_t > 0)[:, None])[(...,) + field_axes]
-    g, _ = spec.noise_coefficients(paths.fields[:k_t])
-    # a slice a row does not use is divided by one, then dropped
-    contrib = paths.tangent[1:] if g is None else paths.tangent[1:] / np.where(use, g, 1.0)
-    return np.where(use, chi_over_t[(slice(None), None) + field_axes] * contrib, 0.0)
+    k_t, field_axes = chi_over_t.size, (None,) * (paths.fields.ndim - 2)
+    lo = k_t - np.count_nonzero(chi_over_t)
+    use = (np.arange(lo, k_t)[:, None] < paths.n_stored - 1)[(...,) + field_axes]
+    # a used state passed the evolve's monitor (a finite r_blowup), far below where G
+    # overflows; only a state a row keeps at its death, and does not use, can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, _ = spec.noise_coefficients(paths.fields[lo:k_t])
+    out = np.zeros(paths.tangent[1:k_t + 1].shape)
+    np.divide(paths.tangent[lo + 1:k_t + 1], 1.0 if g is None else g, out=out[lo:], where=use)
+    np.multiply(chi_over_t[(slice(lo, None), None) + field_axes], out[lo:], out=out[lo:])
+    return out
 
 
 def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
@@ -170,7 +183,7 @@ def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
     if k_t < 1:
         raise ValueError("need t > 0 on the trajectory grid")
     paths = _replay(outcome, v, 0, k_t, spec)
-    values = _transfer_slices(paths, k_t, t, spec)
+    values = _transfer_slices(paths, _transfer_weights(k_t, t), spec)
     # full path length: pad to the trajectory's noise grid when embedded later
     return ShiftPath(outcome.grid, outcome.dt, values[:, 0])
 
@@ -184,8 +197,8 @@ def _shift_slices(t: float, dt: float, n_steps: int) -> int:
 
 
 def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t: float, dt: float,
-                       n_steps: int, spec: EquationSpec,
-                       params: CouplingParams) -> tuple[list[ShiftResult], _Paths]:
+                       n_steps: int, spec: EquationSpec, params: CouplingParams,
+                       h: np.ndarray | None = None) -> tuple[list[ShiftResult], _Paths]:
     """The gamma loop of :func:`build_shift` for B noise rows at once.
 
     ``increments`` (k_t, B, m, *grid) holds the noise slices before t of
@@ -195,23 +208,26 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     live slice left.  A row that dies in a later step (the evolve retires it
     at its first state past the monitor threshold or with G below g_min)
     goes on with the slices its stored path reaches.  A row whose target is
-    u itself rides only in step 0 and ends 'completed' with a zero shift.  Returns
-    one result per row (shifts padded to ``n_steps`` slices) and the step-0
-    paths, which are the unshifted evolutions from u.
+    u itself rides only in step 0 and ends 'completed' with a zero shift.
+    Each step's bookkeeping is array operations over the active rows (a basic
+    slice until a row leaves).  The shifts build up in ``h``, a (k_t, B, m,
+    *grid) zero array if the caller gives one.  Returns one result per row
+    (shifts padded to ``n_steps`` slices) and the step-0 paths, which are the
+    unshifted evolutions from u.
     """
     grid = u.grid
     k_t, n_rows = increments.shape[:2]
     shape = (u.m,) + grid.shape
-    m_bound, cutoff_r = params.m_bound, params.cutoff_r
+    m_bound, cutoff_r, k_gamma = params.m_bound, params.cutoff_r, params.k_gamma
     field_axes = (None,) * (grid.dim + 1)
 
-    def result(b, h, status, gamma_reached, gamma_star, diagnostics):
+    def result(b, h_b, status, gamma_reached, gamma_star, diagnostics):
         h_full = np.zeros((n_steps,) + shape)
-        h_full[:k_t] = h
+        h_full[:k_t] = h_b
         path = ShiftPath(grid, dt, h_full)
         return ShiftResult(h=path, gamma_target=float(gamma_target[b]),
                            gamma_reached=gamma_reached, status=status, gamma_star=gamma_star,
-                           cm_norm=math.sqrt(cm_norm_sq(path)), a_bound_used=m_bound,
+                           cm_norm_sq=cm_norm_sq(path), a_bound_used=m_bound,
                            cutoff_r=cutoff_r, diagnostics=diagnostics)
 
     # one l2_norm per row keeps each row's reduction order
@@ -220,73 +236,72 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     v = np.zeros((n_rows,) + shape)  # zero for rows with u_bar == u
     for b in np.flatnonzero(~same):
         v[b] = ((u_bars[b] - u) * (1.0 / gamma_target[b])).values
-    d_gamma = gamma_target / params.k_gamma
+    d_gamma = gamma_target / k_gamma
 
-    support = np.array([bump_chi(k / k_t) > 0 for k in range(k_t)])
-    support_measure = float(np.sum(support)) * dt
-    slice_cap = m_bound / math.sqrt(support_measure)  # L2 cap per slice of dh/dgamma
-    cap = slice_cap * d_gamma
+    chi_over_t = _transfer_weights(k_t, t)
+    lo = k_t - np.count_nonzero(chi_over_t)  # chi's support: the slices lo..k_t-1
+    cap = m_bound / math.sqrt(float(k_t - lo) * dt) * d_gamma  # L2 cap per slice of dh
 
     vol = grid.cell_volume
-    h = np.zeros((k_t, n_rows) + shape)
+    h = np.zeros((k_t, n_rows) + shape) if h is None else h
     cutoffs = np.ones((k_t, n_rows))
-    monitor_per_step = [[] for _ in range(n_rows)]
-    min_cutoff_per_step = [[] for _ in range(n_rows)]
+    # row b's diagnostics of gamma step s sit at [s, b], for its first n_recorded[b] steps
+    monitor_per_step, min_cutoff_per_step = np.empty((2, k_gamma, n_rows))
+    n_recorded = np.full(n_rows, k_gamma)
     clamp_events = np.zeros(n_rows, dtype=int)
     gamma_reached = np.zeros(n_rows)
-    gamma_star = [None] * n_rows
+    gamma_star = np.full(n_rows, np.nan)  # NaN until a support slice freezes
     gamma = np.zeros(n_rows)
-    from_u = None
-    rows = np.arange(n_rows)
+    rows, sel = np.arange(n_rows), slice(None)  # sel: a basic slice until a row leaves
 
-    for step in range(params.k_gamma):
-        u_gamma = u.values + gamma[rows][(...,) + field_axes] * v[rows]
+    for step in range(k_gamma):
+        u_gamma = u.values + gamma[sel][(...,) + field_axes] * v[sel]
         if step == 0:
             u_gamma[same] = u.values  # their unshifted path starts from u itself
-        shifted = increments[:, rows] + h[:, rows] * dt
-        out = _evolve_batch(u_gamma, shifted, spec, grid, dt, x0=v[rows])
+        out = _evolve_batch(u_gamma, increments[:, sel] + h[:, sel] * dt, spec, grid, dt,
+                            x0=v[sel])
         alive = out.alive
         if step == 0:
             from_u = replace(out, tangent=None)
-            going = alive & ~same  # a row dead at step 0 ends with status 'dead'
-        else:
-            going = np.ones(rows.size, dtype=bool)
 
         # refresh per-slice running cutoffs from this trajectory's monitor
-        n_live = np.minimum(out.n_stored, k_t)
-        reached = np.arange(k_t)[:, None] < n_live
+        reached = np.arange(k_t)[:, None] < np.minimum(out.n_stored, k_t)
         step_cut = np.where(reached, cutoff_chi(out.trace[:k_t] / cutoff_r), 0.0)
-        new_cutoffs = np.minimum(cutoffs[:, rows], step_cut)
-        cutoffs[:, rows] = new_cutoffs
-        live = support[:, None] & (new_cutoffs > 0.0)
-        for i, b in enumerate(rows):
-            if not going[i]:
-                continue
-            if gamma_star[b] is None and np.any((new_cutoffs[:, i] == 0.0) & support):
-                gamma_star[b] = float(gamma[b])
-            monitor_per_step[b].append(float(out.trace[out.n_stored[i] - 1, i])
-                                       if alive[i] else math.inf)
-            min_cutoff_per_step[b].append(float(np.min(new_cutoffs[support, i])))
-        going &= live.any(axis=0)
+        new_cutoffs = np.minimum(cutoffs[:, sel], step_cut)
+        cutoffs[:, sel] = new_cutoffs
+        # a row that leaves at step 0 by death or u_bar == u ignores what it records here
+        first = rows[(new_cutoffs[lo:] == 0.0).any(axis=0) & np.isnan(gamma_star[sel])]
+        gamma_star[first] = gamma[first]
+        # a live row took every step, so its last monitor value is the trace's last
+        monitor_per_step[step, sel] = np.where(alive, out.trace[-1], math.inf)
+        min_cutoff_per_step[step, sel] = new_cutoffs[lo:].min(axis=0)
+        going = (new_cutoffs[lo:] > 0.0).any(axis=0)
+        if step == 0:
+            going &= alive & ~same  # a row dead at step 0 ends with status 'dead'
 
-        a_slices = _transfer_slices(out, k_t, t, spec)
+        # h moves only on chi's support, where the transfer slices are
+        a_slices, cut = _transfer_slices(out, chi_over_t, spec)[lo:], new_cutoffs[lo:]
         del out  # free this step's paths and tangents before the next evolve
-        gamma_reached[rows[~going]] = gamma[rows[~going]]
-        rows = rows[going]
-        if rows.size == 0:
-            break
+        if not going.all():
+            left = rows[~going]
+            gamma_reached[left], n_recorded[left] = gamma[left], step + 1
+            rows = sel = rows[going]
+            a_slices, cut = a_slices[:, going], cut[:, going]
+            if rows.size == 0:
+                break
 
-        increment = (-d_gamma[rows][(...,) + field_axes] * a_slices[:, going]
-                     * new_cutoffs[:, going][(...,) + field_axes])
+        increment = -d_gamma[sel][(...,) + field_axes] * a_slices * cut[(...,) + field_axes]
         # slice-wise clamp keeps |h| <= M * gamma without looking across slices
-        norms = np.sqrt(vol * np.sum(increment.reshape(k_t, rows.size, -1) ** 2, axis=2))
-        over = norms > cap[rows]
-        clamp_events[rows] += over.sum(axis=0)
-        scale = cap[rows] / np.where(over, norms, cap[rows])
-        h[:, rows] += increment * scale[(...,) + field_axes]
+        norms = np.sqrt(vol * np.sum(increment.reshape(k_t - lo, rows.size, -1) ** 2, axis=2))
+        over = norms > cap[sel]
+        clamp_events[sel] += over.sum(axis=0)
+        scale = cap[sel] / np.where(over, norms, cap[sel])
+        h[lo:, sel] += increment * scale[(...,) + field_axes]
         gamma += d_gamma
     gamma_reached[rows] = gamma_target[rows]
 
+    frozen_counts = (cutoffs[lo:] == 0.0).sum(axis=0).tolist()
+    min_cutoffs, stars = cutoffs.min(axis=0).tolist(), gamma_star.tolist()
     results = []
     for b in range(n_rows):
         if same[b]:
@@ -296,14 +311,14 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
             results.append(result(b, 0.0, "dead", 0.0, None,
                                   {"monitor_per_step": [math.inf], "reason": from_u.reasons[b]}))
             continue
-        frozen = int(np.sum((cutoffs[:, b] == 0.0) & support))
         # a row left early only once no support slice (k_t >= 2) was live: gamma_star is set
-        status = "completed" if gamma_star[b] is None else "frozen"
+        star, n = None if math.isnan(stars[b]) else stars[b], n_recorded[b]
         results.append(result(
-            b, h[:, b], status, float(gamma_reached[b]), gamma_star[b],
-            {"monitor_per_step": monitor_per_step[b], "clamp_events": int(clamp_events[b]),
-             "frozen_slice_count": frozen, "min_cutoff": float(np.min(cutoffs[:, b])),
-             "min_cutoff_per_step": min_cutoff_per_step[b]}))
+            b, h[:, b], "completed" if star is None else "frozen", float(gamma_reached[b]), star,
+            {"monitor_per_step": monitor_per_step[:n, b].tolist(),
+             "clamp_events": int(clamp_events[b]), "frozen_slice_count": frozen_counts[b],
+             "min_cutoff": min_cutoffs[b],
+             "min_cutoff_per_step": min_cutoff_per_step[:n, b].tolist()}))
     return results, from_u
 
 

@@ -163,6 +163,16 @@ def test_mollify_gaussian_harmonic(grid):
     assert np.max(np.abs(out.values[0] - expected)) < 1e-14
 
 
+def test_mollifier_at_huge_eps_damps_every_mode_without_warning(grid):
+    """At eps = 1e300 every nonzero mode's square overflows; its factor is the
+    limit exp(-inf) = 0, with no overflow warning, and the mean mode keeps 1."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mult = grids._gaussian_multiplier(grid, 1e300)
+    assert mult[0] == 1.0 and np.all(mult[1:] == 0.0)
+
+
 def test_mollify_translation_near_commutes(grid):
     # float FFT reorders round-off, so commutation is only exact in exact
     # arithmetic; require agreement at the accumulation floor

@@ -87,6 +87,22 @@ def test_tiny_cutoff_scale_builds_a_shift_without_warnings(grid):
     assert res.status == "frozen" and res.diagnostics["min_cutoff"] == 0.0
 
 
+def test_huge_state_dead_at_step_0_builds_without_warnings(grid, nonlinear):
+    """A state far past the monitor threshold dies at step 0, keeping u_0; the
+    transfer slices evaluate G on it, where u * u overflows, but drop it, with
+    no overflow or invalid-value warning."""
+    import warnings
+    u = Field(grid, np.where(np.arange(grid.n) % 2 == 0, 1e200, 0.0))
+    w = sample_white_noise(grid, 1, 256, DT, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the displacement shows only where u is zero
+        res = build_shift(u, u + _direction(grid) * 0.05, w, T, nonlinear,
+                          CouplingParams(m_bound=5.0, k_gamma=4))
+    assert res.status == "dead" and res.diagnostics["reason"] == "monitor_threshold"
+    assert np.all(res.h.values == 0.0)
+
+
 def test_compensating_direction_support_and_heat_oracle(grid):
     spec = EquationSpec.she(drift="zero", diffusion="one")
     u0 = Field.zeros(grid)
@@ -273,6 +289,45 @@ def test_batched_rows_with_own_targets_match_single_path(grid):
         plain = evolve(u, paths[b], 0.0, t, spec)
         assert from_u.reasons[b] == plain.reason
         assert np.array_equal(from_u.fields[:from_u.n_stored[b], b], plain.fields)
+
+
+def test_mixed_fate_batch_bits_pinned(grid):
+    """sha256 over every ShiftResult field, the diagnostics and the step-0
+    paths of one batch whose rows end in every way: dead at step 0, u_bar == u
+    (on a live and on a dead stream), frozen and leaving at step 0, frozen and
+    leaving at a later step after a later death, frozen with the first event
+    at gamma > 0, clamped, and completed with and without clamps."""
+    import hashlib
+    from fellerlab.shift import _build_shift_batch
+    spec = EquationSpec.she(drift="cubic_growth", diffusion="one", r_blowup=50.0)
+    dt, n_steps, t = 2.0**-7, 128, 0.25
+    u = Field.constant(grid, 1.4)
+    params = CouplingParams(m_bound=1.0, k_gamma=6, cutoff_r=1.2)
+    # (stream, gamma, direction mode) per row
+    rows = [(0, 0.01, 0), (7, 0.01, 1), (6, 0.2, 0), (4, 0.2, 0), (9, 0.1, 0), (9, 0.01, 0),
+            (9, 0.01, 1), (5, 0.05, 0), (3, 0.2, 0), (1, 0.0, 0), (2, 0.0, 1), (11, 0.05, 1)]
+    k_t = round(t / dt)
+    increments = np.stack([sample_white_noise(grid, 1, n_steps, dt, seed=5, stream=j)
+                           .increments[:k_t] for j, _, _ in rows], axis=1)
+    u_bars = [u + _direction(grid, mode) * g for _, g, mode in rows]
+    results, from_u = _build_shift_batch(u, u_bars, increments, t, dt, n_steps, spec, params)
+    fates = [(r.status, len(r.diagnostics["monitor_per_step"]), r.gamma_star,
+              r.diagnostics.get("clamp_events", 0) > 0) for r in results]
+    assert ("dead", 1, None, False) in fates and ("frozen", 1, 0.0, False) in fates
+    assert ("completed", 0, None, False) in fates
+    assert any(s == "frozen" and 1 < n < 6 for s, n, _, _ in fates)
+    assert any(s == "frozen" and g and g > 0 and c for s, _, g, c in fates)
+    assert {("completed", 6, None, True), ("completed", 6, None, False)} <= set(fates)
+    sha = hashlib.sha256()
+    for r in results:
+        sha.update(r.h.values.tobytes())
+        sha.update(repr((r.h.dt, r.gamma_target, r.gamma_reached, r.status, r.gamma_star,
+                         r.cm_norm, r.a_bound_used, r.cutoff_r,
+                         sorted(r.diagnostics.items()))).encode())
+    for a in (from_u.fields, from_u.trace, from_u.n_stored, from_u.death_step):
+        sha.update(np.ascontiguousarray(a).tobytes())
+    sha.update(repr((from_u.reasons, from_u.tangent)).encode())
+    assert sha.hexdigest()[:24] == "a1d738bc59e72440633d0729"
 
 
 def test_adaptedness_trivial_cases(grid, nonlinear):
