@@ -6,9 +6,10 @@ exact.  The spectral convention throughout the package is the plain FFT pair:
 forward transform unscaled, inverse scaled by 1/N.  The public helpers use
 the full complex spectrum; the proxy norm and the solver transform real
 fields on the half spectrum (``_transforms``), whose last axis keeps the
-frequencies 0..n/2.  They call numpy's pocketfft gufuncs directly once
-a check on first use finds them bit-identical to the public wrappers, and
-the wrappers on any mismatch or error.
+frequencies 0..n/2.  They call numpy's pocketfft gufuncs directly once a
+check on first use finds them bit-identical to the public wrappers, and the
+wrappers on any mismatch or error.  The proxy norm bounds each shell block
+from its modes and inverts only the blocks that can hold the largest.
 
 All value types here are immutable; operations return new objects and are
 safe to share across threads.
@@ -281,52 +282,88 @@ def holder_proxy_norm(f: Field, alpha: float) -> float:
 
 class _ProxyNorms:
     """``holder_proxy_norm`` at exponent ``alpha`` of each of up to ``n``
-    states (B, m, *grid) of one shape per call, shape (B,), in one batched
-    inverse transform over (state, shell, component) triples, with its
-    transform buffers and transforms bound once: a caller that norms many
-    batches keeps one.  A call on fewer states uses the leading rows of every
-    buffer, which gives each state the bits it has alone.  A finite state whose
-    norm overflows (to NaN, from inf - inf) is given +inf, over any bound."""
+    states (B, m, *grid) of one shape per call, shape (B,), with its buffers
+    and transforms bound once: a caller that norms many batches keeps one.
+
+    A state's norm is the largest fl(w_j max|row|) over its rows, the inverse
+    transforms of its (component, shell j) parts; only rows that can hold it
+    are inverted.  Exactly, (1/N) sum mult|u| over a row's modes u bounds its
+    entries (mult 1 at columns 0 and n/2, else 2: the Hermitian fold), so
+    U = (w_j/N)(1 + delta) sum mult|u| + tau bounds the rounded value.
+    delta = 1e-6 covers the relative rounding: (P + 8)u for |u|, the sum of
+    P terms and the products (u = 2^-53), and sqrt(N) log2(N) 5u for each
+    pass of pocketfft's inverse (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 24.1: the 2-norm error of a radix-2 FFT with
+    accurate twiddles, which bounds each entry's), below 1e-9 up to
+    N = 2^30.  tau = 2^-960 covers subnormal results, whose error is
+    absolute.  Each state's largest-U row is inverted, then its rows where
+    not U < that value: by monotone rounding the largest of these is the
+    largest of all, bit for bit.  A state whose L1 sum of modes is not below
+    2^1000 (NaN, inf, or a transform near overflow) inverts every row, the
+    unpruned norm; a finite state whose norm overflows (to NaN, from inf -
+    inf) is given +inf, over any bound.  Each row is inverted as it would be
+    alone, so a state's norm has the bits it has alone."""
 
     def __init__(self, grid: Grid, alpha: float, shape: tuple, n: int):
-        if abs(alpha) >= 2:
+        if not abs(alpha) < 2:  # NaN too
             raise ValueError(f"|alpha| must be < 2, got {alpha}")
         masks = _dyadic_masks(grid.dim, grid.n)
-        half = shape[:-1] + (grid.n // 2 + 1,)
-        self.grid, self.weights = grid, _shell_weights(alpha, masks.shape[0])
+        n_shells, m, half = masks.shape[0], shape[0], masks.shape[1:]
+        self.grid, self.per_state = grid, n_shells * m
         self.forward, self.inverse = _transforms()
+        weights = _shell_weights(alpha, n_shells)
+        # per row of a state, in (component, shell) order
+        self.weights, self.comp = np.tile(weights, m), np.repeat(np.arange(m), n_shells)
         # a complex copy of the masks multiplies the same bits without a cast per call
-        self.masks = masks[:, None, ...].astype(complex)
-        self.modes = np.empty((n,) + half, dtype=complex)
-        self.shells = np.empty((n,) + masks.shape[:1] + half, dtype=complex)
-        self.blocks = np.empty((n,) + masks.shape[:1] + shape)
+        self.masks = np.concatenate([masks] * m).astype(complex)
+        mult = np.full(half, 2.0)
+        mult[..., [0, -1]] = 1.0
+        shell = masks.reshape(n_shells, -1) * mult.ravel()
+        shell *= weights[:, None] / grid.total_points * (1 + 1e-6)
+        # |modes| by (component, mode) -> each row's U less tau, and the L1 sum
+        self.bound = np.column_stack([np.kron(np.eye(m), shell.T), np.tile(mult.ravel(), m)])
+        self.states = np.arange(n)
+        self.modes = np.empty((n, m) + half, dtype=complex)
+        self.shells = np.empty((n * self.per_state,) + half, dtype=complex)
+        self.blocks = np.empty((n * self.per_state,) + grid.shape)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         k = values.shape[0]
         modes = self.forward(values, self.grid, self.modes[:k])
-        shells = np.multiply(self.masks, modes[:, None, ...], out=self.shells[:k])
-        blocks = self.inverse(shells, self.grid, self.blocks[:k], shells)
-        norms = _weighted_block_sup(blocks, self.weights)
-        if np.isnan(norms).any():
+        sums = np.abs(modes).reshape(k, -1) @ self.bound
+        bounds = sums[:, :-1] + 2.0**-960
+        first = bounds.argmax(axis=1)
+        norms = self._sups(self.states[:k], first, modes)
+        # a state whose L1 sum is not below 2^1000 compares against NaN: every row
+        take = ~(bounds < np.where(sums[:, -1:] < 2.0**1000, norms[:, None], math.nan))
+        take[self.states[:k], first] = False  # inverted already
+        state, part = np.nonzero(take)
+        if state.size:
+            np.maximum.at(norms, state, self._sups(state, part, modes))
+        if math.isnan(norms.max(initial=0.0)):  # a max is NaN if any entry is
             norms[np.isnan(norms) & np.isfinite(values).reshape(k, -1).all(axis=1)] = math.inf
         return norms
+
+    def _sups(self, state: np.ndarray, part: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        """fl(w_j max|row|) of the rows ``part`` (component, shell j) of ``state``."""
+        shells = np.multiply(self.masks[part], modes[state, self.comp[part]],
+                             out=self.shells[:state.size])
+        blocks = self.inverse(shells, self.grid, self.blocks[:state.size], shells)
+        return _row_sups(blocks, self.weights[part])
 
 
 def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:
     return 2.0 ** (alpha * np.arange(n_shells))
 
 
-def _weighted_block_sup(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Proxy norm of each row of real shell blocks (B, n_shells, m, *grid): the
-    largest over shells j of weights[j] times the block's sup-norm, shape (B,).
-    The weighted entries overwrite ``blocks``.
+def _row_sups(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights[i] times the sup-norm of real block i (R, *grid), shape (R,).
+    ``blocks`` is overwritten by its absolute values.
 
     Rounding is monotone, so a positive weight times a block's largest entry
-    is the largest of its weighted entries, bit for bit: each row is reduced
-    in one pass."""
-    weighted = np.abs(blocks, out=blocks)
-    weighted *= weights.reshape((-1,) + (1,) * (blocks.ndim - 2))
-    return weighted.reshape(blocks.shape[0], -1).max(axis=1)
+    is the largest of its weighted entries, bit for bit."""
+    sups = np.abs(blocks, out=blocks).max(axis=tuple(range(1, blocks.ndim)))
+    return np.multiply(sups, weights, out=sups)
 
 
 def mollify(f: Field, eps: float) -> Field:

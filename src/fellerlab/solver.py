@@ -31,9 +31,10 @@ A path dies at its first state that fails a check, and that depends only
 on the path's past, so the steps do not check: they write their states
 into a buffer, and a block of states is checked at once after it is
 stepped.  The monitor of the whole block is one batched proxy norm
-(``grids._ProxyNorms``, its buffers allocated once per evolve), G and
-finiteness one test each; rows that died in the block leave at its end,
-and what they computed past their death is discarded.
+(``grids._ProxyNorms``, its buffers allocated once per evolve, inverting
+only the shell blocks that can hold a state's maximum), G and finiteness
+one test each; rows that died in the block leave at its end, and what
+they computed past their death is discarded.
 
 Each evolve lays its step out once (``_StepPlan``) and binds it once per
 row count: the bound step zips over a block's state and tangent slots,
@@ -331,7 +332,7 @@ class _StepPlan:
 
 
 # bytes of shell blocks that one block check norms at once (``_ProxyNorms``
-# transforms each state into one real block per dyadic shell): a block holds
+# has room for one real block per dyadic shell of each state): a block holds
 # as many states as fit, at least one and at most the whole path
 _CHECK_BYTES = 1 << 18
 
@@ -366,7 +367,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     n_rows, n_steps = u0.shape[0], increments.shape[0]
     n_kept = 1 if final_only else n_steps + 1
     fields = np.zeros((n_kept,) + u0.shape)
-    tangent = None if x0 is None else np.zeros_like(fields)
+    tangent = None if x0 is None else np.zeros(fields.shape)
     trace = np.zeros((n_kept, n_rows))
     n_stored = np.full(n_rows, n_steps + 1)
     death_step = np.zeros(n_rows, dtype=int)
@@ -483,10 +484,11 @@ def r_monitor(outcome: FlowOutcome, time: float, eta: float) -> float:
     Nondecreasing in ``time``; +inf once the trajectory is dead.  The stored
     states are normed 64 at a time.
     """
+    # built first, so that eta is checked on a dead trajectory too
+    norms = _ProxyNorms(outcome.grid, eta, outcome.fields.shape[1:], min(64, outcome.n_stored))
     if not outcome.alive and outcome.blow_up_time is not None and time >= outcome.blow_up_time - 1e-12:
         return math.inf
     states = outcome.fields[:outcome.time_index(time) + 1]
-    norms = _ProxyNorms(outcome.grid, eta, states.shape[1:], min(64, len(states)))
     return float(max(norms(states[j:j + 64]).max() for j in range(0, len(states), 64)))
 
 

@@ -122,9 +122,10 @@ def test_holder_proxy_triangle_sampled(grid):
 
 
 def test_weighted_block_sup_matches_per_shell_sup():
-    """Weighting every entry before one max per row gives the weighted
-    per-shell sup-norms bit for bit, zeros, ties and infinities included."""
-    from fellerlab.grids import _shell_weights, _weighted_block_sup
+    """The per-row reduction of the proxy norm, over the (state, shell,
+    component) rows of each state, gives the weighted per-shell sup-norms bit
+    for bit, zeros, ties and infinities included."""
+    from fellerlab.grids import _row_sups, _shell_weights
     rng = np.random.default_rng(4)
     blocks = rng.standard_normal((6, 5, 2, 16)) * 10.0 ** rng.integers(-300, 300, (6, 5, 1, 1))
     blocks[0] = 0.0
@@ -133,13 +134,149 @@ def test_weighted_block_sup_matches_per_shell_sup():
     for alpha in (-1.5, -0.25, 0.0, 0.25, 1.9):
         weights = _shell_weights(alpha, 5)
         per_shell = np.abs(blocks).reshape(6, 5, -1).max(axis=2)
-        assert np.array_equal(_weighted_block_sup(blocks.copy(), weights),
+        rows = _row_sups(blocks.reshape(60, 16).copy(), np.tile(np.repeat(weights, 2), 6))
+        assert np.array_equal(rows.reshape(6, 10).max(axis=1),
                               (weights * per_shell).max(axis=1))
 
 
 def test_holder_proxy_rejects_large_alpha(grid):
     with pytest.raises(ValueError):
         holder_proxy_norm(Field.zeros(grid), 2.0)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), -2.0, float("inf")])
+def test_nan_or_large_exponent_rejected_by_both_monitors(grid, alpha):
+    """A NaN exponent fails |alpha| < 2 like a large one, in holder_proxy_norm
+    and in r_monitor, on a live and on a dead trajectory."""
+    from fellerlab import r_monitor, zero_noise_path
+    spec = EquationSpec.she(drift="zero", diffusion="one")
+    w = zero_noise_path(grid, 1, 256, 2.0**-8)
+    f = Field(grid, np.cos(2 * np.pi * grid.axes()[0]))
+    live = evolve(f, w, 0.0, 0.25, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dead = evolve(Field(grid, 1e308 * f.values), w, 0.0, 0.25,
+                      EquationSpec.she(drift="cubic_growth", diffusion="one"))
+    assert live.alive and not dead.alive
+    with pytest.raises(ValueError, match="alpha"):
+        holder_proxy_norm(f, alpha)
+    for out in (live, dead):
+        with pytest.raises(ValueError, match="alpha"):
+            r_monitor(out, 0.25, alpha)
+
+
+def _every_shell_norms(grid, alpha, values):
+    """The proxy norm of each state (B, m, *grid) from every shell block: all
+    (state, shell, component) rows inverted in one batch, every entry
+    weighted, one max per state, and NaN from a finite state read as +inf."""
+    forward, inverse = grids._transforms()
+    masks = grids._dyadic_masks(grid.dim, grid.n)
+    shells = masks[:, None].astype(complex) * forward(values, grid, None)[:, None]
+    blocks = inverse(shells, grid, None)
+    weights = grids._shell_weights(alpha, len(masks)).reshape((-1,) + (1,) * (blocks.ndim - 2))
+    norms = (np.abs(blocks) * weights).reshape(len(values), -1).max(axis=1)
+    norms[np.isnan(norms) & np.isfinite(values).reshape(len(values), -1).all(axis=1)] = np.inf
+    return norms
+
+
+def _adversarial_states(grid, m, k, rng):
+    """Batches of k states where the shell bound is tight or the rounding is
+    at its edges: noise, noise over 600 decades, a spike, constants, a
+    single cosine, the alternating +-1.7e308 state, subnormal states (where
+    rounding is absolute, not relative), and NaN, +-inf and -0 entries."""
+    shape = (k, m) + grid.shape
+    x = rng.standard_normal(shape)
+    spike = np.zeros(shape)
+    spike[(slice(None),) * 2 + (0,) * grid.dim] = 3.0
+    cosine = np.cos(2 * np.pi * 3 * sum(np.meshgrid(*grid.axes(), indexing="ij")))
+    alternating = (-1.0) ** np.arange(grid.total_points).reshape(grid.shape)
+    nan, infs = x.copy(), x.copy()
+    nan.reshape(-1)[::7] = np.nan
+    infs.reshape(-1)[[1, -1]] = np.inf, -np.inf
+    return [x, x * 10.0 ** rng.integers(-320, 308, (k, 1) + (1,) * grid.dim), spike,
+            np.full(shape, 0.5), np.full(shape, -0.0), np.broadcast_to(cosine, shape),
+            1.7e308 * alternating * np.ones(shape), -1.7e308 * np.ones(shape),
+            np.full(shape, 5e-324), x * 1e-310, rng.integers(-3, 4, shape) * 5e-324,
+            np.broadcast_to(cosine, shape) * 5e-321, x * 1e300, nan, infs]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 32), (1, 256), (2, 8), (2, 16), (2, 32)])
+def test_pruned_proxy_norms_match_every_shell_reference_bit_for_bit(dim, n):
+    """The pruned norm has the bits of the every-shell norm, NaN payloads
+    included, on states where the bound is tight (spikes, constants, single
+    cosines), over magnitudes 1e-320 to 1.7e308, with NaN, inf and -0, at
+    exponents -1.9 to 1.9, on fewer states than the buffers hold."""
+    from fellerlab.grids import _ProxyNorms
+    grid, rng = Grid(dim, n, 1.0), np.random.default_rng(n + dim)
+    for m in (1, 2, 3):
+        for alpha in (-1.9, -0.5, 0.0, 0.25, 1.9):
+            norms = _ProxyNorms(grid, alpha, (m,) + grid.shape, 6)
+            for k in (1, 4):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for values in _adversarial_states(grid, m, k, rng):
+                        got, want = norms(values), _every_shell_norms(grid, alpha, values)
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_bound_covers_every_computed_row_sup():
+    """U, the bound the rows are pruned by, is at least the computed
+    fl(w_j max|row|) of every (state, shell, component) row of the
+    adversarial states, and is tight: on a spike the computed value is
+    within 2e-6 of U and, by rounding, can pass U / (1 + delta)."""
+    from fellerlab.grids import _ProxyNorms
+    rng, tight, over = np.random.default_rng(9), [], []
+    for grid in (Grid(1, 8, 1.0), Grid(1, 64, 1.0), Grid(1, 256, 1.0), Grid(2, 16, 1.0)):
+        for m, alpha in ((1, 0.0), (2, 1.9), (3, -1.9)):
+            norms = _ProxyNorms(grid, alpha, (m,) + grid.shape, 4)
+            for values in _adversarial_states(grid, m, 4, rng):
+                if not np.isfinite(values).all():
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    modes = norms.forward(values, grid, None)
+                    sums = np.abs(modes).reshape(4, -1) @ norms.bound
+                    state, part = np.divmod(np.arange(4 * norms.per_state), norms.per_state)
+                    sups = norms._sups(state, part, modes).reshape(4, -1)
+                bound = sums[:, :-1] + 2.0**-960
+                finite = (sums[:, -1:] < 2.0**1000) & (bound < np.inf) & (sups > 0)
+                assert (sups <= bound)[finite].all()
+                tight.append((sups / bound)[finite].max(initial=0.0))
+                over.append((sups * (1 + 1e-6) / bound)[finite].max(initial=0.0))
+    assert max(tight) > 1 - 2e-6
+    assert max(over) > 1
+
+
+def test_proxy_norms_invert_only_the_rows_that_can_hold_the_max(monkeypatch):
+    """Counted at the inverse transform: smooth states invert fewer than all
+    of their (state, shell, component) rows; states with a NaN entry, finite
+    states whose transform overflows and finite states whose L1 sum of modes
+    is not below 2^1000 invert each of their rows once."""
+    from fellerlab.grids import _ProxyNorms
+    forward, inverse = grids._transforms()
+    counted = []
+
+    def counting(modes, grid, out, scratch=None):
+        counted.append(len(modes))
+        return inverse(modes, grid, out, scratch)
+
+    monkeypatch.setattr(grids, "_transforms", lambda: (forward, counting))
+    for grid, m in ((Grid(1, 64, 1.0), 2), (Grid(2, 16, 1.0), 1)):
+        k = 8
+        every = k * len(grids._dyadic_masks(grid.dim, grid.n)) * m
+        phase = sum(np.meshgrid(*grid.axes(), indexing="ij"))
+        smooth = np.array([[np.cos(2 * np.pi * (b % 3 + 1) * phase) + c for c in range(m)]
+                           for b in range(k)])
+        nan = smooth.copy()
+        nan[(slice(None), 0) + (0,) * grid.dim] = np.nan
+        huge = 1.7e308 * (-1.0) ** np.arange(grid.total_points).reshape(grid.shape) * (
+            np.ones_like(smooth))
+        norms = _ProxyNorms(grid, 0.25, (m,) + grid.shape, k + 2)
+        for values, lowest, highest in ((smooth, k, every - 1), (nan, every, every),
+                                        (huge, every, every), (1e300 * smooth, every, every)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _every_shell_norms(grid, 0.25, values)
+                counted.clear()
+                got = norms(values)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert lowest <= sum(counted) <= highest
 
 
 def test_mollify_constant_unchanged(grid):
