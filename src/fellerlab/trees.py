@@ -30,13 +30,17 @@ are exact integer polynomials in two formal constants C1 and C2:
 
 Both are exact; nothing in this module touches floating point.
 
-A tree's plain degree is computed once and stored on the tree, like its sort
-key and hash.  The contractions of the action and the expansions of the
-shift are shared between structurally equal subtrees, but only within one
-public call (``renorm_action``, ``shift_operator``, and ``check_commutation``,
-whose two sides share one contraction memo and one expansion memo): a memo
-is local to the call and dies when it returns, so there is no cache across
-calls.
+A tree stores its sort key, a nested tuple of ints, and the hash of that key
+from the moment it is built; both come from its children's stored keys.
+Equal trees have equal keys, and the hash does not depend on the
+interpreter's hash seed, so a set of trees iterates in the same order on
+every run.  A tree's plain degree is computed on first use, in half units
+(every degree base is a multiple of 1/2), and stored on the tree.  The
+contractions of the action and the expansions of the shift are shared
+between structurally equal subtrees, but only within one public call
+(``renorm_action``, ``shift_operator``, and ``check_commutation``, whose two
+sides share one contraction memo and one expansion memo): a memo is local to
+the call and dies when it returns, so there is no cache across calls.
 
 Glyph aliases: the two-digit names count noise leaves in the integrated
 crown and at the root ("22" = I(Xi)^2 * I(I(Xi)^2)); a trailing "h" marks
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import total_ordering
@@ -78,23 +83,46 @@ __all__ = [
 ]
 
 _ZERO_K = (0, 0, 0, 0)
-_X_WEIGHTS = (2, 1, 1, 1)
+_X_HALF_WEIGHTS = (4, 2, 2, 2)  # twice the degrees of X0..X3
 
 
 # ---------------------------------------------------------------------------
 # trees
 
 
+_set = object.__setattr__
+_sort_key = operator.attrgetter("_key")
+_LEAF_KEYS = {"xi": (0,), "xihat": (1,)}
+
+
+def _integer(x, what: str) -> int:
+    """``x`` as an int; a float or other non-integral value is refused."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {x!r}") from None
+
+
 class Tree:
-    """Canonical immutable symbol tree; compare and hash structurally."""
+    """Canonical immutable symbol tree; compare and hash structurally.  The
+    sort key and its hash are built with the tree, from its children's keys."""
 
     __slots__ = ("node", "_hash", "_key", "_degree")
 
     def __init__(self, node):
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_degree", None)
+        kind = node[0]
+        if kind == "prod":
+            key = (4, node[1], tuple(map(_sort_key, node[2])))
+        elif kind == "i":
+            key = (3, node[1]._key)
+        elif kind == "x":
+            key = (2, node[1])
+        else:
+            key = _LEAF_KEYS[kind]
+        _set(self, "node", node)
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
+        _set(self, "_degree", None)
 
     def __setattr__(self, *a):
         raise AttributeError("trees are immutable")
@@ -104,29 +132,15 @@ class Tree:
         return self.node[0]
 
     def sort_key(self):
-        if self._key is None:
-            n = self.node
-            if n[0] == "xi":
-                key = (0,)
-            elif n[0] == "xihat":
-                key = (1,)
-            elif n[0] == "x":
-                key = (2, n[1])
-            elif n[0] == "i":
-                key = (3, n[1].sort_key())
-            else:
-                key = (4, n[1], tuple(f.sort_key() for f in n[2]))
-            object.__setattr__(self, "_key", key)
         return self._key
 
     def __eq__(self, other):
         if self is other:
             return True
-        return isinstance(other, Tree) and self.sort_key() == other.sort_key()
+        return (isinstance(other, Tree) and self._hash == other._hash
+                and self._key == other._key)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.sort_key()))
         return self._hash
 
     def __repr__(self):
@@ -149,10 +163,10 @@ XI_HAT = Tree(("xihat",))
 
 def x_monomial(k: tuple[int, int, int, int]) -> Tree:
     """Monomial X0^k0 X1^k1 X2^k2 X3^k3 of the 4-tuple k."""
-    if not isinstance(k, tuple) or len(k) != 4 or any(e < 0 for e in k):
+    if (not isinstance(k, tuple) or len(k) != 4
+            or any(_integer(e, "an exponent") < 0 for e in k)):
         raise ValueError(f"bad multi-index {k!r}: need a 4-tuple of integers >= 0")
-    k = tuple(int(e) for e in k)
-    return Tree(("x", k))
+    return Tree(("x", tuple(map(operator.index, k))))
 
 
 ONE = x_monomial(_ZERO_K)
@@ -160,49 +174,51 @@ ONE = x_monomial(_ZERO_K)
 
 def integ(t: Tree):
     """Integration node I(t); returns None for bare monomials (I(X^k) = 0)."""
-    if t.kind == "x":
+    if t.node[0] == "x":
         return None
     return Tree(("i", t))
 
 
-def _add_k(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def product(factors, k_extra=_ZERO_K) -> Tree:
     """Commutative product with monomials merged by exponent addition."""
-    k = tuple(k_extra)
+    return _product(factors, x_monomial(tuple(k_extra)).node[1])
+
+
+def _product(factors, k) -> Tree:
+    """``product`` with ``k`` an exponent tuple already checked."""
     flat: list[Tree] = []
     for f in factors:
         if f is None:
             raise ValueError("cannot multiply by a vanished symbol")
         n = f.node
-        if n[0] == "x":
-            k = _add_k(k, n[1])
-        elif n[0] == "prod":
-            k = _add_k(k, n[1])
-            flat.extend(n[2])
+        if n[0] == "x" or n[0] == "prod":
+            if n[1] != _ZERO_K:
+                k = tuple(map(operator.add, k, n[1]))
+            if n[0] == "prod":
+                flat.extend(n[2])
         else:
             flat.append(f)
     if not flat:
-        return x_monomial(k)
+        return Tree(("x", k))
     if k == _ZERO_K and len(flat) == 1:
         return flat[0]
-    return Tree(("prod", k, tuple(sorted(flat, key=Tree.sort_key))))
+    flat.sort(key=_sort_key)
+    return Tree(("prod", k, tuple(flat)))
 
 
 PSI = integ(XI)
 PSI_HAT = integ(XI_HAT)
+_PSI_KEY = PSI.sort_key()
 
 
 def _product_parts(t: Tree):
-    """Decompose any tree as (monomial exponent, factor list)."""
+    """Decompose any tree as (monomial exponent, factors)."""
     n = t.node
     if n[0] == "x":
-        return n[1], []
+        return n[1], ()
     if n[0] == "prod":
-        return n[1], list(n[2])
-    return _ZERO_K, [t]
+        return n[1], n[2]
+    return _ZERO_K, (t,)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +232,8 @@ class DegreeValue:
     __slots__ = ("base", "kappa")
 
     def __init__(self, base, kappa: int = 0):
-        object.__setattr__(self, "base", Fraction(base))
-        object.__setattr__(self, "kappa", int(kappa))
+        _set(self, "base", base if type(base) is Fraction else Fraction(base))
+        _set(self, "kappa", kappa if type(kappa) is int else _integer(kappa, "kappa"))
 
     def __setattr__(self, *a):
         raise AttributeError("degree values are immutable")
@@ -254,34 +270,33 @@ class DegreeValue:
         return f"{b}{'+' if k > 0 else ''}{kappa}"
 
 
-DEG_XI = DegreeValue(Fraction(-5, 2), -1)
-DEG_XI_HAT = DegreeValue(0, -1)
-_DEG_I = DegreeValue(2, 0)
-
-
 def degree(t: Tree, overline: bool = False) -> DegreeValue:
     """Exact degree; the overline variant grades XiHat like Xi.
 
     The plain degree is computed once per tree and stored on it; the overline
     variant never reads that stored value and is computed afresh."""
-    if overline:
-        return _degree(t, True)
-    if t._degree is None:
-        object.__setattr__(t, "_degree", _degree(t, False))
-    return t._degree
+    half, kappa = _half_degree(t, overline)
+    return DegreeValue(Fraction(half, 2), kappa)
 
 
-def _degree(t: Tree, overline: bool) -> DegreeValue:
+def _half_degree(t: Tree, overline: bool = False) -> tuple[int, int]:
+    """The degree of t in half units, (2 * base, kappa), which orders as the
+    degree does: every degree base is a multiple of 1/2."""
+    if not overline and t._degree is not None:
+        return t._degree
     n = t.node
-    if n[0] == "xi":
-        return DEG_XI
-    if n[0] == "xihat":
-        return DEG_XI if overline else DEG_XI_HAT
-    if n[0] == "i":
-        return degree(n[1], overline) + _DEG_I
-    out = DegreeValue(sum(w * e for w, e in zip(_X_WEIGHTS, n[1])), 0)  # monomial part
-    for f in n[2] if n[0] == "prod" else ():
-        out = out + degree(f, overline)
+    if n[0] == "xi" or n[0] == "xihat":
+        out = (-5, -1) if n[0] == "xi" or overline else (0, -1)
+    elif n[0] == "i":
+        half, kappa = _half_degree(n[1], overline)
+        out = (half + 4, kappa)
+    else:
+        out = (sum(w * e for w, e in zip(_X_HALF_WEIGHTS, n[1])), 0)  # monomial part
+        for f in n[2] if n[0] == "prod" else ():
+            half, kappa = _half_degree(f, overline)
+            out = (out[0] + half, out[1] + kappa)
+    if not overline:
+        _set(t, "_degree", out)
     return out
 
 
@@ -298,23 +313,19 @@ class Poly:
     __slots__ = ("coef",)
 
     def __init__(self, coef=None):
-        c = {}
-        if coef:
-            for key, val in coef.items():
-                if val != 0:
-                    c[key] = val
-        object.__setattr__(self, "coef", c)
+        _set(self, "coef", {key: val for key, val in (coef or {}).items() if val != 0})
 
     def __setattr__(self, *a):
         raise AttributeError("polynomials are immutable")
 
     @classmethod
     def const(cls, n: int) -> "Poly":
-        return cls({(0, 0): int(n)})
+        return cls({(0, 0): _integer(n, "a constant")})
 
     @classmethod
     def monomial(cls, e1: int, e2: int, c: int = 1) -> "Poly":
-        return cls({(e1, e2): int(c)})
+        return cls({(_integer(e1, "an exponent"), _integer(e2, "an exponent")):
+                    _integer(c, "a coefficient")})
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -335,7 +346,8 @@ class Poly:
         return self + (-_as_poly(other))
 
     def __mul__(self, other):
-        other = _as_poly(other)
+        if type(other) is not Poly:
+            other = _as_poly(other)
         # most products have the unit as a factor; both operands are immutable
         if other.coef == _UNIT_COEF:
             return self
@@ -368,11 +380,7 @@ class Poly:
 
 
 def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, int):
-        return Poly.const(x)
-    raise TypeError(f"cannot coerce {x!r} to a polynomial")
+    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 POLY_ONE = Poly.const(1)
@@ -396,13 +404,8 @@ class FormalSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for tree, coef in terms.items():
-                coef = _as_poly(coef)
-                if not coef.is_zero:
-                    t[tree] = coef
-        object.__setattr__(self, "terms", t)
+        terms = {tree: _as_poly(coef) for tree, coef in (terms or {}).items()}
+        _set(self, "terms", {tree: coef for tree, coef in terms.items() if coef.coef})
 
     def __setattr__(self, *a):
         raise AttributeError("formal sums are immutable")
@@ -419,7 +422,7 @@ class FormalSum:
         out = dict(self.terms)
         for tree, coef in other.terms.items():
             _accumulate(out, tree, coef)
-        return FormalSum(out)
+        return _sum(out)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + other.scale(-1)
@@ -428,14 +431,14 @@ class FormalSum:
         coef = _as_poly(coef)
         if coef.coef == _UNIT_COEF:
             return self
-        return FormalSum({t: c * coef for t, c in self.terms.items()})
+        return _sum({t: c * coef for t, c in self.terms.items()})
 
     def __mul__(self, other: "FormalSum") -> "FormalSum":
         out: dict[Tree, Poly] = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                _accumulate(out, product([t1, t2]), c1 * c2)
-        return FormalSum(out)
+                _accumulate(out, _product([t1, t2], _ZERO_K), c1 * c2)
+        return _sum(out)
 
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms
@@ -454,22 +457,25 @@ class FormalSum:
         return f"FormalSum({format_sum(self)})"
 
 
+def _sum(terms: dict) -> FormalSum:
+    """A FormalSum of Poly coefficients, taken as they are; zeros drop."""
+    s = object.__new__(FormalSum)
+    _set(s, "terms", {t: c for t, c in terms.items() if c.coef})
+    return s
+
+
 def _as_sum(x) -> FormalSum:
     if isinstance(x, FormalSum):
         return x
     if isinstance(x, Tree):
-        return FormalSum.of(x)
+        return _sum({x: POLY_ONE})
     raise TypeError(f"expected Tree or FormalSum, got {type(x)!r}")
 
 
 def _integ_sum(s: FormalSum) -> FormalSum:
     """I applied term by term; a bare monomial's term drops (I(X^k) = 0)."""
-    out: dict[Tree, Poly] = {}
-    for tree, coef in s.terms.items():
-        reduced = integ(tree)
-        if reduced is not None:
-            _accumulate(out, reduced, coef)
-    return FormalSum(out)
+    return _sum({Tree(("i", tree)): coef for tree, coef in s.terms.items()
+                 if tree.node[0] != "x"})
 
 
 # ---------------------------------------------------------------------------
@@ -486,61 +492,65 @@ def _contract(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
     if n[0] != "i":
         return _contract_product(t, memo)
     key = ("contract", t)
-    if key not in memo:
-        out = []
-        for poly, sub in _contract_product(n[1], memo):
-            reduced = integ(sub)
-            if reduced is not None:  # I of a bare monomial vanishes
-                out.append((poly, reduced))
-        memo[key] = out
-    return memo[key]
+    found = memo.get(key)
+    if found is None:
+        # I of a bare monomial vanishes
+        found = memo[key] = [(poly, Tree(("i", sub)))
+                             for poly, sub in _contract_product(n[1], memo)
+                             if sub.node[0] != "x"]
+    return found
 
 
 def _contract_product(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
     key = ("product", t)
-    if key in memo:
-        return memo[key]
+    found = memo.get(key)
+    if found is not None:
+        return found
     k, factors = _product_parts(t)
-    n_bullets = sum(1 for f in factors if f == PSI)
-    others = [f for f in factors if f != PSI]
+    others = [f for f in factors if f._key != _PSI_KEY]
+    n_bullets = len(factors) - len(others)
 
     # options per non-bullet factor: keep one of its internal contractions,
     # or (for integrated factors with a plain pair in the crown) be consumed
     # by a root pattern, releasing the rest of the crown at this vertex
     option_lists = []
     for f in others:
-        opts = [(False, poly, sub) for poly, sub in _contract(f, memo)]
-        if f.kind == "i":
+        opts = [(0, poly, sub) for poly, sub in _contract(f, memo)]
+        if f.node[0] == "i":
             k_arg, arg_factors = _product_parts(f.node[1])
-            crown_bullets = sum(1 for a in arg_factors if a == PSI)
+            crown = [a for a in arg_factors if a._key != _PSI_KEY]
+            crown_bullets = len(arg_factors) - len(crown)
             if crown_bullets >= 2:
-                ways_inner = math.comb(crown_bullets, 2)
-                remnant_factors = list(arg_factors)
-                remnant_factors.remove(PSI)
-                remnant_factors.remove(PSI)
-                remnant = product(remnant_factors, k_extra=k_arg)
+                pair = C2 * math.comb(crown_bullets, 2)
+                remnant = _product([PSI] * (crown_bullets - 2) + crown, k_arg)
                 for poly, sub in _contract_product(remnant, memo):
-                    opts.append((True, C2 * (ways_inner) * poly, sub))
+                    opts.append((1, pair * poly, sub))
         option_lists.append(opts)
 
+    # C1^q times the ways to pair q free bullets once `consumed` pairs went to
+    # root patterns, each built once per call
+    pairings = {(0, 0): POLY_ONE}
     merged: dict[Tree, Poly] = {}
-    for combo in itertools.product(*option_lists) if option_lists else [()]:
-        consumed = sum(1 for c in combo if c[0])
-        combo_poly = POLY_ONE
-        for c in combo:
-            combo_poly = combo_poly * c[1]
+    for combo in itertools.product(*option_lists):
+        consumed, combo_poly, subs = 0, POLY_ONE, []
+        for used, poly, sub in combo:
+            consumed += used
+            if poly is not POLY_ONE:
+                combo_poly = combo_poly * poly
+            subs.append(sub)
         free = n_bullets - 2 * consumed
         if free < 0:
             continue
         for q in range(free // 2 + 1):
-            ways = (math.factorial(n_bullets)
-                    // (math.factorial(n_bullets - 2 * q - 2 * consumed)
-                        * math.factorial(q) * 2 ** (q + consumed)))
-            pieces = [PSI] * (free - 2 * q) + [c[2] for c in combo]
-            _accumulate(merged, product(pieces, k_extra=k),
-                        combo_poly * Poly.monomial(q, 0, ways))
-    memo[key] = [(p, t2) for t2, p in merged.items() if not p.is_zero]
-    return memo[key]
+            pairing = pairings.get((q, consumed))
+            if pairing is None:
+                ways = (math.factorial(n_bullets)
+                        // (math.factorial(free - 2 * q) * math.factorial(q) * 2 ** (q + consumed)))
+                pairing = pairings[q, consumed] = Poly({(q, 0): ways})
+            _accumulate(merged, _product([PSI] * (free - 2 * q) + subs, k),
+                        combo_poly * pairing)
+    found = memo[key] = [(p, t2) for t2, p in merged.items() if p.coef]
+    return found
 
 
 def renorm_action(s, g=None) -> FormalSum:
@@ -556,13 +566,16 @@ def renorm_action(s, g=None) -> FormalSum:
 
 def _renorm(s, memo: dict, g) -> FormalSum:
     """``renorm_action`` with the contractions in ``memo`` shared."""
+    if g is not None:
+        c1, c2 = (_integer(c, "a renormalization constant") for c in g)
     out: dict[Tree, Poly] = {}
     for tree, coef in _as_sum(s).terms.items():
+        unit = coef.coef == _UNIT_COEF
         for poly, t2 in _contract(tree, memo):
             if g is not None:
-                poly = Poly.const(poly.eval_at(int(g[0]), int(g[1])))
-            _accumulate(out, t2, coef * poly)
-    return FormalSum(out)
+                poly = Poly.const(poly.eval_at(c1, c2))
+            _accumulate(out, t2, poly if unit else coef * poly)
+    return _sum(out)
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +587,27 @@ def _z_tree(t: Tree, memo: dict) -> FormalSum:
     found in the current public call."""
     n = t.node
     if n[0] == "xi":
-        return FormalSum({XI: POLY_ONE, XI_HAT: POLY_ONE})
+        return _sum({XI: POLY_ONE, XI_HAT: POLY_ONE})
     if n[0] == "xihat":
         raise ValueError("shift substitution expects hat-free input")
     if n[0] == "x":
-        return FormalSum.of(t)
-    if t in memo:
-        return memo[t]
+        return _sum({t: POLY_ONE})
+    acc = memo.get(t)
+    if acc is not None:
+        return acc
     if n[0] == "i":
         acc = _integ_sum(_z_tree(n[1], memo))
     else:
-        acc = FormalSum.of(x_monomial(n[1]))
-        for f in n[2]:
-            acc = acc * _z_tree(f, memo)
+        # one term per choice of one term from each factor's expansion
+        out: dict[Tree, Poly] = {}
+        expansions = [_z_tree(f, memo).terms.items() for f in n[2]]
+        for combo in itertools.product(*expansions):
+            coef = POLY_ONE
+            for _, c in combo:
+                if c is not POLY_ONE:
+                    coef = coef * c
+            _accumulate(out, _product([tree for tree, _ in combo], n[1]), coef)
+        acc = _sum(out)
     memo[t] = acc
     return acc
 
@@ -600,9 +621,10 @@ def _shift(s, memo: dict) -> FormalSum:
     """``shift_operator`` with the expansions in ``memo`` shared."""
     out: dict[Tree, Poly] = {}
     for tree, coef in _as_sum(s).terms.items():
+        unit = coef.coef == _UNIT_COEF
         for t2, c in _z_tree(tree, memo).terms.items():
-            _accumulate(out, t2, c * coef)
-    return FormalSum(out)
+            _accumulate(out, t2, c if unit else c * coef)
+    return _sum(out)
 
 
 def _commutation_sides(t: Tree) -> tuple[FormalSum, FormalSum]:
@@ -627,8 +649,11 @@ def check_commutation(t: Tree) -> bool:
 def _small_products(elements, slack: Fraction, cap: int) -> set[Tree]:
     """The products of one to three of ``elements`` whose degree bases sum to
     at most ``slack``."""
-    elems = sorted(((degree(t).base, t) for t in elements),
-                   key=lambda bt: (bt[0], bt[1].sort_key()))
+    # in half units: an int sum x of doubled bases has x / 2 <= slack exactly
+    # when x <= floor(2 * slack)
+    elems = sorted(((_half_degree(t)[0], t) for t in elements),
+                   key=lambda bt: (bt[0], bt[1]._key))
+    limit = math.floor(2 * slack)
     out = set()
 
     def extend(start, d, factors, left):
@@ -637,12 +662,12 @@ def _small_products(elements, slack: Fraction, cap: int) -> set[Tree]:
         # that passes the slack (for every r, even when the slack is negative)
         for i in range(start, len(elems)):
             b, t = elems[i]
-            if d + left * b > slack:
+            if d + left * b > limit:
                 break
             if left > 1:
                 extend(i, d + b, factors + [t], left - 1)
                 continue
-            out.add(product(factors + [t]))
+            out.add(_product(factors + [t], _ZERO_K))
             if len(out) > cap:
                 raise ValueError(f"basis enumeration passed the cap of {cap} trees")
 
@@ -662,6 +687,7 @@ def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree
     """
     bound = max_degree if isinstance(max_degree, DegreeValue) else DegreeValue(max_degree)
     slack = bound.base + 1
+    limit, below = math.floor(2 * slack), (2 * bound.base, bound.kappa)
 
     gens = [PSI] + ([PSI_HAT] if hat else [])
     universe: set[Tree] = {ONE, *gens}
@@ -672,7 +698,7 @@ def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree
             if p.kind == "x":
                 continue
             candidate = integ(p)
-            if candidate is not None and degree(candidate).base <= slack:
+            if candidate is not None and _half_degree(candidate)[0] <= limit:
                 grown.add(candidate)
         if grown == universe:
             break
@@ -681,8 +707,8 @@ def generate_basis(max_degree, hat: bool = False, cap: int = 20000) -> list[Tree
             raise ValueError(f"basis enumeration passed the cap of {cap} trees")
 
     basis = {XI} | ({XI_HAT} if hat else set()) | _small_products(universe, slack, cap)
-    selected = [t for t in basis if degree(t) < bound]
-    selected.sort(key=lambda t: ((degree(t).base, degree(t).kappa), t.sort_key()))
+    selected = [t for t in basis if _half_degree(t) < below]
+    selected.sort(key=lambda t: (_half_degree(t), t._key))
     if len(selected) > cap:
         raise ValueError(f"basis enumeration passed the cap of {cap} trees")
     return selected
@@ -751,8 +777,7 @@ def format_sum(s: FormalSum) -> str:
         return "0"
     parts = []
     for tree, coef in sorted(s.terms.items(),
-                             key=lambda kv: ((degree(kv[0]).base, degree(kv[0]).kappa),
-                                             kv[0].sort_key())):
+                             key=lambda kv: (_half_degree(kv[0]), kv[0]._key)):
         ptxt = format_poly(coef)
         ttxt = format_tree(tree)
         if ptxt == "1":

@@ -1,8 +1,16 @@
 import hashlib
 import itertools
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import fellerlab
 
 from fellerlab.trees import (C1, C2, ONE, PSI, XI, XI_HAT, DegreeValue,
                              FormalSum, ParseError, Poly, check_commutation,
@@ -55,6 +63,92 @@ def test_trivial_product_collapses():
     assert product([]) == ONE
 
 
+# -- tree identity -----------------------------------------------------------
+
+
+def _only_tree(s):
+    (tree,) = s.terms
+    return tree
+
+
+def test_trees_built_by_different_routes_are_equal():
+    """parse_expr, product over permuted factors, glyph and integ of a fresh
+    tree give == trees with equal hashes."""
+    crown = integ(product([integ(XI), integ(XI)]))
+    for name, text, factors in [("22", "I(Xi)^2*I(I(Xi)^2)", [PSI, PSI, crown]),
+                                ("12h", "I(Xi)*I(I(XiHat))*I(Xi)", [PSI, PSI, integ(integ(XI_HAT))])]:
+        routes = [glyph(name), _only_tree(parse_expr(text))]
+        routes += [product(list(p)) for p in itertools.permutations(factors)]
+        for t in routes:
+            assert t == routes[0] and hash(t) == hash(routes[0]), (name, format_tree(t))
+    fresh = [integ(product([integ(XI), integ(XI)])), _only_tree(parse_expr("I(I(Xi)*I(Xi))")),
+             glyph("20")]
+    assert fresh[0] is not fresh[1]
+    assert all(t == fresh[0] and hash(t) == hash(fresh[0]) for t in fresh)
+    assert glyph("22") != glyph("32") and PSI != integ(XI_HAT) and ONE != XI
+
+
+@pytest.mark.parametrize("tree, key", [
+    (XI, (0,)),
+    (XI_HAT, (1,)),
+    (ONE, (2, (0, 0, 0, 0))),
+    (PSI, (3, (0,))),
+    (product([integ(XI), x_monomial((1, 0, 0, 0))]), (4, (1, 0, 0, 0), ((3, (0,)),))),
+    (product([x_monomial((0, 2, 0, 1)), integ(XI), XI, integ(XI)]),
+     (4, (0, 2, 0, 1), ((0,), (3, (0,)), (3, (0,))))),
+    (glyph("22"),
+     (4, (0, 0, 0, 0), ((3, (0,)), (3, (0,)),
+                        (3, (4, (0, 0, 0, 0), ((3, (0,)), (3, (0,)))))))),
+    (glyph("32h"),
+     (4, (0, 0, 0, 0), ((3, (0,)), (3, (0,)),
+                        (3, (4, (0, 0, 0, 0), ((3, (0,)), (3, (0,)), (3, (1,)))))))),
+])
+def test_sort_key_pinned(tree, key):
+    """The canonical factor order, and so the printed text, follows the sort
+    key; a tree hashes as its key does."""
+    assert tree.sort_key() == key
+    assert hash(tree) == hash(key)
+
+
+def test_basis_set_order_does_not_depend_on_the_hash_seed():
+    """Tree hashes are structural (a key of ints only), so a set of trees
+    iterates in the same order whatever the interpreter's hash seed."""
+    code = ("from fellerlab.trees import format_tree, generate_basis\n"
+            "print([format_tree(t) for t in set(generate_basis(2))])")
+    src = str(Path(fellerlab.__file__).parents[1])
+    orders = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                             timeout=120, check=True).stdout
+              for seed in ("0", "1")]
+    assert orders[0] == orders[1] and orders[0].count("I(Xi)") > 56
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: x_monomial((1.5, 0, 0, 0)), 1.5),
+    (lambda: product([PSI], k_extra=(0, 0.5, 0, 0)), 0.5),
+    (lambda: Poly.const(2.7), 2.7),
+    (lambda: Poly.monomial(1, 0, 1.5), 1.5),
+    (lambda: Poly.monomial(Fraction(1, 2), 0), Fraction(1, 2)),
+    (lambda: DegreeValue(0, 1.5), 1.5),
+    (lambda: renorm_action(glyph("2"), g=(0.5, 0)), 0.5),
+    (lambda: renorm_action(glyph("2"), g=(1, Fraction(3, 2))), Fraction(3, 2)),
+], ids=["x_monomial", "product_k_extra", "const", "monomial_coefficient",
+        "monomial_exponent", "kappa", "g_c1", "g_c2"])
+def test_non_integers_are_refused_not_truncated(call, value):
+    with pytest.raises((TypeError, ValueError), match=re.escape(repr(value))):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    i = np.int64
+    assert x_monomial((i(1), 0, 0, i(2))) == x_monomial((1, 0, 0, 2))
+    assert all(type(e) is int for e in x_monomial((i(1), 0, 0, i(2))).node[1])
+    assert Poly.const(i(2)) == Poly.const(2) and Poly.monomial(i(1), 0, i(3)) == 3 * C1
+    assert DegreeValue(0, i(1)) == DegreeValue(0, 1) and type(DegreeValue(0, i(1)).kappa) is int
+    assert format_sum(renorm_action(glyph("2"), g=(i(1), i(0)))) == "I(Xi)^2 + 1"
+    assert format_sum(renorm_action(glyph("2"), g=(1, 0))) == "I(Xi)^2 + 1"
+
+
 # -- degrees -----------------------------------------------------------------
 
 
@@ -94,6 +188,14 @@ def test_degree_overline_grades_hat_like_plain():
     for attr in ("node", "_degree", "anything"):
         with pytest.raises(AttributeError):
             setattr(first, attr, None)
+
+
+def test_degree_types_on_the_degree_2_bases():
+    """Degrees are worked in half units inside the module; what ``degree``
+    hands out is a Fraction base and an int kappa."""
+    for t in generate_basis(2) + generate_basis(2, hat=True):
+        for d in (degree(t), degree(t, overline=True)):
+            assert type(d.base) is Fraction and type(d.kappa) is int, format_tree(t)
 
 
 def test_degree_ordering_lexicographic():
