@@ -6,7 +6,8 @@ solution from u_bar under the shifted noise lands on the solution from u at
 time t.  The construction integrates an ODE in the artificial parameter
 gamma that moves the initial state from u to u_bar at unit speed while
 accumulating, slice by slice, minus the transfer direction returned by
-:func:`compensating_direction`.
+:func:`compensating_direction`.  The noise before t/2 is unshifted: after
+step 0 the gamma steps run it in windowed batches, then each its second half.
 
 Guard rails mirror the structure of the underlying argument:
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .equations import EquationSpec
-from .grids import Field, l2_norm
+from .grids import Field, _dyadic_masks, l2_norm
 from .noise import NoisePath, ShiftPath, apply_shift, cm_norm_sq, splice
 from .solver import (FlowOutcome, NondegeneracyError, _check_state, _evolve_batch, _Paths,
                      _step_range)
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 NORM_BOUND_SLACK = 1e-9
+_WINDOW_BYTES = 1 << 24  # bytes of one first-half batch: as many gamma steps as fit, at least one
 
 
 def bump_chi(s: float) -> float:
@@ -167,6 +169,16 @@ def _transfer_slices(paths: _Paths, chi_over_t: np.ndarray, spec: EquationSpec) 
     return out
 
 
+class _Gather:
+    """``base[j, cols[rows]]`` read as ``self[j, rows]``, a slice at a time."""
+
+    def __init__(self, base: np.ndarray, cols: np.ndarray):
+        self.base, self.cols, self.shape = base, cols, (len(base), len(cols)) + base.shape[2:]
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.base[key[0], self.cols[key[1]]]
+
+
 def compensating_direction(outcome: FlowOutcome, v: Field, t: float,
                            spec: EquationSpec) -> ShiftPath:
     """Noise direction equivalent to the state variation v at time t.
@@ -210,10 +222,12 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     goes on with the slices its stored path reaches.  A row whose target is
     u itself rides only in step 0 and ends 'completed' with a zero shift.
     Each step's bookkeeping is array operations over the active rows (a basic
-    slice until a row leaves).  The shifts build up in ``h``, a (k_t, B, m,
-    *grid) zero array if the caller gives one.  Returns one result per row
-    (shifts padded to ``n_steps`` slices) and the step-0 paths, which are the
-    unshifted evolutions from u.
+    slice until a row leaves).  h is 0 before chi's first slice lo, so after
+    step 0 a final-state batch runs slices 0..lo-1 of a window of steps
+    (``_WINDOW_BYTES``), each step the rest.  The shifts build up in ``h``,
+    a (k_t, B, m, *grid) zero array if the caller gives one.  Returns one
+    result per row (shifts padded to ``n_steps`` slices) and the step-0
+    paths, which are the unshifted evolutions from u.
     """
     grid = u.grid
     k_t, n_rows = increments.shape[:2]
@@ -251,37 +265,58 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     clamp_events = np.zeros(n_rows, dtype=int)
     gamma_reached = np.zeros(n_rows)
     gamma_star = np.full(n_rows, np.nan)  # NaN until a support slice freezes
-    gamma = np.zeros(n_rows)
+    gammas = np.zeros((k_gamma, n_rows))  # gamma at step s: the running sum of s d_gamma
+    np.add.accumulate(np.broadcast_to(d_gamma, (k_gamma - 1, n_rows)), axis=0, out=gammas[1:])
     rows, sel = np.arange(n_rows), slice(None)  # sel: a basic slice until a row leaves
+    # a first-half row: its trace to lo, 24 state-sized arrays and two per monitor shell
+    row_bytes = 8 * (u.values.size * (24 + 2 * _dyadic_masks(grid.dim, grid.n).shape[0]) + lo + 1)
 
-    for step in range(k_gamma):
-        u_gamma = u.values + gamma[sel][(...,) + field_axes] * v[sel]
+    for step, gamma in enumerate(gammas):
         if step == 0:
+            u_gamma = u.values + gamma[(...,) + field_axes] * v
             u_gamma[same] = u.values  # their unshifted path starts from u itself
-        out = _evolve_batch(u_gamma, increments[:, sel] + h[:, sel] * dt, spec, grid, dt,
-                            x0=v[sel])
-        alive = out.alive
-        if step == 0:
-            from_u = replace(out, tangent=None)
+            from_u = _evolve_batch(u_gamma, increments + h * dt, spec, grid, dt, x0=v)
+            trace, n_stored = from_u.trace, from_u.n_stored
+            a_slices = _transfer_slices(from_u, chi_over_t, spec)[lo:]
+            from_u = replace(from_u, tangent=None)  # free the tangents before the next evolve
+        else:
+            if step == 1 or step == end:  # slices 0..lo-1 (h = 0) of a window of steps
+                early, start, early_rows = None, step, rows  # free the last window first
+                end = min(k_gamma, step + max(1, _WINDOW_BYTES // (row_bytes * rows.size)))
+                cols = np.tile(rows, end - start)
+                early = _evolve_batch(
+                    u.values + gammas[start:end, rows].ravel()[(...,) + field_axes] * v[cols],
+                    _Gather(increments[:lo] + h[:lo] * dt, cols), spec, grid, dt,
+                    final_only=True, x0=v[cols], keep_trace=True)
+            q = (step - start) * early_rows.size + np.searchsorted(early_rows, rows)
+            on = early.n_stored[q] > lo  # a row dead before lo skips the second half
+            q_on, rows_on = q[on], rows[on]
+            tail = _evolve_batch(early.fields[0, q_on],
+                                 increments[lo:, rows_on] + h[lo:, rows_on] * dt, spec, grid,
+                                 dt, x0=early.tangent[0, q_on], r0=early.trace[lo, q_on])
+            n_stored, trace = early.n_stored[q], np.zeros((k_t + 1, rows.size))  # joined at lo
+            trace[:lo], trace[lo:, on] = early.trace[:lo, q], tail.trace
+            n_stored[on] = lo + tail.n_stored
+            a_slices = np.zeros((k_t - lo, rows.size) + shape)
+            a_slices[:, on] = _transfer_slices(tail, chi_over_t[lo:], spec)
+            del tail  # free this step's paths and tangents before the next evolve
 
         # refresh per-slice running cutoffs from this trajectory's monitor
-        reached = np.arange(k_t)[:, None] < np.minimum(out.n_stored, k_t)
-        step_cut = np.where(reached, cutoff_chi(out.trace[:k_t] / cutoff_r), 0.0)
+        reached = np.arange(k_t)[:, None] < np.minimum(n_stored, k_t)
+        step_cut = np.where(reached, cutoff_chi(trace[:k_t] / cutoff_r), 0.0)
         new_cutoffs = np.minimum(cutoffs[:, sel], step_cut)
-        cutoffs[:, sel] = new_cutoffs
+        cutoffs[:, sel], cut = new_cutoffs, new_cutoffs[lo:]
         # a row that leaves at step 0 by death or u_bar == u ignores what it records here
-        first = rows[(new_cutoffs[lo:] == 0.0).any(axis=0) & np.isnan(gamma_star[sel])]
+        first = rows[(cut == 0.0).any(axis=0) & np.isnan(gamma_star[sel])]
         gamma_star[first] = gamma[first]
-        # a live row took every step, so its last monitor value is the trace's last
-        monitor_per_step[step, sel] = np.where(alive, out.trace[-1], math.inf)
-        min_cutoff_per_step[step, sel] = new_cutoffs[lo:].min(axis=0)
-        going = (new_cutoffs[lo:] > 0.0).any(axis=0)
+        # only a live row stores k_t + 1 states; its last monitor value is the trace's last
+        monitor_per_step[step, sel] = np.where(n_stored > k_t, trace[-1], math.inf)
+        min_cutoff_per_step[step, sel] = cut.min(axis=0)
+        going = (cut > 0.0).any(axis=0)
         if step == 0:
-            going &= alive & ~same  # a row dead at step 0 ends with status 'dead'
+            going &= (n_stored > k_t) & ~same  # a row dead at step 0 ends with status 'dead'
 
         # h moves only on chi's support, where the transfer slices are
-        a_slices, cut = _transfer_slices(out, chi_over_t, spec)[lo:], new_cutoffs[lo:]
-        del out  # free this step's paths and tangents before the next evolve
         if not going.all():
             left = rows[~going]
             gamma_reached[left], n_recorded[left] = gamma[left], step + 1
@@ -297,8 +332,8 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
         clamp_events[sel] += over.sum(axis=0)
         scale = cap[sel] / np.where(over, norms, cap[sel])
         h[lo:, sel] += increment * scale[(...,) + field_axes]
-        gamma += d_gamma
     gamma_reached[rows] = gamma_target[rows]
+    early = None  # free the first halves before the results are built
 
     frozen_counts = (cutoffs[lo:] == 0.0).sum(axis=0).tolist()
     min_cutoffs, stars = cutoffs.min(axis=0).tolist(), gamma_star.tolist()

@@ -34,7 +34,8 @@ stepped.  The monitor of the whole block is one batched proxy norm
 (``grids._ProxyNorms``, its buffers allocated once per evolve, inverting
 only the shell blocks that can hold a state's maximum), G and finiteness
 one test each; rows that died in the block leave at its end, and what
-they computed past their death is discarded.
+they computed past their death is discarded.  Given the running monitor of
+an earlier evolve, an evolve continues it: a split evolve has the whole's bits.
 
 Each evolve lays its step out once (``_StepPlan``) and binds it once per
 row count: the bound step zips over a block's state and tangent slots,
@@ -162,8 +163,8 @@ class _Paths:
     ``trace[:n_stored[b], b]``; entries past that count are zero.  A dead row
     records its reason and the step count at which it died (its blow-up time
     is s + death_step * dt); a live row took every step.  A final-state-only
-    batch keeps one entry per row, its last stored state and monitor value;
-    the counts are those of the full batch.  The noise stays with the caller.
+    batch keeps one entry per row, its last state and monitor value (or the
+    trace); the counts are those of the full batch.  The noise stays with the caller.
     """
 
     fields: np.ndarray  # (J+1, B, m, *grid)
@@ -339,14 +340,16 @@ _CHECK_BYTES = 1 << 18
 
 def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt: float,
                   final_only: bool = False, x0: np.ndarray | None = None,
-                  inject: np.ndarray | None = None) -> _Paths:
+                  inject: np.ndarray | None = None, keep_trace: bool = False,
+                  r0: np.ndarray | None = None) -> _Paths:
     """Evolve B initial states u0 (B, m, *grid) along their own increments
     (J, B, m, *grid), one step of dt per increment slice.
 
     ``increments`` is read only as ``increments[j, rows]`` and through its
     ``shape``: an array, or a source that draws slice j of the given rows on
     demand (``noise._SliceSource``).  With ``final_only`` the batch keeps
-    only each row's last state and monitor value instead of the trajectory.
+    only each row's last state and monitor value (``keep_trace``: all its
+    monitor values); ``r0`` (B,) continues an earlier evolve's running monitor.
     With a tangent ``x0`` (B, m, *grid) the batch also carries the tangent
     flow from x0 along each path, in the same transforms as the states.
     ``inject`` (J, B, m, *grid), raw shift slices h_j read as
@@ -368,7 +371,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     n_kept = 1 if final_only else n_steps + 1
     fields = np.zeros((n_kept,) + u0.shape)
     tangent = None if x0 is None else np.zeros(fields.shape)
-    trace = np.zeros((n_kept, n_rows))
+    trace = np.zeros((n_steps + 1 if keep_trace else n_kept, n_rows))
     n_stored = np.full(n_rows, n_steps + 1)
     death_step = np.zeros(n_rows, dtype=int)
     reasons = [None] * n_rows
@@ -383,7 +386,7 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
         xs[0] = x0
     rows = np.arange(n_rows)
     sel = slice(None)  # basic-slice stand-in for ``rows`` while no row has died
-    r = None  # running monitor of the active rows before the block
+    r = r0  # running monitor of the active rows before the block
     plan = _StepPlan(grid, dt, spec, states, xs, increments, inject)
     step = plan.bind(n_rows, sel)
     norms = _ProxyNorms(grid, spec.monitor_eta, u0.shape[1:], size * n_rows)
@@ -391,9 +394,10 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     def keep(b, i, count):
         """Store the first ``count`` states of the block's rows i as rows b."""
         if count > 0:
-            to, of = (slice(1), slice(count - 1, count)) if final_only else \
-                (slice(j0, j0 + count), slice(count))
-            fields[to, b], trace[to, b] = states[of, i], mon[of, i]
+            whole = slice(j0, j0 + count), slice(count)
+            end = (slice(1), slice(count - 1, count)) if final_only else whole
+            (to, of), (t_to, t_of) = end, whole if keep_trace else end
+            fields[to, b], trace[t_to, b] = states[of, i], mon[t_of, i]
             if xs is not None:
                 tangent[to, b] = xs[of, i]
 

@@ -313,19 +313,20 @@ class Poly:
     __slots__ = ("coef",)
 
     def __init__(self, coef=None):
-        _set(self, "coef", {key: val for key, val in (coef or {}).items() if val != 0})
+        coef = {(_integer(e1, "an exponent"), _integer(e2, "an exponent")):
+                _integer(c, "a coefficient") for (e1, e2), c in (coef or {}).items()}
+        _set(self, "coef", {key: val for key, val in coef.items() if val != 0})
 
     def __setattr__(self, *a):
         raise AttributeError("polynomials are immutable")
 
     @classmethod
     def const(cls, n: int) -> "Poly":
-        return cls({(0, 0): _integer(n, "a constant")})
+        return _poly({(0, 0): _integer(n, "a constant")})
 
     @classmethod
     def monomial(cls, e1: int, e2: int, c: int = 1) -> "Poly":
-        return cls({(_integer(e1, "an exponent"), _integer(e2, "an exponent")):
-                    _integer(c, "a coefficient")})
+        return cls({(e1, e2): c})
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -337,10 +338,10 @@ class Poly:
         out = dict(self.coef)
         for key, val in other.coef.items():
             out[key] = out.get(key, 0) + val
-        return Poly(out)
+        return _poly(out)
 
     def __neg__(self):
-        return Poly({k: -v for k, v in self.coef.items()})
+        return _poly({k: -v for k, v in self.coef.items()})
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -358,7 +359,7 @@ class Poly:
             for (b1, b2), vb in other.coef.items():
                 key = (a1 + b1, a2 + b2)
                 out[key] = out.get(key, 0) + va * vb
-        return Poly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -377,6 +378,13 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
+
+
+def _poly(coef: dict) -> Poly:
+    """A Poly of int exponents and coefficients, taken as they are; zeros drop."""
+    p = object.__new__(Poly)
+    _set(p, "coef", {key: val for key, val in coef.items() if val != 0})
+    return p
 
 
 def _as_poly(x) -> Poly:
@@ -546,7 +554,7 @@ def _contract_product(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
             if pairing is None:
                 ways = (math.factorial(n_bullets)
                         // (math.factorial(free - 2 * q) * math.factorial(q) * 2 ** (q + consumed)))
-                pairing = pairings[q, consumed] = Poly({(q, 0): ways})
+                pairing = pairings[q, consumed] = _poly({(q, 0): ways})
             _accumulate(merged, _product([PSI] * (free - 2 * q) + subs, k),
                         combo_poly * pairing)
     found = memo[key] = [(p, t2) for t2, p in merged.items() if p.coef]

@@ -1,7 +1,8 @@
 """Seeded sweep of the fast paths against the public numpy paths they stand
 in for, over the shapes the CLI accepts rather than the small fixed shapes
 their first-use self-checks draw: n = 8 to 256 in 1D and 8 to 64 in 2D, m = 1
-to 3 components, several row counts.
+to 3 components, several row counts, and the row counts of the gamma loop's
+first-half batch.
 
 * The pocketfft gufunc transforms (``grids._gufunc_pair``) against
   ``np.fft.rfftn``/``irfftn`` (``grids._PUBLIC``), on the strided views a
@@ -20,6 +21,10 @@ from fellerlab.grids import Grid
 
 SHAPES = [(1, n) for n in (8, 16, 32, 64, 128, 256)] + [(2, n) for n in (8, 16, 32, 64)]
 ROWS = (1, 3, 5)
+# the rows of the gamma loop's first-half batch, its widest evolve: 63 at n = 64
+# (couple_she.cfg's k_gamma - 1, m = 1 and the kpz1d m = 2), 180 at n = 32
+# (tv_sweep.cfg's 15 steps of 12 rows)
+WIDE = [(1, 64, 1, 63), (1, 64, 2, 63), (1, 32, 1, 180)]
 
 
 def _layouts(buffer: np.ndarray, rng) -> list:
@@ -41,23 +46,42 @@ def _check_rows(fast, public, stack, grid):
     return got
 
 
+def _sweep_transforms(grid, m, rows, rng):
+    forward, inverse = grids._gufunc_pair()
+    buffer = rng.standard_normal((rows, 3, m) + grid.shape)
+    for stack in _layouts(buffer, rng):
+        modes = _check_rows(forward, grids._PUBLIC[0], stack, grid)
+        # inverse on fresh modes (the public inverse of a real field's
+        # modes is that field again; these are not Hermitian in 2D)
+        spectra = np.empty((rows, 3) + modes.shape[1:], dtype=complex)
+        spectra[...] = (rng.standard_normal(spectra.shape)
+                        + 1j * rng.standard_normal(spectra.shape))
+        for spectrum in _layouts(spectra, rng):
+            _check_rows(inverse, grids._PUBLIC[1], spectrum, grid)
+
+
 @pytest.mark.parametrize("dim, n", SHAPES)
 def test_gufunc_transforms_match_public_wrappers_row_by_row(dim, n):
     grid = Grid(dim, n, 1.0)
-    forward, inverse = grids._gufunc_pair()
     rng = np.random.default_rng(100 * dim + n)
     for m in (1, 2, 3):
         for rows in ROWS:
-            buffer = rng.standard_normal((rows, 3, m) + grid.shape)
-            for stack in _layouts(buffer, rng):
-                modes = _check_rows(forward, grids._PUBLIC[0], stack, grid)
-                # inverse on fresh modes (the public inverse of a real field's
-                # modes is that field again; these are not Hermitian in 2D)
-                spectra = np.empty((rows, 3) + modes.shape[1:], dtype=complex)
-                spectra[...] = (rng.standard_normal(spectra.shape)
-                                + 1j * rng.standard_normal(spectra.shape))
-                for spectrum in _layouts(spectra, rng):
-                    _check_rows(inverse, grids._PUBLIC[1], spectrum, grid)
+            _sweep_transforms(grid, m, rows, rng)
+
+
+@pytest.mark.parametrize("dim, n, m, rows", WIDE)
+def test_wide_batches_match_public_wrappers_and_rows_alone(dim, n, m, rows):
+    """At the first-half batch's row counts the transforms match the public
+    wrappers row by row, and each state's proxy norm, in one call over the
+    batch, has the bits it has alone."""
+    grid = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(rows + 10 * m)
+    _sweep_transforms(grid, m, rows, rng)
+    states = rng.standard_normal((rows, m) + grid.shape) * np.geomspace(1e-3, 1e3, rows)[
+        (slice(None),) + (None,) * (1 + dim)]
+    norms = grids._ProxyNorms(grid, 0.25, states.shape[1:], rows)(states)
+    alone = grids._ProxyNorms(grid, 0.25, states.shape[1:], 1)
+    assert np.array_equal(norms, [alone(state[None])[0] for state in states])
 
 
 @pytest.mark.parametrize("dim, n", SHAPES)

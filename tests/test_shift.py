@@ -375,3 +375,70 @@ def test_coupling_params_validation():
     for bad in ({"tol": 0.0}, {"tol": -1.0}, {"cutoff_r": 5e-324}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} = .* is out of range"):
             CouplingParams(m_bound=1.0, k_gamma=4, **bad)
+
+
+@pytest.mark.parametrize("window_bytes", [1, 1 << 18])
+def test_mixed_fate_batch_bits_hold_in_smaller_windows(grid, monkeypatch, window_bytes):
+    """First-half windows of one gamma step each, or of three steps and then
+    the last two (the second opened after rows left), give the mixed-fate
+    batch its pinned bits."""
+    import fellerlab.shift as shift_module
+    monkeypatch.setattr(shift_module, "_WINDOW_BYTES", window_bytes)
+    test_mixed_fate_batch_bits_pinned(grid)
+
+
+def _couple_she_peaks(k_gammas):
+    """The peak traced memory of ``build_shift`` on configs/couple_she.cfg
+    with each k_gamma, and the pieces of that run: (peaks, u, t, w, params)."""
+    import dataclasses
+    import tracemalloc
+    from pathlib import Path
+
+    from fellerlab import cli
+    from fellerlab.storage import load_config
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "couple_she.cfg")
+    grid = cli.build_grid(cfg)
+    dt, t, n_steps = cli.build_times(cfg)
+    spec = cli.attach_renorm(cli.build_spec(cfg), grid, dt, cfg)
+    u = cli.build_initial(cfg, grid, spec.m)
+    params, (gamma,) = cli.build_coupling(cfg)
+    u_bar, w = cli._displaced_state(u, gamma), sample_white_noise(grid, spec.m, n_steps, dt, 7)
+    peaks = []
+    for k_gamma in k_gammas:
+        run = lambda: build_shift(u, u_bar, w, t, spec,
+                                  dataclasses.replace(params, k_gamma=k_gamma))
+        run()  # first-use set-up outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks, u, t, w, params
+
+
+def test_build_shift_peak_memory_holds_two_states_and_a_trace_per_first_half():
+    """On configs/couple_she.cfg the peak traced memory of ``build_shift``
+    stays within its peak with one gamma step (one step's arrays and the
+    result) plus what each of the k_gamma - 1 rows of the first-half batch
+    must hold: its state and tangent at the start of the shift's support and
+    its monitor trace up to there.  A first-half batch that kept whole
+    trajectories would hold some 8 MB more."""
+    peaks, u, t, w, params = _couple_she_peaks((1, 64))
+    lo = w.time_index(t) // 2
+    per_row = 2 * u.values.nbytes + 8 * (lo + 1)
+    assert peaks[1] <= peaks[0] + 63 * per_row, peaks
+
+
+def test_build_shift_peak_memory_stops_growing_past_one_window(monkeypatch):
+    """With first-half windows of one gamma step, ``build_shift`` on
+    configs/couple_she.cfg holds about as much at k_gamma = 160 as at 8: past
+    one window the peak grows only by the per-step diagnostics, not by the
+    some 20 KiB of each step's first half, as it does in one window."""
+    import fellerlab.shift as shift_module
+    monkeypatch.setattr(shift_module, "_WINDOW_BYTES", 1)  # one step per window
+    peaks = _couple_she_peaks((8, 160))[0]
+    monkeypatch.setattr(shift_module, "_WINDOW_BYTES", 1 << 24)  # one window for all
+    whole = _couple_she_peaks((8, 160))[0]
+    assert whole[1] - whole[0] > 152 * 8192, whole
+    assert peaks[1] - peaks[0] < 152 * 512, peaks

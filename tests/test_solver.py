@@ -718,6 +718,64 @@ def test_block_size_changes_no_bit(monkeypatch):
     assert (1.0 + edge.fields[10, 0]).min() < 0.5
 
 
+def _split_evolve(u0, increments, spec, grid, dt, j, x0):
+    """The evolve of ``increments`` split at slice j: a final-state first part
+    that keeps its trace, then the rows alive at j continued from their state,
+    tangent and running monitor.  Per row: (reason, n_stored, death_step,
+    trace, final state, final tangent), as the whole evolve would keep them."""
+    from fellerlab.solver import _evolve_batch
+    first = _evolve_batch(u0, increments[:j], spec, grid, dt, final_only=True, x0=x0,
+                          keep_trace=True)
+    on = first.alive
+    second = _evolve_batch(first.fields[0, on], increments[j:, on], spec, grid, dt,
+                           x0=first.tangent[0, on], r0=first.trace[j, on])
+    rows, i = [], 0
+    for b in range(u0.shape[0]):
+        if not on[b]:
+            n = first.n_stored[b]
+            rows.append((first.reasons[b], n, first.death_step[b], first.trace[:n, b],
+                         first.final(b), first.tangent[0, b]))
+            continue
+        n = second.n_stored[i]
+        dead = second.reasons[i] is not None
+        rows.append((second.reasons[i], j + n, j + second.death_step[i] if dead else 0,
+                     np.concatenate([first.trace[:j, b], second.trace[:n, i]]),
+                     second.final(i), second.tangent[n - 1, i]))
+        i += 1
+    return rows
+
+
+def test_split_evolve_matches_whole_evolve():
+    """An evolve split at slice j (as the gamma loop splits each step at the
+    start of the shift's support) gives the whole evolve's reason, n_stored,
+    death step, trace, final state and final tangent bit for bit: for rows
+    that die before j (not finite, monitor, G), by G exactly at j (the state
+    the first part does not G-test), or after j, and for survivors."""
+    from fellerlab.solver import _evolve_batch
+    cases = [(g, s, d, u, src.drawn()) for g, s, d, u, src in list(_block_batches())[:-1]]
+    cases += [(g, s, d, u, inc) for g, s, d, u, inc in _fate_batches()]
+    seen = set()
+    for grid, spec, dt, u0, increments in cases:
+        x0 = _variants(u0, increments.shape)["tangent"]["x0"]
+        n_steps = increments.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = _evolve_batch(u0, increments, spec, grid, dt, x0=x0)
+            for j in sorted({1, 5, n_steps // 2, n_steps - 1}):
+                split = _split_evolve(u0, increments, spec, grid, dt, j, x0)
+                for b, (reason, n, death, trace, final, tangent) in enumerate(split):
+                    assert (reason, n, death) == (whole.reasons[b], whole.n_stored[b],
+                                                  whole.death_step[b])
+                    assert np.array_equal(trace, whole.trace[:n, b])
+                    assert np.array_equal(final, whole.final(b), equal_nan=True)
+                    assert np.array_equal(tangent, whole.tangent[n - 1, b], equal_nan=True)
+                    if j == 5:
+                        seen.add((reason, "alive" if reason is None else
+                                  "before" if death < j else "at" if death == j else "after"))
+    for reason in ("monitor_threshold", "nondegenerate", "non_finite"):
+        assert {(reason, "before"), (reason, "after")} <= seen, reason
+    assert {("nondegenerate", "at"), (None, "alive")} <= seen
+
+
 def _pinned_digests():
     """sha256 (first 24 hex digits) over ``_bits`` of every variant of each
     batch of ``_fate_batches`` and ``_block_batches``, in order."""

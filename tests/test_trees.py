@@ -132,11 +132,35 @@ def test_basis_set_order_does_not_depend_on_the_hash_seed():
     (lambda: DegreeValue(0, 1.5), 1.5),
     (lambda: renorm_action(glyph("2"), g=(0.5, 0)), 0.5),
     (lambda: renorm_action(glyph("2"), g=(1, Fraction(3, 2))), Fraction(3, 2)),
+    (lambda: Poly({(0, 0): 2.7}), 2.7),
+    (lambda: Poly({(0.5, 0): 1}), 0.5),
+    (lambda: Poly({(1, Fraction(1, 2)): 3}), Fraction(1, 2)),
 ], ids=["x_monomial", "product_k_extra", "const", "monomial_coefficient",
-        "monomial_exponent", "kappa", "g_c1", "g_c2"])
+        "monomial_exponent", "kappa", "g_c1", "g_c2", "poly_coefficient", "poly_exponent",
+        "poly_fraction_exponent"])
 def test_non_integers_are_refused_not_truncated(call, value):
     with pytest.raises((TypeError, ValueError), match=re.escape(repr(value))):
         call()
+
+
+def test_poly_constructor_refuses_what_const_and_monomial_refuse():
+    """``Poly(coef)`` raises the TypeError ``Poly.const``/``Poly.monomial``
+    raise on the same value, and stores numpy integers as ints."""
+    for public, checked in ((lambda: Poly({(0, 0): 2.7}), lambda: Poly.monomial(0, 0, 2.7)),
+                            (lambda: Poly({(0, 1): 1.5}), lambda: Poly.monomial(0, 1, 1.5)),
+                            (lambda: Poly({(0.5, 0): 1}), lambda: Poly.monomial(0.5, 0)),
+                            (lambda: Poly({(0.5, 0): 0}), lambda: Poly.monomial(0.5, 0, 0)),
+                            (lambda: Poly({(0, np.float64(2)): 1}),
+                             lambda: Poly.monomial(0, np.float64(2)))):
+        with pytest.raises(TypeError) as got:
+            public()
+        with pytest.raises(TypeError) as want:
+            checked()
+        assert str(got.value) == str(want.value)
+    i = np.int64
+    poly = Poly({(i(1), 0): i(3), (0, 2): 0})
+    assert poly == 3 * C1
+    assert all(type(x) is int for key, val in poly.coef.items() for x in (*key, val))
 
 
 def test_numpy_integers_are_integers():
