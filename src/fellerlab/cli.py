@@ -430,7 +430,8 @@ def cmd_jacobian_check(args) -> int:
 
 def cmd_symbols(args) -> int:
     bound = trees.DegreeValue(*args.max_degree)
-    basis = trees.generate_basis(bound, hat=args.hat)
+    with _reading_input("--max-degree: "):  # a basis past the cap asks for too much
+        basis = trees.generate_basis(bound, hat=args.hat)
     if args.csv:
         print("tree,degree_base,degree_kappa")
         for t in basis:

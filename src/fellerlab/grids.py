@@ -325,10 +325,7 @@ class _ProxyNorms:
         self.states = np.arange(n)
         self.modes = np.empty((n, m) + half, dtype=complex)
         self.shells = np.empty((n * self.per_state,) + half, dtype=complex)
-        # 1D rows of n <= 32 reduce faster as columns, by a max across rows: evolves
-        # at n = 32 took up to 1% less, at n = 64-256 2-8% more; a 2D norm 50% more
-        k, columns = n * self.per_state, grid.dim == 1 and grid.n <= 32
-        self.blocks = np.empty(grid.shape + (k,)).T if columns else np.empty((k,) + grid.shape)
+        self.blocks = np.empty((n * self.per_state,) + grid.shape)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         k = values.shape[0]
@@ -361,7 +358,7 @@ def _shell_weights(alpha: float, n_shells: int) -> np.ndarray:
 
 def _row_sups(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """weights[i] times the sup-norm of real block i (R, *grid), shape (R,).
-    ``blocks``, in either memory layout, is overwritten by its absolute values.
+    ``blocks`` is overwritten by its absolute values.
 
     Rounding is monotone, so a positive weight times a block's largest entry
     is the largest of its weighted entries, bit for bit."""

@@ -139,17 +139,15 @@ def _tv_records(u: Field, u_bars: Sequence[Field], t: float, dt: float, k_t: int
                 streams: range, fns) -> list[list[SampleRecord]]:
     """One chunk of tv samples for every target in ``u_bars``: a row per
     (target, noise stream) pair, target-major, each stream drawn once and
-    shared by all targets.  The shifts are read from the gamma loop's batch,
-    and each row's squared norm from its result.  Returns the records of each
-    target in stream order."""
+    shared by all targets.  Each row's shift and its squared norm are read
+    from its result.  Returns the records of each target in stream order."""
     grid, n_streams = u.grid, len(streams)
     drawn = _SliceSource(grid, u.m, k_t, dt, seed, streams).drawn()
     increments = np.concatenate([drawn] * len(u_bars), axis=1)
     row_ubars = [u_bar for u_bar in u_bars for _ in streams]
     n_rows = len(row_ubars)
-    h = np.zeros((k_t, n_rows) + u.values.shape)  # the batch's shifts before t
-    results, from_u = _build_shift_batch(u, row_ubars, increments, t, dt, n_steps, spec,
-                                         params, h)
+    results, from_u = _build_shift_batch(u, row_ubars, increments, t, dt, n_steps, spec, params)
+    h = np.stack([r.h.values[:k_t] for r in results], axis=1)  # the shifts before t
     # each u_bar under the shifted noise (verification) and, for the
     # functionals, under the plain noise, as one batch; only final states are read
     noises = [increments + h * dt] + ([increments] if fns else [])

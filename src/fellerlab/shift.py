@@ -209,8 +209,8 @@ def _shift_slices(t: float, dt: float, n_steps: int) -> int:
 
 
 def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t: float, dt: float,
-                       n_steps: int, spec: EquationSpec, params: CouplingParams,
-                       h: np.ndarray | None = None) -> tuple[list[ShiftResult], _Paths]:
+                       n_steps: int, spec: EquationSpec,
+                       params: CouplingParams) -> tuple[list[ShiftResult], _Paths]:
     """The gamma loop of :func:`build_shift` for B noise rows at once.
 
     ``increments`` (k_t, B, m, *grid) holds the noise slices before t of
@@ -224,10 +224,9 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     Each step's bookkeeping is array operations over the active rows (a basic
     slice until a row leaves).  h is 0 before chi's first slice lo, so after
     step 0 a final-state batch runs slices 0..lo-1 of a window of steps
-    (``_WINDOW_BYTES``), each step the rest.  The shifts build up in ``h``,
-    a (k_t, B, m, *grid) zero array if the caller gives one.  Returns one
-    result per row (shifts padded to ``n_steps`` slices) and the step-0
-    paths, which are the unshifted evolutions from u.
+    (``_WINDOW_BYTES``), each step the rest.  Returns one result per row
+    (shifts padded to ``n_steps`` slices) and the step-0 paths, which are the
+    unshifted evolutions from u.
     """
     grid = u.grid
     k_t, n_rows = increments.shape[:2]
@@ -257,7 +256,7 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     cap = m_bound / math.sqrt(float(k_t - lo) * dt) * d_gamma  # L2 cap per slice of dh
 
     vol = grid.cell_volume
-    h = np.zeros((k_t, n_rows) + shape) if h is None else h
+    h = np.zeros((k_t, n_rows) + shape)
     cutoffs = np.ones((k_t, n_rows))
     # row b's diagnostics of gamma step s sit at [s, b], for its first n_recorded[b] steps
     monitor_per_step, min_cutoff_per_step = np.empty((2, k_gamma, n_rows))
@@ -287,7 +286,7 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
                 early = _evolve_batch(
                     u.values + gammas[start:end, rows].ravel()[(...,) + field_axes] * v[cols],
                     _Gather(increments[:lo] + h[:lo] * dt, cols), spec, grid, dt,
-                    final_only=True, x0=v[cols], keep_trace=True)
+                    final_only=True, x0=v[cols])
             q = (step - start) * early_rows.size + np.searchsorted(early_rows, rows)
             on = early.n_stored[q] > lo  # a row dead before lo skips the second half
             q_on, rows_on = q[on], rows[on]

@@ -163,8 +163,8 @@ class _Paths:
     ``trace[:n_stored[b], b]``; entries past that count are zero.  A dead row
     records its reason and the step count at which it died (its blow-up time
     is s + death_step * dt); a live row took every step.  A final-state-only
-    batch keeps one entry per row, its last state and monitor value (or the
-    trace); the counts are those of the full batch.  The noise stays with the caller.
+    batch keeps one state per row, its last, and the whole trace; the counts
+    are those of the full batch.  The noise stays with the caller.
     """
 
     fields: np.ndarray  # (J+1, B, m, *grid)
@@ -192,7 +192,7 @@ class _Paths:
                 increments: np.ndarray) -> FlowOutcome:
         """Row b, evolved along ``increments`` (J, m, *grid), as an evolution
         from s to t.  From a final-state-only batch the outcome holds just the
-        row's last state and monitor value."""
+        row's last state, with its whole monitor trace."""
         reason = self.reasons[b]
         taken = self.n_stored[b] - 1 if reason is None else int(self.death_step[b])
         died_at = None if reason is None else s + taken * dt
@@ -340,16 +340,15 @@ _CHECK_BYTES = 1 << 18
 
 def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt: float,
                   final_only: bool = False, x0: np.ndarray | None = None,
-                  inject: np.ndarray | None = None, keep_trace: bool = False,
-                  r0: np.ndarray | None = None) -> _Paths:
+                  inject: np.ndarray | None = None, r0: np.ndarray | None = None) -> _Paths:
     """Evolve B initial states u0 (B, m, *grid) along their own increments
     (J, B, m, *grid), one step of dt per increment slice.
 
     ``increments`` is read only as ``increments[j, rows]`` and through its
     ``shape``: an array, or a source that draws slice j of the given rows on
     demand (``noise._SliceSource``).  With ``final_only`` the batch keeps
-    only each row's last state and monitor value (``keep_trace``: all its
-    monitor values); ``r0`` (B,) continues an earlier evolve's running monitor.
+    only each row's last state (and tangent), but all its monitor values;
+    ``r0`` (B,) continues an earlier evolve's running monitor.
     With a tangent ``x0`` (B, m, *grid) the batch also carries the tangent
     flow from x0 along each path, in the same transforms as the states.
     ``inject`` (J, B, m, *grid), raw shift slices h_j read as
@@ -368,10 +367,9 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     is bit-identical to a batch of one, whatever the block size.
     """
     n_rows, n_steps = u0.shape[0], increments.shape[0]
-    n_kept = 1 if final_only else n_steps + 1
-    fields = np.zeros((n_kept,) + u0.shape)
+    fields = np.zeros((1 if final_only else n_steps + 1,) + u0.shape)
     tangent = None if x0 is None else np.zeros(fields.shape)
-    trace = np.zeros((n_steps + 1 if keep_trace else n_kept, n_rows))
+    trace = np.zeros((n_steps + 1, n_rows))
     n_stored = np.full(n_rows, n_steps + 1)
     death_step = np.zeros(n_rows, dtype=int)
     reasons = [None] * n_rows
@@ -394,10 +392,10 @@ def _evolve_batch(u0: np.ndarray, increments, spec: EquationSpec, grid: Grid, dt
     def keep(b, i, count):
         """Store the first ``count`` states of the block's rows i as rows b."""
         if count > 0:
-            whole = slice(j0, j0 + count), slice(count)
-            end = (slice(1), slice(count - 1, count)) if final_only else whole
-            (to, of), (t_to, t_of) = end, whole if keep_trace else end
-            fields[to, b], trace[t_to, b] = states[of, i], mon[t_of, i]
+            trace[j0:j0 + count, b] = mon[:count, i]
+            to = slice(1) if final_only else slice(j0, j0 + count)
+            of = slice(count - 1 if final_only else 0, count)
+            fields[to, b] = states[of, i]
             if xs is not None:
                 tangent[to, b] = xs[of, i]
 

@@ -520,8 +520,11 @@ def _contract_product(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
 
     # options per non-bullet factor: keep one of its internal contractions,
     # or (for integrated factors with a plain pair in the crown) be consumed
-    # by a root pattern, releasing the rest of the crown at this vertex
-    option_lists = []
+    # by a root pattern, releasing the rest of the crown at this vertex.  They
+    # fold factor by factor into states, each the pairs consumed and the
+    # sorted subtrees kept: equal states merge after each factor, and a state
+    # that consumed more pairs than there are bullets drops
+    states = {(0, ()): POLY_ONE}
     for f in others:
         opts = [(0, poly, sub) for poly, sub in _contract(f, memo)]
         if f.node[0] == "i":
@@ -533,30 +536,30 @@ def _contract_product(t: Tree, memo: dict) -> list[tuple[Poly, Tree]]:
                 remnant = _product([PSI] * (crown_bullets - 2) + crown, k_arg)
                 for poly, sub in _contract_product(remnant, memo):
                     opts.append((1, pair * poly, sub))
-        option_lists.append(opts)
+        folded: dict[tuple, Poly] = {}
+        for (consumed, subs), coef in states.items():
+            for used, poly, sub in opts:
+                if 2 * (consumed + used) <= n_bullets:
+                    kept = subs + (sub,)
+                    if subs and sub._key < subs[-1]._key:  # sort only when out of order
+                        kept = tuple(sorted(kept, key=_sort_key))
+                    _accumulate(folded, (consumed + used, kept),
+                                coef if poly is POLY_ONE else coef * poly)
+        states = folded
 
     # C1^q times the ways to pair q free bullets once `consumed` pairs went to
     # root patterns, each built once per call
     pairings = {(0, 0): POLY_ONE}
     merged: dict[Tree, Poly] = {}
-    for combo in itertools.product(*option_lists):
-        consumed, combo_poly, subs = 0, POLY_ONE, []
-        for used, poly, sub in combo:
-            consumed += used
-            if poly is not POLY_ONE:
-                combo_poly = combo_poly * poly
-            subs.append(sub)
+    for (consumed, subs), coef in states.items():
         free = n_bullets - 2 * consumed
-        if free < 0:
-            continue
         for q in range(free // 2 + 1):
             pairing = pairings.get((q, consumed))
             if pairing is None:
                 ways = (math.factorial(n_bullets)
                         // (math.factorial(free - 2 * q) * math.factorial(q) * 2 ** (q + consumed)))
                 pairing = pairings[q, consumed] = _poly({(q, 0): ways})
-            _accumulate(merged, _product([PSI] * (free - 2 * q) + subs, k),
-                        combo_poly * pairing)
+            _accumulate(merged, _product((PSI,) * (free - 2 * q) + subs, k), coef * pairing)
     found = memo[key] = [(p, t2) for t2, p in merged.items() if p.coef]
     return found
 
@@ -605,17 +608,10 @@ def _z_tree(t: Tree, memo: dict) -> FormalSum:
         return acc
     if n[0] == "i":
         acc = _integ_sum(_z_tree(n[1], memo))
-    else:
-        # one term per choice of one term from each factor's expansion
-        out: dict[Tree, Poly] = {}
-        expansions = [_z_tree(f, memo).terms.items() for f in n[2]]
-        for combo in itertools.product(*expansions):
-            coef = POLY_ONE
-            for _, c in combo:
-                if c is not POLY_ONE:
-                    coef = coef * c
-            _accumulate(out, _product([tree for tree, _ in combo], n[1]), coef)
-        acc = _sum(out)
+    else:  # equal partial products merge after each factor
+        acc = _sum({Tree(("x", n[1])): POLY_ONE})
+        for f in n[2]:
+            acc = acc * _z_tree(f, memo)
     memo[t] = acc
     return acc
 
@@ -804,6 +800,14 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(XiHat|Xi|X[0-3]|I|C1|C2|\d+|[()^*+-])")
+_MAX_FACTORS = 16  # the largest exponent and product that parse: the actions grow fast with it
+
+
+def _bounded(s: FormalSum, pos: int) -> FormalSum:
+    """``s``, unless one of its products has more than ``_MAX_FACTORS`` factors."""
+    if any(len(t.node[2]) > _MAX_FACTORS for t in s.terms if t.node[0] == "prod"):
+        raise ParseError(f"a product of more than {_MAX_FACTORS} factors", pos)
+    return s
 
 
 def _tokenize(text: str):
@@ -823,7 +827,8 @@ def _tokenize(text: str):
 class _Parser:
     """expr := term (('+'|'-') term)*; term := [-] factor ('*' factor)*;
     factor := atom ('^' int)*; atom := Xi | XiHat | X0..3 | C1 | C2 | int
-              | I '(' expr ')' | '(' expr ')'."""
+              | I '(' expr ')' | '(' expr ')'.  No exponent, and no product's
+    factor count (monomials aside), may pass ``_MAX_FACTORS``."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -868,8 +873,9 @@ class _Parser:
             negate = not negate
         out = self.factor()
         while self.peek() == "*":
+            pos = self.pos()
             self.take()
-            out = out * self.factor()
+            out = _bounded(out * self.factor(), pos)
         return out.scale(-1) if negate else out
 
     def factor(self) -> FormalSum:
@@ -880,11 +886,11 @@ class _Parser:
             tok = self.take(describe="an exponent")
             if not tok.isdigit():
                 raise ParseError(f"exponent must be an integer, found {tok!r}", pos)
-            power = int(tok)
-            acc = FormalSum.of(ONE)
-            for _ in range(power):
-                acc = acc * out
-            out = acc
+            if len(tok.lstrip("0")) > 2 or int(tok) > _MAX_FACTORS:
+                raise ParseError(f"exponent above the limit of {_MAX_FACTORS}", pos)
+            base, out = out, FormalSum.of(ONE)
+            for _ in range(int(tok)):
+                out = _bounded(out * base, pos)
         return out
 
     def atom(self) -> FormalSum:

@@ -214,6 +214,14 @@ def test_symbols_csv(capsys):
     assert len(captured.out.splitlines()) == 1 + 8  # unit joins at this bound
 
 
+def test_symbols_basis_past_the_cap_exits_two(capsys):
+    """A --max-degree whose basis passes the enumeration cap asks for too much:
+    a bad flag, not a failed check."""
+    assert main(["symbols", "--max-degree", "7"]) == 2
+    assert ("error: --max-degree: basis enumeration passed the cap of 20000 trees"
+            in capsys.readouterr().err)
+
+
 def test_renorm_command(capsys):
     rc = main(["renorm", "--expr", "I(Xi)^2*I(I(Xi)^3)"])
     captured = capsys.readouterr()
@@ -239,6 +247,18 @@ def test_renorm_too_deeply_nested_expression_exits_two(capsys, op, expr):
     of the numerics."""
     assert _main_keeping_tracer(["renorm", "--expr", expr, "--op", op]) == 2
     assert "error: expression nests too deeply" in capsys.readouterr().err
+
+
+def test_renorm_exponent_past_the_limit_exits_two_at_once(capsys, monkeypatch):
+    """An exponent past the parser's limit is bad input, refused before any
+    product is formed."""
+    from fellerlab.trees import FormalSum
+
+    def refuse(self, other):
+        raise AssertionError("a product was formed")
+    monkeypatch.setattr(FormalSum, "__mul__", refuse)
+    assert main(["renorm", "--op", "z", "--expr", "Xi^99999999999999999999"]) == 2
+    assert "error: exponent above the limit of 16" in capsys.readouterr().err
 
 
 def _main_keeping_tracer(argv):

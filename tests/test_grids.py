@@ -139,17 +139,17 @@ def test_weighted_block_sup_matches_per_shell_sup():
                               (weights * per_shell).max(axis=1))
 
 
-def test_row_sups_in_either_block_layout_match_the_contiguous_reduction():
-    """Short 1D rows sit in a transposed buffer (n <= 32), the rest row by row;
-    the row maximum is exact, so both give the bits of the per-row reduction
-    of contiguous blocks, zeros, ties, NaN and infinities included."""
+def test_row_sups_of_the_block_buffer_match_the_contiguous_reduction():
+    """Every grid's rows sit row by row in one C-contiguous buffer; the row
+    maximum is exact, so it gives the bits of the per-row reduction of the
+    blocks, zeros, ties, NaN and infinities included."""
     from fellerlab.grids import _ProxyNorms, _row_sups
     rng = np.random.default_rng(5)
     for dim, n in ((1, 8), (1, 32), (1, 64), (1, 128), (2, 8), (2, 16)):
         grid = Grid(dim, n, 1.0)
         norms = _ProxyNorms(grid, 0.5, (2,) + grid.shape, 7)
         rows = norms.blocks.shape[0]
-        assert norms.blocks.flags.c_contiguous == (dim == 2 or n > 32)
+        assert norms.blocks.flags.c_contiguous
         for count in (1, rows // 2, rows):
             data = rng.standard_normal((count,) + grid.shape) * 10.0 ** rng.integers(
                 -300, 300, (count,) + (1,) * dim)

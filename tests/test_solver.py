@@ -290,7 +290,7 @@ def test_batched_evolve_rows_match_single_path():
 
 def test_final_only_evolve_matches_stored_paths():
     """Keeping only final states, and drawing the increments slice by slice,
-    changes no row's final state, reason or death step."""
+    changes no row's final state, monitor trace, reason or death step."""
     from fellerlab.equations import RenormConstants
     from fellerlab.noise import _SliceSource
     from fellerlab.solver import _evolve_batch
@@ -312,7 +312,7 @@ def test_final_only_evolve_matches_stored_paths():
         assert np.array_equal(final.n_stored, stored.n_stored)
         for b in range(n):
             assert np.array_equal(final.final(b), stored.final(b))
-            assert final.trace[0, b] == stored.trace[stored.n_stored[b] - 1, b]
+        assert np.array_equal(final.trace, stored.trace)
 
 
 def _fate_batches():
@@ -719,13 +719,12 @@ def test_block_size_changes_no_bit(monkeypatch):
 
 
 def _split_evolve(u0, increments, spec, grid, dt, j, x0):
-    """The evolve of ``increments`` split at slice j: a final-state first part
-    that keeps its trace, then the rows alive at j continued from their state,
+    """The evolve of ``increments`` split at slice j: a final-state first part,
+    then the rows alive at j continued from their state,
     tangent and running monitor.  Per row: (reason, n_stored, death_step,
     trace, final state, final tangent), as the whole evolve would keep them."""
     from fellerlab.solver import _evolve_batch
-    first = _evolve_batch(u0, increments[:j], spec, grid, dt, final_only=True, x0=x0,
-                          keep_trace=True)
+    first = _evolve_batch(u0, increments[:j], spec, grid, dt, final_only=True, x0=x0)
     on = first.alive
     second = _evolve_batch(first.fields[0, on], increments[j:, on], spec, grid, dt,
                            x0=first.tangent[0, on], r0=first.trace[j, on])
@@ -797,10 +796,11 @@ def test_evolve_bits_pinned():
     """The evolves of ``_pinned_digests`` (every death reason, 1D and 2D, m = 2,
     kept whole and final-only, with a tangent and an inject, increments as an
     array and drawn slice by slice) give the bits they gave when each state
-    was checked inside its step."""
+    was checked inside its step; a final-only batch keeps the whole trace,
+    the plain batch's bits."""
     assert _pinned_digests() == _PINNED
 
 
-_PINNED = ['53eb785353ee689f46fd5e55', '060b8990ac6e200928ea7da5', '1ddb768aea92e4d4d7c3de0e',
-           '6c7957867e505c25e62925b8', '807205fa33fb219b8e5c12e4', '5787c346770c4408cff1b3f1',
-           '0f781e09ba7ab0388ded8367', 'e0e9b8e829c97b2afd40976a']
+_PINNED = ['c992de7075b87ebd00ddf4ad', '389879d63090c7aa4b0d3a95', 'd6b1bfa123a727a3023da304',
+           '7f52a1de736757edad32c9a5', '04e27cf1872ff499b0150938', 'a674dc04732dca9b6209fa45',
+           'b9e6a1815f2291945f3d6cb2', '544a983e5f8566d7162e1e40']

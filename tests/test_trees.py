@@ -414,6 +414,36 @@ def test_shift_examples():
     assert got == want
 
 
+@pytest.mark.parametrize("action, factors", [
+    (shift_operator, lambda k: [XI] * k),
+    (shift_operator, lambda k: [PSI] * k),
+    (renorm_action, lambda k: [integ(product([PSI, PSI]))] * k),
+    (renorm_action, lambda k: [integ(product([PSI, PSI]))] * k + [PSI] * (2 * k)),
+], ids=["z Xi^k", "z I(Xi)^k", "mg I(I(Xi)^2)^k", "mg I(I(Xi)^2)^k I(Xi)^2k"])
+def test_actions_on_many_factors_do_polynomial_work(monkeypatch, action, factors):
+    """The work of an action on a product of k like factors, counted as tree
+    products (``_product`` calls) and polynomial products, stays below 8 k^2
+    for k = 4 to 24: the expansions and contractions merge equal partial
+    products after each factor, not after every combination of options."""
+    from fellerlab import trees
+    work = [0]
+
+    def counted(fn):
+        def call(*args):
+            work[0] += 1
+            return fn(*args)
+        return call
+
+    for k in range(4, 25):
+        tree = product(factors(k))
+        with monkeypatch.context() as patch:
+            patch.setattr(trees, "_product", counted(trees._product))
+            patch.setattr(Poly, "__mul__", counted(Poly.__mul__))
+            work[0] = 0
+            action(tree)
+        assert work[0] <= 8 * k * k, k
+
+
 def test_shift_rejects_hatted_input():
     with pytest.raises(ValueError):
         shift_operator(glyph("2h"))
@@ -502,6 +532,31 @@ def test_parse_error_faults_and_positions(text, message, pos):
         parse_expr(text)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("Xi^17", "exponent above the limit of 16", 3),
+    ("Xi^99999999999999999999", "exponent above the limit of 16", 3),
+    ("X0^" + "9" * 5000, "exponent above the limit of 16", 3),
+    ("Xi^8*I(Xi)^9", "a product of more than 16 factors", 4),
+    ("I(Xi)*Xi^16", "a product of more than 16 factors", 5),
+    ("Xi^8^3", "a product of more than 16 factors", 5),
+    ("(Xi + I(Xi))^9*Xi^8", "a product of more than 16 factors", 14),
+], ids=["exponent 17", "20-digit exponent", "5000-digit exponent", "17 factors", "16 + 1 factors",
+        "a power of a power", "a power of a sum"])
+def test_parse_bounds_exponents_and_factor_counts(text, message, pos):
+    """An exponent, or a product's factor count, above 16 does not parse;
+    the actions' cost grows fast with the factor count."""
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+
+
+@pytest.mark.parametrize("text", ["Xi^16", "Xi^0016", "X0^16*X1^16*Xi^16", "(Xi*I(Xi))^8",
+                                  "I(Xi^16)^16", "Xi^4^2*Xi^8"])
+def test_parse_takes_exponents_and_factor_counts_up_to_16(text):
+    terms = parse_expr(text).terms
+    assert max(len(t.node[2]) for t in terms if t.node[0] == "prod") == 16
 
 
 @pytest.mark.parametrize("text, printed", [
