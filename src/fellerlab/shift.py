@@ -7,7 +7,12 @@ time t.  The construction integrates an ODE in the artificial parameter
 gamma that moves the initial state from u to u_bar at unit speed while
 accumulating, slice by slice, minus the transfer direction returned by
 :func:`compensating_direction`.  The noise before t/2 is unshifted: after
-step 0 the gamma steps run it in windowed batches, then each its second half.
+step 0 the gamma steps run it in windowed batches.  The rest, chi's support,
+is adapted: slice k of step s's increment reads step s-1's path only up to
+slice k+1.  So the support is cut into time blocks and the steps run as a
+wavefront (Lamport's hyperplane schedule of a triangular loop nest): each
+wave evolves the next block of every step in flight, as one batch, and
+updates the shift and the cutoffs in place, slice by slice in step order.
 
 Guard rails mirror the structure of the underlying argument:
 
@@ -24,6 +29,7 @@ two solutions; everything downstream treats that residual as data.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -50,6 +56,7 @@ __all__ = [
 
 NORM_BOUND_SLACK = 1e-9
 _WINDOW_BYTES = 1 << 24  # bytes of one first-half batch: as many gamma steps as fit, at least one
+_LANES = 16  # (row, gamma step) lanes a wave aims for: B rows cut the support into 16 // B blocks
 
 
 def bump_chi(s: float) -> float:
@@ -73,8 +80,9 @@ def cutoff_chi(r):
         raise ValueError(f"argument must be >= 0, got {r}")
     out = np.where(r <= 1.0, 1.0, 0.0)
     mid = ~((r <= 1.0) | (r >= 2.0))  # 1 < r < 2, and NaN
-    x = r[mid] - 1.0
-    out[mid] = 1.0 - 3.0 * x * x + 2.0 * x * x * x
+    if mid.any():
+        x = r[mid] - 1.0
+        out[mid] = 1.0 - 3.0 * x * x + 2.0 * x * x * x
     return float(out) if out.ndim == 0 else out
 
 
@@ -150,14 +158,16 @@ def _transfer_slices(paths: _Paths, chi_over_t: np.ndarray, spec: EquationSpec) 
     """Transfer directions of B paths evolved k_t steps with the tangent carried.
 
     Returns slices (k_t, B, m, *grid), slice k of row b being chi_over_t[k]
-    G^{-1}(u_k) times the tangent value at k+1 for every k the row's stored
-    path reaches (k < n_stored - 1) and zero elsewhere, computed only from the
-    first slice where chi is nonzero.  G is not checked against g_min here:
-    the evolve retires a row at the first state whose G drops below it, so
+    (or chi_over_t[k, b], when the weights (k_t, B) are per row) G^{-1}(u_k)
+    times the tangent value at k+1 for every k the row's stored path reaches
+    (k < n_stored - 1) and zero elsewhere, computed only from the first
+    slice where chi is nonzero.  G is not checked against g_min here: the
+    evolve retires a row at the first state whose G drops below it, so
     every state read here has passed that check.
     """
-    k_t, field_axes = chi_over_t.size, (None,) * (paths.fields.ndim - 2)
-    lo = k_t - np.count_nonzero(chi_over_t)
+    k_t, field_axes = len(chi_over_t), (None,) * (paths.fields.ndim - 2)
+    weights = chi_over_t.reshape(k_t, -1)
+    lo = k_t - np.count_nonzero(weights.any(axis=1))
     use = (np.arange(lo, k_t)[:, None] < paths.n_stored - 1)[(...,) + field_axes]
     # a used state passed the evolve's monitor (a finite r_blowup), far below where G
     # overflows; only a state a row keeps at its death, and does not use, can overflow
@@ -165,7 +175,7 @@ def _transfer_slices(paths: _Paths, chi_over_t: np.ndarray, spec: EquationSpec) 
         g, _ = spec.noise_coefficients(paths.fields[lo:k_t])
     out = np.zeros(paths.tangent[1:k_t + 1].shape)
     np.divide(paths.tangent[lo + 1:k_t + 1], 1.0 if g is None else g, out=out[lo:], where=use)
-    np.multiply(chi_over_t[(slice(lo, None), None) + field_axes], out[lo:], out=out[lo:])
+    np.multiply(weights[(slice(lo, None), slice(None)) + field_axes], out[lo:], out=out[lo:])
     return out
 
 
@@ -216,17 +226,43 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     ``increments`` (k_t, B, m, *grid) holds the noise slices before t of
     each row and ``u_bars`` the B target states.  Rows share u and every
     gamma step; each keeps its own gamma, shift, cutoffs, clamps, gamma_star
-    and status, and leaves the active set when it dies at step 0 or has no
-    live slice left.  A row that dies in a later step (the evolve retires it
-    at its first state past the monitor threshold or with G below g_min)
-    goes on with the slices its stored path reaches.  A row whose target is
-    u itself rides only in step 0 and ends 'completed' with a zero shift.
-    Each step's bookkeeping is array operations over the active rows (a basic
-    slice until a row leaves).  h is 0 before chi's first slice lo, so after
-    step 0 a final-state batch runs slices 0..lo-1 of a window of steps
-    (``_WINDOW_BYTES``), each step the rest.  Returns one result per row
-    (shifts padded to ``n_steps`` slices) and the step-0 paths, which are the
-    unshifted evolutions from u.
+    and status, and leaves when it dies at step 0 or has no live slice left.
+    A row that dies in a later step (the evolve retires it at its first state
+    past the monitor threshold or with G below g_min) goes on with the
+    slices its stored path reaches.  A row whose target is u itself rides
+    only in step 0 and ends 'completed' with a zero shift.
+
+    Step 0 evolves every row over all k_t slices.  h is 0 before chi's first
+    slice lo, so each later step takes its state, tangent and running
+    monitor at lo from a final-state batch that ran slices 0..lo-1 for a
+    window of steps (``_WINDOW_BYTES``).
+
+    The support lo..k_t-1 runs as a wavefront.  It is cut into nb time
+    blocks, nb = max(1, ``_LANES`` // B) and at most k_t - lo, all of one
+    length but perhaps the last.  A lane is one row at one gamma step.  The
+    wave that starts step s runs block 0 of step s, block 1 of step s - 1,
+    and so on: every step in flight moves on by one block.  Its live lanes
+    go through one evolve (two when the last block is shorter), each from
+    its own state, tangent and running monitor.  Then one pass over all its
+    lanes updates h and the cutoffs in place.  That is exact because slice
+    k of step s's increment reads step s - 1's path only up to slice k + 1:
+    the lane of step s - 1 on the same block ran one wave earlier, so each
+    slice of h and of the cutoffs is updated by its steps in step order.
+    When a step's last block is done its records are written (gamma_star,
+    monitor, cutoff minimum, clamps, first-half cutoffs) and the rows with
+    no live slice left leave; each row's previous step is done by then.
+
+    A row leaves because all its support cutoffs are 0, so its lanes of
+    that step and of the later steps already in flight (speculative lanes)
+    have a cut of 0 too.  Each adds -d a 0 = +-0 to h, which leaves h's bits
+    alone (h is never -0), lowers no cutoff that is not 0, and counts no
+    clamp, since clamps and records are written only for steps that end
+    with the row still in.  Only a non-finite transfer slice, from a
+    tangent that overflows (the evolve checks states, not tangents), turns
+    such a write into NaN; those writes are saved and undone when the row
+    leaves.  Then its lanes are dropped.  Returns one result per row
+    (shifts padded to ``n_steps`` slices) and the step-0 paths, which are
+    the unshifted evolutions from u.
     """
     grid = u.grid
     k_t, n_rows = increments.shape[:2]
@@ -254,6 +290,10 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     chi_over_t = _transfer_weights(k_t, t)
     lo = k_t - np.count_nonzero(chi_over_t)  # chi's support: the slices lo..k_t-1
     cap = m_bound / math.sqrt(float(k_t - lo) * dt) * d_gamma  # L2 cap per slice of dh
+    # the support's time blocks: block i is slices edges[i]..edges[i+1]-1
+    size = -(-(k_t - lo) // max(1, _LANES // n_rows))
+    edges = np.append(np.arange(lo, k_t, size), k_t)
+    n_blocks = edges.size - 1
 
     vol = grid.cell_volume
     h = np.zeros((k_t, n_rows) + shape)
@@ -266,19 +306,78 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     gamma_star = np.full(n_rows, np.nan)  # NaN until a support slice freezes
     gammas = np.zeros((k_gamma, n_rows))  # gamma at step s: the running sum of s d_gamma
     np.add.accumulate(np.broadcast_to(d_gamma, (k_gamma - 1, n_rows)), axis=0, out=gammas[1:])
-    rows, sel = np.arange(n_rows), slice(None)  # sel: a basic slice until a row leaves
     # a first-half row: its trace to lo, 24 state-sized arrays and two per monitor shell
     row_bytes = 8 * (u.values.size * (24 + 2 * _dyadic_masks(grid.dim, grid.n).shape[0]) + lo + 1)
+    undo = []  # (row, step, slices, h before) of each lane write that was not finite
 
-    for step, gamma in enumerate(gammas):
-        if step == 0:
-            u_gamma = u.values + gamma[(...,) + field_axes] * v
-            u_gamma[same] = u.values  # their unshifted path starts from u itself
-            from_u = _evolve_batch(u_gamma, increments + h * dt, spec, grid, dt, x0=v)
-            trace, n_stored = from_u.trace, from_u.n_stored
-            a_slices = _transfer_slices(from_u, chi_over_t, spec)[lo:]
-            from_u = replace(from_u, tangent=None)  # free the tangents before the next evolve
-        else:
+    def first_half_cut(trace, n_stored):
+        """Each row's cutoffs of slices 0..lo-1 from its trace there."""
+        reached = np.arange(lo)[:, None] < np.minimum(n_stored, k_t)
+        return np.where(reached, cutoff_chi(trace / cutoff_r), 0.0)
+
+    def settle(rows, steps, at, a_slices, trace, n_stored):
+        """Update the cutoffs and h at ``at`` (slices, rows) of lanes (rows,
+        steps) from their transfer slices (J, lanes, m, *grid), monitor trace
+        and stored-state count over one block each; the slices are one slice
+        object or (J, lanes), the rows an index array or ``slice(None)``.
+        Returns each lane's cutoff minimum and maximum on its block and its
+        clamp count."""
+        n_slices = a_slices.shape[0]
+        reached = np.arange(n_slices)[:, None] < np.minimum(n_stored, n_slices)
+        cut = np.minimum(cutoffs[at],
+                         np.where(reached, cutoff_chi(trace[:n_slices] / cutoff_r), 0.0))
+        cutoffs[at] = cut
+        # a non-finite transfer slice gives NaN: undone by ``finish`` for a row
+        # that leaves, refused by ShiftPath for one that stays
+        with np.errstate(invalid="ignore"):
+            increment = -d_gamma[rows][(...,) + field_axes] * a_slices * cut[(...,) + field_axes]
+            # slice-wise clamp keeps |h| <= M * gamma without looking across slices
+            norms = np.sqrt(vol * np.sum(
+                increment.reshape(n_slices, rows.size, u.values.size) ** 2, axis=2))
+            over = norms > cap[rows]
+            dh = increment * (cap[rows] / np.where(over, norms, cap[rows]))[(...,) + field_axes]
+        finite = np.isfinite(norms)  # a non-finite dh entry makes its slice's norm so
+        if not finite.all():
+            for i in np.flatnonzero(~finite.all(axis=0)):
+                ks = at[0] if isinstance(at[0], slice) else at[0][:, i]
+                undo.append((rows[i], steps[i], ks, h[ks, rows[i]].copy()))
+        h[at] += dh
+        return cut.min(axis=0), cut.max(axis=0), over.sum(axis=0)
+
+    def finish(step, rows, going, monitor, cut_min, clamps, first_cut):
+        """Write step ``step``'s records of its rows; return the rows that leave."""
+        cutoffs[:lo, rows] = np.minimum(cutoffs[:lo, rows], first_cut)
+        first = rows[(cut_min == 0.0) & np.isnan(gamma_star[rows])]
+        gamma_star[first] = gammas[step, first]
+        monitor_per_step[step, rows], min_cutoff_per_step[step, rows] = monitor, cut_min
+        clamp_events[rows[going]] += clamps[going]
+        left = rows[~going]
+        gamma_reached[left], n_recorded[left] = gammas[step, left], step + 1
+        if undo:
+            for row, s, ks, before in reversed(undo):  # a leaving row's writes from this step
+                if s >= step and row in left:
+                    h[ks, row] = before
+            undo[:] = [e for e in undo if e[1] > step and e[0] not in left]
+        return left
+
+    # step 0: every row from u + 0 v over all k_t slices, as one block; a row dead
+    # there ends 'dead', one with u_bar == u 'completed', and neither records more
+    u_gamma = u.values + gammas[0][(...,) + field_axes] * v
+    u_gamma[same] = u.values  # their unshifted path starts from u itself
+    from_u = _evolve_batch(u_gamma, increments + h * dt, spec, grid, dt, x0=v)
+    rows = np.flatnonzero((from_u.n_stored > k_t) & ~same)
+    cut_min, cut_max, clamps = settle(
+        rows, np.zeros(rows.size, dtype=int), (slice(lo, k_t), rows),
+        _transfer_slices(from_u, chi_over_t, spec)[lo:, rows], from_u.trace[lo:, rows],
+        from_u.n_stored[rows] - lo)
+    from_u = replace(from_u, tangent=None)  # free the tangents before the next evolve
+    finish(0, rows, cut_max > 0.0, from_u.trace[-1, rows], cut_min, clamps,
+           first_half_cut(from_u.trace[:lo, rows], from_u.n_stored[rows]))
+    rows = rows[cut_max > 0.0]
+
+    lanes = None  # the lanes in flight, oldest step first, as arrays over lanes
+    for step in itertools.count(1):  # the wave that starts step `step`
+        if step < k_gamma and rows.size:
             if step == 1 or step == end:  # slices 0..lo-1 (h = 0) of a window of steps
                 early, start, early_rows = None, step, rows  # free the last window first
                 end = min(k_gamma, step + max(1, _WINDOW_BYTES // (row_bytes * rows.size)))
@@ -288,49 +387,62 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
                     _Gather(increments[:lo] + h[:lo] * dt, cols), spec, grid, dt,
                     final_only=True, x0=v[cols])
             q = (step - start) * early_rows.size + np.searchsorted(early_rows, rows)
-            on = early.n_stored[q] > lo  # a row dead before lo skips the second half
-            q_on, rows_on = q[on], rows[on]
-            tail = _evolve_batch(early.fields[0, q_on],
-                                 increments[lo:, rows_on] + h[lo:, rows_on] * dt, spec, grid,
-                                 dt, x0=early.tangent[0, q_on], r0=early.trace[lo, q_on])
-            n_stored, trace = early.n_stored[q], np.zeros((k_t + 1, rows.size))  # joined at lo
-            trace[:lo], trace[lo:, on] = early.trace[:lo, q], tail.trace
-            n_stored[on] = lo + tail.n_stored
-            a_slices = np.zeros((k_t - lo, rows.size) + shape)
-            a_slices[:, on] = _transfer_slices(tail, chi_over_t[lo:], spec)
-            del tail  # free this step's paths and tangents before the next evolve
+            new = {"row": rows, "step": np.full(rows.size, step), "x": early.fields[0, q],
+                   "dx": early.tangent[0, q], "r": early.trace[lo, q],
+                   "live": early.n_stored[q] > lo,  # a row dead before lo skips the support
+                   "cut_min": np.full(rows.size, math.inf), "cut_max": np.zeros(rows.size),
+                   "clamps": np.zeros(rows.size, dtype=int),
+                   "first": first_half_cut(early.trace[:lo, q], early.n_stored[q]).T}
+            lanes = new if lanes is None else {k: np.concatenate([lanes[k], new[k]]) for k in lanes}
+        if lanes is None:
+            break
 
-        # refresh per-slice running cutoffs from this trajectory's monitor
-        reached = np.arange(k_t)[:, None] < np.minimum(n_stored, k_t)
-        step_cut = np.where(reached, cutoff_chi(trace[:k_t] / cutoff_r), 0.0)
-        new_cutoffs = np.minimum(cutoffs[:, sel], step_cut)
-        cutoffs[:, sel], cut = new_cutoffs, new_cutoffs[lo:]
-        # a row that leaves at step 0 by death or u_bar == u ignores what it records here
-        first = rows[(cut == 0.0).any(axis=0) & np.isnan(gamma_star[sel])]
-        gamma_star[first] = gamma[first]
-        # only a live row stores k_t + 1 states; its last monitor value is the trace's last
-        monitor_per_step[step, sel] = np.where(n_stored > k_t, trace[-1], math.inf)
-        min_cutoff_per_step[step, sel] = cut.min(axis=0)
-        going = (cut > 0.0).any(axis=0)
-        if step == 0:
-            going &= (n_stored > k_t) & ~same  # a row dead at step 0 ends with status 'dead'
+        block = step - lanes["step"]
+        n_done = np.count_nonzero(block == n_blocks - 1)  # the oldest step's lanes, if it ends
+        # one evolve per block length; only the last block can be shorter
+        split = 0 < n_done < block.size and edges[-1] - edges[-2] != size
+        for g in (slice(0, n_done), slice(n_done, None)) if split else (slice(None),):
+            g_block, g_rows, g_steps = block[g], lanes["row"][g], lanes["step"][g]
+            x, dx, r, live, cut_min, cut_max, clamps = (
+                lanes[k][g] for k in ("x", "dx", "r", "live", "cut_min", "cut_max", "clamps"))
+            n_slices = edges[g_block[0] + 1] - edges[g_block[0]]
+            if g_block[0] == g_block[-1]:  # one step's lanes: one block
+                ks = slice(edges[g_block[0]], edges[g_block[0]] + n_slices)
+            else:
+                ks = edges[g_block] + np.arange(n_slices)[:, None]
+            on = live.copy()
+            if not on.all():  # a lane dead in an earlier block (or before lo) takes no
+                # step, and its cutoffs on the block drop to 0
+                cutoffs[ks if isinstance(ks, slice) else ks[:, ~on], g_rows[~on]] = 0.0
+                cut_min[~on] = 0.0
+                ks, g_rows, g_steps = (ks if isinstance(ks, slice) else ks[:, on],
+                                       g_rows[on], g_steps[on])
+            if not on.any():
+                continue
+            sel = slice(None) if isinstance(ks, slice) and g_rows.size == n_rows else g_rows
+            tail = _evolve_batch(x[on], increments[ks, sel] + h[ks, sel] * dt, spec, grid, dt,
+                                 x0=dx[on], r0=r[on])
+            block_min, block_max, n_over = settle(
+                g_rows, g_steps, (ks, sel), _transfer_slices(tail, chi_over_t[ks], spec),
+                tail.trace, tail.n_stored)
+            x[on], dx[on], r[on], live[on] = (tail.fields[-1], tail.tangent[-1], tail.trace[-1],
+                                              tail.n_stored > n_slices)
+            del tail  # free this block's paths and tangents before the next evolve
+            cut_min[on] = np.minimum(cut_min[on], block_min)
+            cut_max[on] = np.maximum(cut_max[on], block_max)
+            clamps[on] += n_over
 
-        # h moves only on chi's support, where the transfer slices are
-        if not going.all():
-            left = rows[~going]
-            gamma_reached[left], n_recorded[left] = gamma[left], step + 1
-            rows = sel = rows[going]
-            a_slices, cut = a_slices[:, going], cut[:, going]
-            if rows.size == 0:
-                break
-
-        increment = -d_gamma[sel][(...,) + field_axes] * a_slices * cut[(...,) + field_axes]
-        # slice-wise clamp keeps |h| <= M * gamma without looking across slices
-        norms = np.sqrt(vol * np.sum(increment.reshape(k_t - lo, rows.size, -1) ** 2, axis=2))
-        over = norms > cap[sel]
-        clamp_events[sel] += over.sum(axis=0)
-        scale = cap[sel] / np.where(over, norms, cap[sel])
-        h[lo:, sel] += increment * scale[(...,) + field_axes]
+        if n_done:
+            done = {k: a[:n_done] for k, a in lanes.items()}
+            lanes = {k: a[n_done:] for k, a in lanes.items()} if n_done < block.size else None
+            left = finish(step + 1 - n_blocks, done["row"], done["cut_max"] > 0.0,
+                          np.where(done["live"], done["r"], math.inf), done["cut_min"],
+                          done["clamps"], done["first"].T)
+            if left.size:
+                rows = rows[~np.isin(rows, left)]
+                if lanes is not None:  # drop the lanes of their later steps
+                    stay = ~np.isin(lanes["row"], left)
+                    lanes = {k: a[stay] for k, a in lanes.items()} if stay.any() else None
     gamma_reached[rows] = gamma_target[rows]
     early = None  # free the first halves before the results are built
 

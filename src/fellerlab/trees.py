@@ -801,6 +801,7 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(r"\s*(XiHat|Xi|X[0-3]|I|C1|C2|\d+|[()^*+-])")
 _MAX_FACTORS = 16  # the largest exponent and product that parse: the actions grow fast with it
+_MAX_TERMS = 1 << 16  # the largest bound on an expansion's terms that parses: Xi^16's
 
 
 def _bounded(s: FormalSum, pos: int) -> FormalSum:
@@ -920,9 +921,34 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
+def _expansion_bound(t: Tree, memo: dict) -> int:
+    """A bound on the terms of t's expansion under Xi -> Xi + XiHat: Xi counts
+    2, XiHat and a monomial 1, I(s) as s, a product as the product of its
+    factors' counts; past ``_MAX_TERMS`` it reads ``_MAX_TERMS + 1``."""
+    n = t.node
+    if n[0] != "i" and n[0] != "prod":
+        return 2 if n[0] == "xi" else 1
+    bound = memo.get(t)
+    if bound is None:
+        if n[0] == "i":
+            bound = _expansion_bound(n[1], memo)
+        else:
+            bound = 1
+            for f in n[2]:
+                bound = min(bound * _expansion_bound(f, memo), _MAX_TERMS + 1)
+        memo[t] = bound
+    return bound
+
+
 def parse_expr(text: str) -> FormalSum:
-    """Parse the documented grammar into a canonical formal sum."""
-    return _Parser(text).parse()
+    """Parse the documented grammar into a canonical formal sum, refusing one
+    whose terms' expansion bounds add up to more than ``_MAX_TERMS``: nested
+    products such as I(I(Xi)^16)^8 pass every per-product limit, yet their
+    expansions under the shift have millions of terms."""
+    out, memo = _Parser(text).parse(), {}
+    if sum(_expansion_bound(t, memo) for t in out.terms) > _MAX_TERMS:
+        raise ParseError(f"expansion bound above the limit of {_MAX_TERMS} terms", 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

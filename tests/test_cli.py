@@ -239,6 +239,24 @@ def test_renorm_shift_op(capsys):
     assert "XiHat" in captured.out
 
 
+@pytest.mark.parametrize("expr", ["I(I(Xi)^16)^8", "I(I(Xi)^16)^16"])
+def test_renorm_past_the_expansion_bound_exits_two_without_expanding(capsys, monkeypatch, expr):
+    """Both expressions were killed after 20 s of expanding under ``--op z``;
+    they now exit 2 after the parse, whose products are the only ones formed."""
+    from fellerlab import trees
+    calls = [0]
+    product = trees._product
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] < 1000, "expanding"  # fail fast, not after minutes
+        return product(*args)
+    monkeypatch.setattr(trees, "_product", counted)
+    assert main(["renorm", "--op", "z", "--expr", expr]) == 2
+    assert "expansion bound above the limit of 65536 terms" in capsys.readouterr().err
+    assert calls[0] <= 2 * 16 + 2  # the parse: I(Xi)^16, then the outer power
+
+
 @pytest.mark.parametrize("op", ["mg", "z"])
 @pytest.mark.parametrize("expr", ["I(" * 250 + "Xi" + ")" * 250, "(" * 400 + "Xi" + ")" * 400],
                          ids=["250 nested I", "400 nested parentheses"])

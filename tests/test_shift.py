@@ -442,3 +442,137 @@ def test_build_shift_peak_memory_stops_growing_past_one_window(monkeypatch):
     whole = _couple_she_peaks((8, 160))[0]
     assert whole[1] - whole[0] > 152 * 8192, whole
     assert peaks[1] - peaks[0] < 152 * 512, peaks
+
+
+def _batch_digest(results, from_u) -> str:
+    """The first 24 hex digits of test_mixed_fate_batch_bits_pinned's sha256."""
+    import hashlib
+    sha = hashlib.sha256()
+    for r in results:
+        sha.update(r.h.values.tobytes())
+        sha.update(repr((r.h.dt, r.gamma_target, r.gamma_reached, r.status, r.gamma_star,
+                         r.cm_norm, r.a_bound_used, r.cutoff_r,
+                         sorted(r.diagnostics.items()))).encode())
+    for a in (from_u.fields, from_u.trace, from_u.n_stored, from_u.death_step):
+        sha.update(np.ascontiguousarray(a).tobytes())
+    sha.update(repr((from_u.reasons, from_u.tangent)).encode())
+    return sha.hexdigest()[:24]
+
+
+@pytest.mark.parametrize("lanes", [12 * 16, 12 * 4, 12 * 3], ids=["blocks of 1", "4 blocks",
+                                                                 "3 blocks, the last shorter"])
+def test_mixed_fate_batch_bits_hold_with_later_steps_in_flight(grid, monkeypatch, lanes):
+    """With the support of its 12 rows cut into 3 or more time blocks, the
+    mixed-fate batch runs steps s + 1 and s + 2 of every row before step s
+    ends, so the row that leaves at step 2 (and the one at step 4) has later
+    steps in flight; its digest, which covers the step-0 paths, is the pinned
+    one of the one-block schedule."""
+    import fellerlab.shift as shift_module
+    rows_per_evolve = []
+
+    def counted(u0, *args, **kwargs):
+        if kwargs.get("r0") is not None:  # a wave's evolve of its lanes
+            rows_per_evolve.append(len(u0))
+        return evolve_batch(u0, *args, **kwargs)
+
+    evolve_batch = shift_module._evolve_batch
+    monkeypatch.setattr(shift_module, "_evolve_batch", counted)
+    monkeypatch.setattr(shift_module, "_LANES", lanes)
+    test_mixed_fate_batch_bits_pinned(grid)
+    # 8 rows pass step 0; one evolve runs two or more steps of them (the last block,
+    # when shorter, has an evolve of its own)
+    assert max(rows_per_evolve) >= 2 * 8
+
+
+def _overflowing_transfer(monkeypatch, level):
+    """Make every used transfer slice infinite where its row's running
+    monitor passed ``level``, as an overflowing tangent would; the slices a
+    row's stored path does not reach stay zero."""
+    import fellerlab.shift as shift_module
+    transfer = shift_module._transfer_slices
+
+    def overflowing(paths, chi_over_t, spec):
+        out = transfer(paths, chi_over_t, spec)
+        k = len(chi_over_t)
+        hot = ((paths.trace[:k] > level) & (np.arange(k)[:, None] < paths.n_stored - 1)
+               & (chi_over_t.reshape(k, -1) != 0))
+        out[hot] = np.inf
+        return out
+    monkeypatch.setattr(shift_module, "_transfer_slices", overflowing)
+
+
+@pytest.mark.parametrize("lanes", [None, 11 * 16], ids=["default", "blocks of 1"])
+def test_leaving_row_with_non_finite_tangent_ends_as_in_the_per_step_loop(grid, monkeypatch,
+                                                                           lanes):
+    """The row of the mixed-fate batch that leaves at step 2 (stream 6,
+    gamma 0.2) passes a monitor of 10 first at that step, and its later
+    steps pass it too; every other row stays below 10 (the row of stream 4,
+    which does not, is left out).  With infinite transfer slices above 10,
+    its last step and its steps in flight write NaN to its shift, and those
+    writes are undone when it leaves: the batch ends as one evolve per gamma
+    step ended it, which never wrote them (digests taken from that loop)."""
+    from fellerlab.shift import _build_shift_batch
+    import fellerlab.shift as shift_module
+    if lanes is not None:
+        monkeypatch.setattr(shift_module, "_LANES", lanes)
+    _overflowing_transfer(monkeypatch, 10.0)
+    spec = EquationSpec.she(drift="cubic_growth", diffusion="one", r_blowup=50.0)
+    dt, n_steps, t = 2.0**-7, 128, 0.25
+    u = Field.constant(grid, 1.4)
+    params = CouplingParams(m_bound=1.0, k_gamma=6, cutoff_r=1.2)
+    rows = [(0, 0.01, 0), (7, 0.01, 1), (6, 0.2, 0), (9, 0.1, 0), (9, 0.01, 0),
+            (9, 0.01, 1), (5, 0.05, 0), (3, 0.2, 0), (1, 0.0, 0), (2, 0.0, 1), (11, 0.05, 1)]
+    noise = [sample_white_noise(grid, 1, n_steps, dt, seed=5, stream=j) for j, _, _ in rows]
+    k_t = round(t / dt)
+    results, from_u = _build_shift_batch(
+        u, [u + _direction(grid, mode) * g for _, g, mode in rows],
+        np.stack([w.increments[:k_t] for w in noise], axis=1), t, dt, n_steps, spec, params)
+    assert (results[2].status, len(results[2].diagnostics["monitor_per_step"])) == ("frozen", 3)
+    assert _batch_digest(results, from_u) == "304daaa457a6ab6c67f7be8a"
+    # alone, the row runs 16 blocks of one slice: four steps in flight when it leaves
+    alone = build_shift(u, u + Field.constant(grid, 0.2), noise[2], t, spec, params)
+    assert np.array_equal(alone.h.values[:k_t], results[2].h.values[:k_t])
+    assert alone.diagnostics == results[2].diagnostics
+
+
+def _couple_long_runs():
+    """(u, u_bar, w, t, spec, params) of ``build_shift`` on configs/couple_she.cfg
+    and on the kpz1d m = 2 instance the benchmark derives from it."""
+    from pathlib import Path
+
+    from fellerlab import cli
+    from fellerlab.storage import load_config
+    she = load_config(Path(__file__).parents[1] / "configs" / "couple_she.cfg")
+    kpz = {k: v for k, v in she.items()
+           if k not in ("equation.drift", "equation.diffusion", "equation.g_min")}
+    kpz.update({"equation.kind": "kpz1d", "equation.m": "2",
+                "equation.coupling": "1,0,0,1,0,1,1,0", "equation.eps": "0.05",
+                "coupling.k_gamma": "16"})
+    for cfg in (she, kpz):
+        grid = cli.build_grid(cfg)
+        dt, t, n_steps = cli.build_times(cfg)
+        spec = cli.attach_renorm(cli.build_spec(cfg), grid, dt, cfg)
+        u = cli.build_initial(cfg, grid, spec.m)
+        params, (gamma,) = cli.build_coupling(cfg)
+        w = sample_white_noise(grid, spec.m, n_steps, dt, 7)
+        yield u, cli._displaced_state(u, gamma), w, t, spec, params
+
+
+def test_build_shift_same_at_every_block_length(monkeypatch):
+    """``build_shift`` on configs/couple_she.cfg and on the couple_long kpz1d
+    instance (128 support slices, one row) gives the same result with blocks
+    of 1, 3 (42 of them and a last of 2) and 8 slices as at the default."""
+    import fellerlab.shift as shift_module
+    for u, u_bar, w, t, spec, params in _couple_long_runs():
+        want = build_shift(u, u_bar, w, t, spec, params)
+        for size in (1, 3, 8):
+            monkeypatch.setattr(shift_module, "_LANES", -(-128 // size))
+            got = build_shift(u, u_bar, w, t, spec, params)
+            assert np.array_equal(got.h.values, want.h.values)
+            assert _result_fields(got) == _result_fields(want)
+
+
+def _result_fields(res):
+    """Every ShiftResult field but the shift, with the diagnostics."""
+    return (res.gamma_target, res.gamma_reached, res.status, res.gamma_star, res.cm_norm_sq,
+            res.a_bound_used, res.cutoff_r, res.diagnostics)

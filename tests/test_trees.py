@@ -553,10 +553,35 @@ def test_parse_bounds_exponents_and_factor_counts(text, message, pos):
 
 
 @pytest.mark.parametrize("text", ["Xi^16", "Xi^0016", "X0^16*X1^16*Xi^16", "(Xi*I(Xi))^8",
-                                  "I(Xi^16)^16", "Xi^4^2*Xi^8"])
+                                  "I(X0^16*Xi)^16", "Xi^4^2*Xi^8"])
 def test_parse_takes_exponents_and_factor_counts_up_to_16(text):
     terms = parse_expr(text).terms
     assert max(len(t.node[2]) for t in terms if t.node[0] == "prod") == 16
+
+
+@pytest.mark.parametrize("text", ["I(I(Xi)^16)^8", "I(I(Xi)^16)^16", "I(Xi^16)^16",
+                                  "(Xi + X0)^16", "Xi^16 + Xi"])
+def test_parse_bounds_the_expansion(text):
+    """Each Xi counts 2 (Xi and XiHat), an I its argument, a product the
+    product of its factors and a sum the sum of its terms: past 2^16, the
+    bound of Xi^16, the expression does not parse.  Each example passes
+    every per-product limit; under the shift I(I(Xi)^16)^8 alone has
+    C(24, 8) = 735,471 terms."""
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == "expansion bound above the limit of 65536 terms (at position 0)"
+
+
+def test_degree_2_bases_and_readme_examples_parse():
+    """Every degree-2 basis tree, plain and hatted, and every ``--expr`` of the
+    README parses to itself, under the expansion bound."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = re.findall(r'--expr "([^"]+)"', readme)
+    assert examples
+    for text in examples:
+        parse_expr(text)
+    for tree in generate_basis(2) + generate_basis(2, hat=True):
+        assert parse_expr(format_tree(tree)) == FormalSum.of(tree), format_tree(tree)
 
 
 @pytest.mark.parametrize("text, printed", [
