@@ -17,9 +17,9 @@ updates the shift and the cutoffs in place, slice by slice in step order.
 Guard rails mirror the structure of the underlying argument:
 
 * a running per-slice cutoff freezes slice s once the monitor at time s has
-  ever exceeded twice the cutoff scale R (frozen slices stop moving but the
-  remaining slices continue, so restricting h to [0, s) only ever depends on
-  the noise before s);
+  ever exceeded twice the cutoff scale R; a frozen slice writes nothing to h,
+  whatever its transfer holds, but the remaining slices continue, so h on
+  [0, s) only ever depends on the noise before s;
 * each gamma increment is clamped slice-wise so the Cameron-Martin norm of
   the final shift can never exceed M * gamma, whatever the dynamics did.
 
@@ -249,20 +249,16 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     the lane of step s - 1 on the same block ran one wave earlier, so each
     slice of h and of the cutoffs is updated by its steps in step order.
     When a step's last block is done its records are written (gamma_star,
-    monitor, cutoff minimum, clamps, first-half cutoffs) and the rows with
-    no live slice left leave; each row's previous step is done by then.
+    monitor, cutoff minimum, clamps) and the rows with no live slice left
+    leave; each row's previous step is done by then.
 
-    A row leaves because all its support cutoffs are 0, so its lanes of
-    that step and of the later steps already in flight (speculative lanes)
-    have a cut of 0 too.  Each adds -d a 0 = +-0 to h, which leaves h's bits
-    alone (h is never -0), lowers no cutoff that is not 0, and counts no
-    clamp, since clamps and records are written only for steps that end
-    with the row still in.  Only a non-finite transfer slice, from a
-    tangent that overflows (the evolve checks states, not tangents), turns
-    such a write into NaN; those writes are saved and undone when the row
-    leaves.  Then its lanes are dropped.  Returns one result per row
-    (shifts padded to ``n_steps`` slices) and the step-0 paths, which are
-    the unshifted evolutions from u.
+    A frozen slice (cut 0) writes nothing to h, whatever its transfer holds.
+    A row leaves because all its support cutoffs are 0, so its lanes of that
+    step and of the later steps already in flight write nothing, lower no
+    cutoff that is not 0 and count no clamp (clamps and records are written
+    only for steps that end with the row still in); they are dropped.
+    Returns one result per row (shifts padded to ``n_steps`` slices) and the
+    step-0 paths, which are the unshifted evolutions from u.
     """
     grid = u.grid
     k_t, n_rows = increments.shape[:2]
@@ -308,27 +304,29 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     np.add.accumulate(np.broadcast_to(d_gamma, (k_gamma - 1, n_rows)), axis=0, out=gammas[1:])
     # a first-half row: its trace to lo, 24 state-sized arrays and two per monitor shell
     row_bytes = 8 * (u.values.size * (24 + 2 * _dyadic_masks(grid.dim, grid.n).shape[0]) + lo + 1)
-    undo = []  # (row, step, slices, h before) of each lane write that was not finite
 
-    def first_half_cut(trace, n_stored):
-        """Each row's cutoffs of slices 0..lo-1 from its trace there."""
-        reached = np.arange(lo)[:, None] < np.minimum(n_stored, k_t)
-        return np.where(reached, cutoff_chi(trace / cutoff_r), 0.0)
+    def lower(at, trace, n_stored):
+        """Lower the cutoffs at ``at`` (J slices, rows) by the monitor ``trace``
+        at the slices' starts, to 0 past each row's stored path; return them.
+        The first-half cutoffs (slices 0..lo-1) are lowered when a step's
+        window is read: they only enter a row's minimum cutoff, and that is
+        0 anyway for a row that leaves, whichever steps were in flight."""
+        reached = np.arange(len(trace))[:, None] < n_stored
+        cut = np.minimum(cutoffs[at], np.where(reached, cutoff_chi(trace / cutoff_r), 0.0))
+        cutoffs[at] = cut
+        return cut
 
-    def settle(rows, steps, at, a_slices, trace, n_stored):
-        """Update the cutoffs and h at ``at`` (slices, rows) of lanes (rows,
-        steps) from their transfer slices (J, lanes, m, *grid), monitor trace
+    def settle(rows, at, a_slices, trace, n_stored):
+        """Update the cutoffs and h at ``at`` (slices, rows) of lanes on
+        ``rows`` from their transfer slices (J, lanes, m, *grid), monitor trace
         and stored-state count over one block each; the slices are one slice
         object or (J, lanes), the rows an index array or ``slice(None)``.
         Returns each lane's cutoff minimum and maximum on its block and its
         clamp count."""
         n_slices = a_slices.shape[0]
-        reached = np.arange(n_slices)[:, None] < np.minimum(n_stored, n_slices)
-        cut = np.minimum(cutoffs[at],
-                         np.where(reached, cutoff_chi(trace[:n_slices] / cutoff_r), 0.0))
-        cutoffs[at] = cut
-        # a non-finite transfer slice gives NaN: undone by ``finish`` for a row
-        # that leaves, refused by ShiftPath for one that stays
+        cut = lower(at, trace[:n_slices], n_stored)
+        a_slices[cut == 0.0] = 0.0  # a frozen slice adds nothing, even where a overflowed
+        # a non-finite transfer on a live slice gives NaN, which ShiftPath refuses
         with np.errstate(invalid="ignore"):
             increment = -d_gamma[rows][(...,) + field_axes] * a_slices * cut[(...,) + field_axes]
             # slice-wise clamp keeps |h| <= M * gamma without looking across slices
@@ -336,28 +334,17 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
                 increment.reshape(n_slices, rows.size, u.values.size) ** 2, axis=2))
             over = norms > cap[rows]
             dh = increment * (cap[rows] / np.where(over, norms, cap[rows]))[(...,) + field_axes]
-        finite = np.isfinite(norms)  # a non-finite dh entry makes its slice's norm so
-        if not finite.all():
-            for i in np.flatnonzero(~finite.all(axis=0)):
-                ks = at[0] if isinstance(at[0], slice) else at[0][:, i]
-                undo.append((rows[i], steps[i], ks, h[ks, rows[i]].copy()))
         h[at] += dh
         return cut.min(axis=0), cut.max(axis=0), over.sum(axis=0)
 
-    def finish(step, rows, going, monitor, cut_min, clamps, first_cut):
+    def finish(step, rows, going, monitor, cut_min, clamps):
         """Write step ``step``'s records of its rows; return the rows that leave."""
-        cutoffs[:lo, rows] = np.minimum(cutoffs[:lo, rows], first_cut)
         first = rows[(cut_min == 0.0) & np.isnan(gamma_star[rows])]
         gamma_star[first] = gammas[step, first]
         monitor_per_step[step, rows], min_cutoff_per_step[step, rows] = monitor, cut_min
         clamp_events[rows[going]] += clamps[going]
         left = rows[~going]
         gamma_reached[left], n_recorded[left] = gammas[step, left], step + 1
-        if undo:
-            for row, s, ks, before in reversed(undo):  # a leaving row's writes from this step
-                if s >= step and row in left:
-                    h[ks, row] = before
-            undo[:] = [e for e in undo if e[1] > step and e[0] not in left]
         return left
 
     # step 0: every row from u + 0 v over all k_t slices, as one block; a row dead
@@ -366,13 +353,12 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
     u_gamma[same] = u.values  # their unshifted path starts from u itself
     from_u = _evolve_batch(u_gamma, increments + h * dt, spec, grid, dt, x0=v)
     rows = np.flatnonzero((from_u.n_stored > k_t) & ~same)
+    lower((slice(0, lo), rows), from_u.trace[:lo, rows], from_u.n_stored[rows])
     cut_min, cut_max, clamps = settle(
-        rows, np.zeros(rows.size, dtype=int), (slice(lo, k_t), rows),
-        _transfer_slices(from_u, chi_over_t, spec)[lo:, rows], from_u.trace[lo:, rows],
-        from_u.n_stored[rows] - lo)
+        rows, (slice(lo, k_t), rows), _transfer_slices(from_u, chi_over_t, spec)[lo:, rows],
+        from_u.trace[lo:, rows], from_u.n_stored[rows] - lo)
     from_u = replace(from_u, tangent=None)  # free the tangents before the next evolve
-    finish(0, rows, cut_max > 0.0, from_u.trace[-1, rows], cut_min, clamps,
-           first_half_cut(from_u.trace[:lo, rows], from_u.n_stored[rows]))
+    finish(0, rows, cut_max > 0.0, from_u.trace[-1, rows], cut_min, clamps)
     rows = rows[cut_max > 0.0]
 
     lanes = None  # the lanes in flight, oldest step first, as arrays over lanes
@@ -387,12 +373,12 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
                     _Gather(increments[:lo] + h[:lo] * dt, cols), spec, grid, dt,
                     final_only=True, x0=v[cols])
             q = (step - start) * early_rows.size + np.searchsorted(early_rows, rows)
+            lower((slice(0, lo), rows), early.trace[:lo, q], early.n_stored[q])
             new = {"row": rows, "step": np.full(rows.size, step), "x": early.fields[0, q],
                    "dx": early.tangent[0, q], "r": early.trace[lo, q],
                    "live": early.n_stored[q] > lo,  # a row dead before lo skips the support
                    "cut_min": np.full(rows.size, math.inf), "cut_max": np.zeros(rows.size),
-                   "clamps": np.zeros(rows.size, dtype=int),
-                   "first": first_half_cut(early.trace[:lo, q], early.n_stored[q]).T}
+                   "clamps": np.zeros(rows.size, dtype=int)}
             lanes = new if lanes is None else {k: np.concatenate([lanes[k], new[k]]) for k in lanes}
         if lanes is None:
             break
@@ -402,7 +388,7 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
         # one evolve per block length; only the last block can be shorter
         split = 0 < n_done < block.size and edges[-1] - edges[-2] != size
         for g in (slice(0, n_done), slice(n_done, None)) if split else (slice(None),):
-            g_block, g_rows, g_steps = block[g], lanes["row"][g], lanes["step"][g]
+            g_block, g_rows = block[g], lanes["row"][g]
             x, dx, r, live, cut_min, cut_max, clamps = (
                 lanes[k][g] for k in ("x", "dx", "r", "live", "cut_min", "cut_max", "clamps"))
             n_slices = edges[g_block[0] + 1] - edges[g_block[0]]
@@ -415,16 +401,15 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
                 # step, and its cutoffs on the block drop to 0
                 cutoffs[ks if isinstance(ks, slice) else ks[:, ~on], g_rows[~on]] = 0.0
                 cut_min[~on] = 0.0
-                ks, g_rows, g_steps = (ks if isinstance(ks, slice) else ks[:, on],
-                                       g_rows[on], g_steps[on])
+                ks, g_rows = ks if isinstance(ks, slice) else ks[:, on], g_rows[on]
             if not on.any():
                 continue
             sel = slice(None) if isinstance(ks, slice) and g_rows.size == n_rows else g_rows
             tail = _evolve_batch(x[on], increments[ks, sel] + h[ks, sel] * dt, spec, grid, dt,
                                  x0=dx[on], r0=r[on])
             block_min, block_max, n_over = settle(
-                g_rows, g_steps, (ks, sel), _transfer_slices(tail, chi_over_t[ks], spec),
-                tail.trace, tail.n_stored)
+                g_rows, (ks, sel), _transfer_slices(tail, chi_over_t[ks], spec), tail.trace,
+                tail.n_stored)
             x[on], dx[on], r[on], live[on] = (tail.fields[-1], tail.tangent[-1], tail.trace[-1],
                                               tail.n_stored > n_slices)
             del tail  # free this block's paths and tangents before the next evolve
@@ -437,7 +422,7 @@ def _build_shift_batch(u: Field, u_bars: list[Field], increments: np.ndarray, t:
             lanes = {k: a[n_done:] for k, a in lanes.items()} if n_done < block.size else None
             left = finish(step + 1 - n_blocks, done["row"], done["cut_max"] > 0.0,
                           np.where(done["live"], done["r"], math.inf), done["cut_min"],
-                          done["clamps"], done["first"].T)
+                          done["clamps"])
             if left.size:
                 rows = rows[~np.isin(rows, left)]
                 if lanes is not None:  # drop the lanes of their later steps

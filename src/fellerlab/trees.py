@@ -923,8 +923,9 @@ class _Parser:
 
 def _expansion_bound(t: Tree, memo: dict) -> int:
     """A bound on the terms of t's expansion under Xi -> Xi + XiHat: Xi counts
-    2, XiHat and a monomial 1, I(s) as s, a product as the product of its
-    factors' counts; past ``_MAX_TERMS`` it reads ``_MAX_TERMS + 1``."""
+    2, XiHat and a monomial 1, I(s) as s, a product as the product over its
+    groups of k equal factors counting e each of C(k + e - 1, k), the number
+    of multisets (at most e^k); past ``_MAX_TERMS`` it reads ``_MAX_TERMS + 1``."""
     n = t.node
     if n[0] != "i" and n[0] != "prod":
         return 2 if n[0] == "xi" else 1
@@ -934,8 +935,9 @@ def _expansion_bound(t: Tree, memo: dict) -> int:
             bound = _expansion_bound(n[1], memo)
         else:
             bound = 1
-            for f in n[2]:
-                bound = min(bound * _expansion_bound(f, memo), _MAX_TERMS + 1)
+            for f, group in itertools.groupby(n[2]):  # equal factors sit side by side
+                k, e = len(list(group)), _expansion_bound(f, memo)
+                bound = min(bound * math.comb(k + e - 1, k), _MAX_TERMS + 1)
         memo[t] = bound
     return bound
 

@@ -487,9 +487,10 @@ def test_mixed_fate_batch_bits_hold_with_later_steps_in_flight(grid, monkeypatch
 def _overflowing_transfer(monkeypatch, level):
     """Make every used transfer slice infinite where its row's running
     monitor passed ``level``, as an overflowing tangent would; the slices a
-    row's stored path does not reach stay zero."""
+    row's stored path does not reach stay zero.  Returns a list that gets
+    each call's count of infinite slices."""
     import fellerlab.shift as shift_module
-    transfer = shift_module._transfer_slices
+    transfer, hits = shift_module._transfer_slices, []
 
     def overflowing(paths, chi_over_t, spec):
         out = transfer(paths, chi_over_t, spec)
@@ -497,8 +498,10 @@ def _overflowing_transfer(monkeypatch, level):
         hot = ((paths.trace[:k] > level) & (np.arange(k)[:, None] < paths.n_stored - 1)
                & (chi_over_t.reshape(k, -1) != 0))
         out[hot] = np.inf
+        hits.append(int(np.count_nonzero(hot)))
         return out
     monkeypatch.setattr(shift_module, "_transfer_slices", overflowing)
+    return hits
 
 
 @pytest.mark.parametrize("lanes", [None, 11 * 16], ids=["default", "blocks of 1"])
@@ -508,9 +511,9 @@ def test_leaving_row_with_non_finite_tangent_ends_as_in_the_per_step_loop(grid, 
     gamma 0.2) passes a monitor of 10 first at that step, and its later
     steps pass it too; every other row stays below 10 (the row of stream 4,
     which does not, is left out).  With infinite transfer slices above 10,
-    its last step and its steps in flight write NaN to its shift, and those
-    writes are undone when it leaves: the batch ends as one evolve per gamma
-    step ended it, which never wrote them (digests taken from that loop)."""
+    its last step and its steps in flight meet them only on frozen slices,
+    which write nothing: the batch ends as one evolve per gamma step ended
+    it (digests taken from that loop)."""
     from fellerlab.shift import _build_shift_batch
     import fellerlab.shift as shift_module
     if lanes is not None:
@@ -533,6 +536,35 @@ def test_leaving_row_with_non_finite_tangent_ends_as_in_the_per_step_loop(grid, 
     alone = build_shift(u, u + Field.constant(grid, 0.2), noise[2], t, spec, params)
     assert np.array_equal(alone.h.values[:k_t], results[2].h.values[:k_t])
     assert alone.diagnostics == results[2].diagnostics
+
+
+@pytest.mark.parametrize("lanes", [None, 12 * 16], ids=["default", "blocks of 1"])
+def test_staying_row_with_non_finite_transfer_on_frozen_slices_keeps_its_shift(grid, monkeypatch,
+                                                                               lanes):
+    """With the transfer infinite wherever a row's running monitor has
+    reached 2R, where its cut is exactly 0, the row of the mixed-fate batch
+    that stays frozen to the last step with 15 frozen slices (stream 4,
+    gamma 0.2) keeps its shift and diagnostics bit for bit, and so does the
+    whole batch (its pinned digest): a frozen slice writes nothing, so an
+    overflow there no longer aborts the run with a non-finite shift."""
+    import fellerlab.shift as shift_module
+    if lanes is not None:
+        monkeypatch.setattr(shift_module, "_LANES", lanes)
+    spec = EquationSpec.she(drift="cubic_growth", diffusion="one", r_blowup=50.0)
+    dt, n_steps, t = 2.0**-7, 128, 0.25
+    u = Field.constant(grid, 1.4)
+    params = CouplingParams(m_bound=1.0, k_gamma=6, cutoff_r=1.2)
+    w = sample_white_noise(grid, 1, n_steps, dt, seed=5, stream=4)
+    run = lambda: build_shift(u, u + _direction(grid, 0) * 0.2, w, t, spec, params)
+    plain = run()
+    assert (plain.status, len(plain.diagnostics["monitor_per_step"])) == ("frozen", 6)
+    # a trace above the double below 2R is one at or above 2R
+    hits = _overflowing_transfer(monkeypatch, np.nextafter(2 * params.cutoff_r, 0.0))
+    hot = run()
+    assert sum(hits) > 0
+    assert np.array_equal(hot.h.values, plain.h.values)
+    assert _result_fields(hot) == _result_fields(plain)
+    test_mixed_fate_batch_bits_pinned(grid)
 
 
 def _couple_long_runs():

@@ -559,17 +559,26 @@ def test_parse_takes_exponents_and_factor_counts_up_to_16(text):
     assert max(len(t.node[2]) for t in terms if t.node[0] == "prod") == 16
 
 
-@pytest.mark.parametrize("text", ["I(I(Xi)^16)^8", "I(I(Xi)^16)^16", "I(Xi^16)^16",
-                                  "(Xi + X0)^16", "Xi^16 + Xi"])
-def test_parse_bounds_the_expansion(text):
-    """Each Xi counts 2 (Xi and XiHat), an I its argument, a product the
-    product of its factors and a sum the sum of its terms: past 2^16, the
-    bound of Xi^16, the expression does not parse.  Each example passes
-    every per-product limit; under the shift I(I(Xi)^16)^8 alone has
-    C(24, 8) = 735,471 terms."""
-    with pytest.raises(ParseError) as err:
-        parse_expr(text)
-    assert str(err.value) == "expansion bound above the limit of 65536 terms (at position 0)"
+_EXPANSION_CASES = [("I(I(Xi)^16)^8", None), ("I(I(Xi)^16)^16", None), ("I(Xi^16)^16", None),
+                    ("(Xi + X0)^16", 153), ("Xi^16 + Xi", 19), ("I(I(Xi)^2*I(Xi)^2)^12", 1820)]
+
+
+@pytest.mark.parametrize("text, n_shift_terms", _EXPANSION_CASES,
+                         ids=[text for text, _ in _EXPANSION_CASES])
+def test_parse_bounds_the_expansion(text, n_shift_terms):
+    """Each Xi counts 2 (Xi and XiHat), an I its argument, k equal factors
+    counting e each C(k + e - 1, k) (the multisets of their expansions), a
+    product the product of its groups and a sum the sum of its terms: past
+    2^16 the expression does not parse (n_shift_terms None).  Each example
+    passes every per-product limit; under the shift I(I(Xi)^16)^8 alone has
+    C(24, 8) = 735,471 terms.  (Xi + X0)^16 and Xi^16 + Xi were refused
+    while each factor was counted on its own (bounds 2^17 - 1 and 2^16 + 2)."""
+    if n_shift_terms is None:
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == "expansion bound above the limit of 65536 terms (at position 0)"
+    else:
+        assert len(shift_operator(parse_expr(text)).terms) == n_shift_terms
 
 
 def test_degree_2_bases_and_readme_examples_parse():
